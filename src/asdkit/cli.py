@@ -26,16 +26,16 @@ from . import __version__
 from .config import RunConfig, normalize_mode
 from .dataset import (DatasetManifest, MANIFEST_FILENAME, load_manifest,
                       scan_dataset)
-from .dsp import extract_features, read_wav
+from .dsp import extract_features, frame_count, read_wav, wav_num_samples
 from .errors import (AsdkitError, ConfigError, DatasetError, MismatchError,
                      ModelFileError, TooShortError, WavFormatError)
 from .metrics import (ScoredClip, ScoredTestSet, build_report,
                       load_reference_csv, render_report, write_report_csv)
 from .model import count_macs, init_model, load_model, save_model, train
-from .scoring import (fit_covariances, fit_threshold, load_covariances,
-                      load_thresholds, read_score_csv, save_covariances,
-                      save_thresholds, score_mahalanobis, score_mse,
-                      write_score_csv, decide)
+from .scoring import (covariances_from_moments, fit_threshold, load_covariances,
+                      load_thresholds, read_score_csv, residual_statistics,
+                      save_covariances, save_thresholds, score_mahalanobis,
+                      score_mse, write_score_csv, decide)
 from .synth import SynthSpec, synth_generate
 
 EXIT_OK = 0
@@ -96,12 +96,35 @@ def _write_loss_history(history, path) -> None:
     os.replace(tmp, str(path))
 
 
+def _feature_store(config: RunConfig, root: Path, records):
+    """Extract every clip's features into one float32 (N, D) array.
+
+    The array is allocated once at its final size, counted from each clip's
+    WAV header, so no per-clip or float64 copy of the whole set is ever held.
+    Returns the array and, per clip, (offset, K, domain) of its rows.
+    """
+    f = config.features
+    counts = [max(frame_count(wav_num_samples(root / rec.path), f.n_fft, f.hop_length)
+                  - f.context_frames + 1, 0)
+              for rec in records]
+    store = np.empty((sum(counts), f.feature_dim), dtype=np.float32)
+    clips = []
+    offset = 0
+    for rec, k in zip(records, counts):
+        store[offset:offset + k] = extract_features(read_wav(root / rec.path), f)
+        clips.append((offset, k, rec.domain))
+        offset += k
+    return store, clips
+
+
 def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     """Train the autoencoder for one machine and write all artifacts.
 
     Trains on source+target train clips together, fits per-domain residual
     covariances, and fits one threshold per scoring mode on the training
-    scores. Returns the artifact paths.
+    scores. The only full-size array is the float32 feature store; residual
+    statistics and threshold scores are streamed clip by clip over it.
+    Returns the artifact paths.
     """
     manifest = _resolve_manifest(data_root)
     if machine not in manifest.machines():
@@ -111,17 +134,9 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
                            key=lambda r: r.path)
     if not train_records:
         raise DatasetError(f"no training clips for machine {machine!r}")
-    root = Path(data_root)
-    per_clip = []
-    per_domain: dict[str, list[np.ndarray]] = {"source": [], "target": []}
-    for rec in train_records:
-        feats = extract_features(read_wav(root / rec.path), config.features)
-        per_clip.append(feats)
-        if rec.domain in per_domain:
-            per_domain[rec.domain].append(feats)
-    all_feats = np.vstack(per_clip)
+    store, clips = _feature_store(config, Path(data_root), train_records)
     model0 = init_model(config.layer_dims, seed=config.seed)
-    model, history = train(model0, all_feats, config.train)
+    model, history = train(model0, store, config.train)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,21 +146,22 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     save_model(model, paths["model"])
     _write_loss_history(history, paths["loss"])
 
+    mse_scores, moments = residual_statistics(
+        model, ((store[o:o + k], domain) for o, k, domain in clips))
     cov = None
-    if per_domain["source"] and per_domain["target"]:
-        cov = fit_covariances(model, np.vstack(per_domain["source"]),
-                              np.vstack(per_domain["target"]), ridge=config.ridge)
+    if moments["source"].n and moments["target"].n:
+        cov = covariances_from_moments(moments["source"], moments["target"],
+                                       ridge=config.ridge)
         save_covariances(cov, paths["cov"])
     else:
         print("warning: missing a training domain; covariance file not written, "
               "mahalanobis mode will be unavailable", file=sys.stderr)
 
-    thresholds = {}
-    mse_scores = [score_mse(model, feats) for feats in per_clip]
-    thresholds["mse"] = fit_threshold(mse_scores, config.threshold_percentile,
-                                      split="train", mode="mse")
+    thresholds = {"mse": fit_threshold(mse_scores, config.threshold_percentile,
+                                       split="train", mode="mse")}
     if cov is not None:
-        mah_scores = [score_mahalanobis(model, feats, cov) for feats in per_clip]
+        mah_scores = [score_mahalanobis(model, store[o:o + k], cov)
+                      for o, k, _ in clips]
         thresholds["mahalanobis"] = fit_threshold(
             mah_scores, config.threshold_percentile, split="train", mode="mahalanobis")
     save_thresholds(thresholds, paths["thresholds"])
@@ -173,6 +189,15 @@ def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
     if mode not in thresholds:
         raise ModelFileError(f"no {mode!r} threshold in {paths['thresholds']}")
     threshold = thresholds[mode]
+    feature_dim = config.features.feature_dim
+    if feature_dim != model.input_dim:
+        raise ConfigError(
+            f"config feature dim {feature_dim} (context_frames * n_mels) does not "
+            f"match model input dim {model.input_dim} of {paths['model']}")
+    if cov is not None and cov.dim != feature_dim:
+        raise ConfigError(
+            f"config feature dim {feature_dim} does not match covariance dim "
+            f"{cov.dim} of {paths['cov']}")
 
     manifest = _resolve_manifest(data_root)
     records = sorted(manifest.select(machine=machine, split="test"),
@@ -259,10 +284,9 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
 
 def _frames_for_seconds(config: RunConfig, seconds: float) -> tuple[int, int]:
     f = config.features
-    n_samples = int(round(seconds * f.sample_rate_hz))
-    if n_samples < f.n_fft:
+    t = frame_count(int(round(seconds * f.sample_rate_hz)), f.n_fft, f.hop_length)
+    if t == 0:
         raise ConfigError(f"{seconds} s is shorter than one {f.n_fft}-sample frame")
-    t = 1 + (n_samples - f.n_fft) // f.hop_length
     if t < f.context_frames:
         raise ConfigError(f"{seconds} s gives only {t} frames, need "
                           f">= {f.context_frames}")

@@ -151,13 +151,33 @@ def read_wav(path) -> AudioClip:
     return AudioClip(samples=samples, sample_rate_hz=int(rate), source_path=str(path))
 
 
+def wav_num_samples(path) -> int:
+    """Sample count of a WAV file, read from its header.
+
+    The data chunk is memory-mapped, not read, so this is cheap next to
+    read_wav. Raises WavFormatError for a file read_wav cannot parse either.
+    """
+    try:
+        _, data = wavfile.read(path, mmap=True)
+    except FileNotFoundError:
+        raise
+    except Exception as exc:
+        raise WavFormatError(f"not a readable WAV file: {path} ({exc})") from exc
+    return int(data.shape[0])
+
+
+def frame_count(n_samples: int, n_fft: int, hop_length: int) -> int:
+    """Whole STFT frames in n_samples: T = 1 + (L - n_fft)//hop, 0 when L < n_fft."""
+    return 1 + (n_samples - n_fft) // hop_length if n_samples >= n_fft else 0
+
+
 def hann_window(n: int) -> np.ndarray:
     # periodic form: an exact-bin sine then leaks into only its two neighbours
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
 def stft_power(clip: AudioClip, n_fft: int = 1024, hop_length: int = 512) -> np.ndarray:
-    """Power spectrogram, shape (n_fft//2 + 1, T) with T = 1 + (L - n_fft)//hop.
+    """Power spectrogram, shape (n_fft//2 + 1, T) with T = frame_count(L, n_fft, hop).
 
     Frames are windowed with a periodic Hann window; entries are |DFT bin|^2.
     No padding: a clip shorter than one frame raises TooShortError.
@@ -170,7 +190,7 @@ def stft_power(clip: AudioClip, n_fft: int = 1024, hop_length: int = 512) -> np.
     if x.size < n_fft:
         raise TooShortError(
             f"clip has {x.size} samples, shorter than one {n_fft}-sample frame")
-    num_frames = 1 + (x.size - n_fft) // hop_length
+    num_frames = frame_count(x.size, n_fft, hop_length)
     offsets = np.arange(num_frames) * hop_length
     frames = x[offsets[:, None] + np.arange(n_fft)[None, :]]
     spectrum = np.fft.rfft(frames * hann_window(n_fft)[None, :], axis=1)

@@ -12,6 +12,10 @@ covariances it then reduces exactly to the mse score, and the 1/(D*K)
 normalization stays dimensionally consistent across modes.
 
 Scoring always runs in float64 regardless of the model's parameter dtype.
+Residuals are taken against the features exactly as passed in: at train time
+those are rows of the float32 feature store, so train-time residuals (and the
+thresholds and covariances fitted on them) are taken against the float32
+model input, while test clips are scored against their float64 features.
 Scoring functions are pure; concurrent calls on different clips are safe.
 """
 
@@ -81,12 +85,15 @@ def _residuals(model: AeModel, features: np.ndarray) -> np.ndarray:
     return feats - recon
 
 
+def _mse(residuals: np.ndarray) -> float:
+    return float(np.mean(residuals**2))
+
+
 def score_mse(model: AeModel, features: np.ndarray,
               clip_id: str | None = None) -> AnomalyScore:
     """Mean squared reconstruction error over all stacked vectors of a clip."""
-    residuals = _residuals(model, features)
-    value = float(np.mean(residuals**2))
-    return AnomalyScore(value=value, clip_id=clip_id, mode="mse")
+    return AnomalyScore(value=_mse(_residuals(model, features)), clip_id=clip_id,
+                        mode="mse")
 
 
 def mahalanobis_frame_scores(residuals: np.ndarray, inv_sigma: np.ndarray) -> np.ndarray:
@@ -108,13 +115,49 @@ def score_mahalanobis(model: AeModel, features: np.ndarray, cov: DomainCovarianc
     return AnomalyScore(value=value, clip_id=clip_id, mode="mahalanobis")
 
 
-def _fit_one_covariance(residuals: np.ndarray, ridge: float):
-    n = residuals.shape[0]
-    if n < 2:
-        raise InsufficientDataError(
-            f"need at least 2 residual vectors per domain, got {n}")
-    sigma = np.cov(residuals, rowvar=False, ddof=1)
-    sigma = np.atleast_2d(sigma)
+class ResidualMoments:
+    """Running count n, mean and centred second moment M2 of residual vectors.
+
+    Batches merge with the pairwise update of Chan, Golub & LeVeque (1979):
+    M2 = M2_a + M2_b + delta delta' * n_a n_b / n, with delta the difference
+    of the batch means. Each batch is centred on its own mean after shifting
+    by its first row, so a large common offset never cancels and a batch of
+    identical rows adds exactly zero to M2.
+    """
+
+    def __init__(self, dim: int):
+        self.n = 0
+        self.mean = np.zeros(dim)
+        self.m2 = np.zeros((dim, dim))
+
+    def update(self, residuals: np.ndarray) -> None:
+        x = np.asarray(residuals, dtype=np.float64)
+        k = x.shape[0]
+        if k == 0:
+            return
+        # rows[:k] is the centred batch; rows[k] = sqrt(n_a k / n) * delta,
+        # so one product rows' rows gives M2_b plus the merge term
+        rows = np.empty((k + 1, x.shape[1]))
+        np.subtract(x, x[0], out=rows[:k])
+        shift = rows[:k].mean(axis=0)
+        rows[:k] -= shift
+        n = self.n + k
+        delta = x[0] + shift - self.mean
+        rows[k] = delta * np.sqrt(self.n * k / n)
+        self.m2 += rows.T @ rows
+        self.mean += delta * (k / n)
+        self.n = n
+
+    def covariance(self) -> np.ndarray:
+        """Sample covariance, divisor n - 1."""
+        if self.n < 2:
+            raise InsufficientDataError(
+                f"need at least 2 residual vectors per domain, got {self.n}")
+        return self.m2 / (self.n - 1)
+
+
+def _inverse_covariance(moments: ResidualMoments, ridge: float) -> np.ndarray:
+    sigma = moments.covariance()
     mean_diag = float(np.trace(sigma)) / sigma.shape[0]
     ridge_scale = ridge * max(mean_diag, RIDGE_TRACE_FLOOR)
     sigma = sigma + ridge_scale * np.eye(sigma.shape[0])
@@ -122,10 +165,28 @@ def _fit_one_covariance(residuals: np.ndarray, ridge: float):
     return (inv + inv.T) / 2.0  # enforce symmetry against round-off
 
 
-def fit_covariances(model: AeModel, source_features: np.ndarray,
-                    target_features: np.ndarray,
-                    ridge: float = DEFAULT_RIDGE) -> DomainCovariances:
-    """Fit inverse residual covariances per domain from training features.
+def residual_statistics(model: AeModel, clips):
+    """One residual pass over clips given as (features, domain) pairs.
+
+    Each clip's residual is computed once. It gives the clip's mse score and
+    is merged into the moments of its domain ("source" or "target"; clips of
+    other domains only get a score). Returns (mse scores in clip order,
+    {"source": ResidualMoments, "target": ResidualMoments}).
+    """
+    moments = {"source": ResidualMoments(model.input_dim),
+               "target": ResidualMoments(model.input_dim)}
+    scores = []
+    for features, domain in clips:
+        residuals = _residuals(model, features)
+        scores.append(_mse(residuals))
+        if domain in moments:
+            moments[domain].update(residuals)
+    return scores, moments
+
+
+def covariances_from_moments(source: ResidualMoments, target: ResidualMoments,
+                             ridge: float = DEFAULT_RIDGE) -> DomainCovariances:
+    """Inverse residual covariances per domain from their moments.
 
     Covariance = mean-centered sample covariance (divisor N-1) plus
     ridge * max(trace/D, floor) * I, then inverted. The ridge keeps the target
@@ -133,12 +194,23 @@ def fit_covariances(model: AeModel, source_features: np.ndarray,
     """
     if ridge <= 0:
         raise ConfigError(f"ridge must be > 0, got {ridge}")
-    res_s = _residuals(model, source_features)
-    res_t = _residuals(model, target_features)
     return DomainCovariances(
-        inv_sigma_source=_fit_one_covariance(res_s, ridge),
-        inv_sigma_target=_fit_one_covariance(res_t, ridge),
-        ridge=ridge, n_source=res_s.shape[0], n_target=res_t.shape[0])
+        inv_sigma_source=_inverse_covariance(source, ridge),
+        inv_sigma_target=_inverse_covariance(target, ridge),
+        ridge=ridge, n_source=source.n, n_target=target.n)
+
+
+def fit_covariances(model: AeModel, source_features: np.ndarray,
+                    target_features: np.ndarray,
+                    ridge: float = DEFAULT_RIDGE) -> DomainCovariances:
+    """Fit inverse residual covariances per domain from training features.
+
+    Same fit as covariances_from_moments, with each domain's features taken
+    as one batch.
+    """
+    _, moments = residual_statistics(
+        model, [(source_features, "source"), (target_features, "target")])
+    return covariances_from_moments(moments["source"], moments["target"], ridge)
 
 
 def identity_covariances(dim: int) -> DomainCovariances:

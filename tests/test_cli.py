@@ -165,6 +165,32 @@ def test_score_command_missing_covariance(trained_artifacts, tmp_path):
         paths["cov"].write_bytes(cov_bytes)
 
 
+def test_score_command_dimension_mismatch_fails_fast(trained_artifacts, tmp_path,
+                                                    capsys):
+    config, paths, root = trained_artifacts
+    wrong = tmp_path / "wrong.yaml"
+    with open(wrong, "w") as fh:  # 64 mels * 5 frames = 320 != model dim 160
+        yaml.safe_dump({"features": {"n_mels": 64, "context_frames": 5}}, fh)
+    out_csv = tmp_path / "s.csv"
+    rc = main(["score", "--model", str(paths["model"].parent), "--config", str(wrong),
+               "--data-root", str(root), "--machine", SMALL_MACHINE,
+               "--mode", "mse", "--out", str(out_csv)])
+    assert rc == EXIT_CONFIG
+    assert "feature dim 320" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    for key in ("model", "thresholds", "config"):
+        (model_dir / paths[key].name).write_bytes(paths[key].read_bytes())
+    save_covariances(identity_covariances(8), model_dir / paths["cov"].name)
+    rc = main(["score", "--model", str(model_dir), "--data-root", str(root),
+               "--machine", SMALL_MACHINE, "--mode", "mahala", "--out", str(out_csv)])
+    assert rc == EXIT_CONFIG
+    assert "covariance dim 8" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_score_command_unreadable_wav_is_row_level(trained_artifacts, tmp_path,
                                                    capsys):
     config, paths, root = trained_artifacts

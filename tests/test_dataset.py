@@ -110,6 +110,25 @@ def test_official_dev_layout_counts(tmp_path):
     assert len(manifest.select(machine="bearing", split="test")) == 200
 
 
+def test_synth_full_spec_has_official_layout():
+    spec = SynthSpec.from_yaml(Path(__file__).parents[1] / "configs" / "synth_full.yaml")
+    c = spec.counts
+    plan = [("train", "source", "normal", c.source_train),
+            ("train", "target", "normal", c.target_train),
+            ("test", "source", "normal", c.test_normal_source),
+            ("test", "target", "normal", c.test_normal_target),
+            ("test", "source", "anomaly", c.test_anomaly_source),
+            ("test", "target", "anomaly", c.test_anomaly_target)]
+    records = [ClipRecord(machine_type=machine, section="00", domain=domain,
+                          split=split, condition=condition,
+                          path=f"{machine}/{split}/{domain}_{condition}_{i:04d}.wav")
+               for machine in spec.machines
+               for split, domain, condition, count in plan
+               for i in range(count)]
+    assert spec.clip_seconds == 10.0
+    assert official_layout_violations(DatasetManifest(records=records)) == []
+
+
 def test_official_layout_violations_reported(small_dataset):
     _, manifest = small_dataset
     problems = official_layout_violations(manifest)

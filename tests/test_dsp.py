@@ -5,9 +5,10 @@ import pytest
 from scipy.io import wavfile
 
 from asdkit.dsp import (AudioClip, FeatureConfig, LogMelSpectrogram,
-                        extract_features, hann_window, hz_to_mel, log_mel,
-                        mel_filterbank, mel_to_hz, read_wav, stack_frames,
-                        stacked_features, stft_power)
+                        extract_features, frame_count, hann_window, hz_to_mel,
+                        log_mel, mel_filterbank, mel_to_hz, read_wav,
+                        stack_frames, stacked_features, stft_power,
+                        wav_num_samples)
 from asdkit.errors import (ChannelCountError, ConfigError, EmptyAudioError,
                            TooShortError, WavFormatError)
 
@@ -89,6 +90,29 @@ def test_stft_frame_count_formula():
     power = stft_power(clip, n_fft=1024, hop_length=512)
     assert power.shape == (513, 1 + (16000 - 1024) // 512)
     assert power.shape[1] == 30
+
+
+@pytest.mark.parametrize("n_fft,hop", [(1024, 512), (256, 100), (64, 64)])
+def test_frame_count_matches_stft_around_frame_boundaries(n_fft, hop):
+    rng = np.random.default_rng(0)
+    for frames in (1, 2, 7):
+        boundary = n_fft + (frames - 1) * hop  # shortest length giving `frames`
+        for length in (boundary - 1, boundary, boundary + 1):
+            expected = frame_count(length, n_fft, hop)
+            if length < n_fft:
+                assert expected == 0
+                continue
+            power = stft_power(clip_of(rng.standard_normal(length)), n_fft, hop)
+            assert power.shape[1] == expected
+            assert expected == frames - (length < boundary)
+
+
+def test_wav_num_samples_reads_header(tmp_path):
+    path = write_pcm16(tmp_path / "c.wav", np.zeros(12345, dtype=np.int16))
+    assert wav_num_samples(path) == read_wav(path).num_samples == 12345
+    (tmp_path / "bad.wav").write_bytes(b"RIFF garbage")
+    with pytest.raises(WavFormatError):
+        wav_num_samples(tmp_path / "bad.wav")
 
 
 def test_stft_zero_input_is_zero():

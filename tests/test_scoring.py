@@ -11,7 +11,8 @@ from asdkit.scoring import (AnomalyScore, DomainCovariances, Threshold, decide,
                             load_thresholds, mahalanobis_frame_scores,
                             read_score_csv, save_covariances, save_thresholds,
                             score_mahalanobis, score_mse, write_score_csv,
-                            RIDGE_TRACE_FLOOR)
+                            RIDGE_TRACE_FLOOR, ResidualMoments,
+                            covariances_from_moments, residual_statistics)
 
 
 def zero_model(dim):
@@ -113,6 +114,57 @@ def test_covariance_degenerate_equal_residuals():
     assert np.allclose(np.diag(cov.inv_sigma_source), expected_diag, rtol=1e-6)
     off = cov.inv_sigma_source - np.diag(np.diag(cov.inv_sigma_source))
     assert np.allclose(off, 0.0, atol=abs(expected_diag) * 1e-9)
+
+
+def moments_of(x, sizes):
+    moments = ResidualMoments(x.shape[1])
+    offset = 0
+    for k in sizes:
+        moments.update(x[offset:offset + k])
+        offset += k
+    assert offset == x.shape[0]
+    return moments
+
+
+CHUNKINGS = {"ones": [1] * 60, "twos": [2] * 30, "uneven": [1, 7, 0, 13, 2, 37],
+             "single": [60]}
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
+def test_streamed_covariance_matches_np_cov(offset, chunking):
+    x = np.random.default_rng(6).standard_normal((60, 5)) + offset
+    moments = moments_of(x, CHUNKINGS[chunking])
+    expected = np.cov(x, rowvar=False, ddof=1)
+    got = moments.covariance()
+    assert moments.n == 60
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.allclose(moments.mean, x.mean(axis=0), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
+def test_streamed_covariance_of_equal_rows_is_exactly_zero(chunking):
+    x = np.tile(np.array([0.1, 2.0, -3.3, 1e3, 0.7]), (60, 1))
+    moments = moments_of(x, CHUNKINGS[chunking])
+    assert np.all(moments.covariance() == 0.0)
+    assert np.all(moments.mean == x[0])
+
+
+def test_covariances_from_streamed_clips_equal_batch_fit(rng):
+    model = init_model([5, 3, 5], seed=2, dtype=np.float64)
+    clips = [(rng.standard_normal((k, 5)), domain)
+             for k, domain in [(7, "source"), (1, "target"), (12, "source"),
+                               (4, "unknown"), (5, "target"), (3, "source")]]
+    scores, moments = residual_statistics(model, clips)
+    assert scores == [score_mse(model, feats).value for feats, _ in clips]
+    streamed = covariances_from_moments(moments["source"], moments["target"])
+    batch = fit_covariances(
+        model, np.vstack([f for f, d in clips if d == "source"]),
+        np.vstack([f for f, d in clips if d == "target"]))
+    assert (streamed.n_source, streamed.n_target) == (22, 6)
+    for a, b in ((streamed.inv_sigma_source, batch.inv_sigma_source),
+                 (streamed.inv_sigma_target, batch.inv_sigma_target)):
+        assert np.allclose(a, b, rtol=1e-9, atol=0)
 
 
 def test_covariance_insufficient_data():
