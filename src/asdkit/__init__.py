@@ -9,12 +9,10 @@ testable at desk scale.
 
 __version__ = "0.1.0"
 
-from .dsp import (AudioClip, FeatureConfig, LogMelSpectrogram, StackedFeature,
-                  extract_features, log_mel, mel_filterbank, read_wav,
-                  stack_frames, stft_power)
-from .dataset import (ClipRecord, DatasetManifest, EvalSet, NamingConfig,
-                      build_eval_set, load_attributes_csv, load_manifest,
-                      save_manifest, scan_dataset)
+from .dsp import (AudioClip, FeatureConfig, LogMelSpectrogram, extract_features,
+                  log_mel, mel_filterbank, read_wav, stack_frames, stft_power)
+from .dataset import (ClipRecord, DatasetManifest, load_attributes_csv,
+                      load_manifest, save_manifest, scan_dataset)
 from .synth import SynthSpec, synth_generate
 from .model import (AeModel, TrainConfig, count_macs, forward, gradient,
                     init_model, load_model, save_model, train)
@@ -27,12 +25,10 @@ from .config import RunConfig
 
 __all__ = [
     "__version__",
-    "AudioClip", "FeatureConfig", "LogMelSpectrogram", "StackedFeature",
-    "extract_features", "log_mel", "mel_filterbank", "read_wav",
-    "stack_frames", "stft_power",
-    "ClipRecord", "DatasetManifest", "EvalSet", "NamingConfig",
-    "build_eval_set", "load_attributes_csv", "load_manifest", "save_manifest",
-    "scan_dataset",
+    "AudioClip", "FeatureConfig", "LogMelSpectrogram", "extract_features",
+    "log_mel", "mel_filterbank", "read_wav", "stack_frames", "stft_power",
+    "ClipRecord", "DatasetManifest", "load_attributes_csv", "load_manifest",
+    "save_manifest", "scan_dataset",
     "SynthSpec", "synth_generate",
     "AeModel", "TrainConfig", "count_macs", "forward", "gradient",
     "init_model", "load_model", "save_model", "train",

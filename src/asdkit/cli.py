@@ -7,22 +7,22 @@ Exit codes are stable for scripting:
     4  artifact problem (missing/corrupt model, covariance, threshold files)
     5  scores and ground truth do not match up
 
-Every command echoes its resolved configuration next to its outputs; files
-are written atomically (temp + rename).
+Every command echoes its resolved configuration next to its outputs. Every
+artifact, CSV, report and echo is written atomically (temp + rename); an
+output path that cannot be written is a configuration problem (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
+from ._io import atomic_write, write_yaml
 from .config import RunConfig, normalize_mode
 from .dataset import (DatasetManifest, MANIFEST_FILENAME, load_manifest,
                       scan_dataset)
@@ -62,38 +62,37 @@ def _resolve_manifest(data_root) -> DatasetManifest:
 def _load_run_config(config_path, seed_override: int | None = None) -> RunConfig:
     if config_path is None:
         return RunConfig(seed=seed_override) if seed_override is not None else RunConfig()
-    path = Path(config_path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return RunConfig.from_yaml(path, seed_override=seed_override)
+    return RunConfig.from_yaml(config_path, seed_override=seed_override)
+
+
+def _artifact_paths(out_dir) -> dict[str, Path]:
+    """The files a training run writes into its output directory."""
+    out = Path(out_dir)
+    return {"model": out / MODEL_FILENAME, "cov": out / COV_FILENAME,
+            "thresholds": out / THRESHOLDS_FILENAME,
+            "loss": out / LOSS_FILENAME, "config": out / CONFIG_ECHO_FILENAME}
 
 
 def _model_paths(model_arg) -> dict[str, Path]:
     """Accept either the model file or its training output directory."""
     p = Path(model_arg)
-    base = p.parent if p.is_file() else p
-    model = p if p.is_file() else base / MODEL_FILENAME
-    return {"model": model, "cov": base / COV_FILENAME,
-            "thresholds": base / THRESHOLDS_FILENAME,
-            "config": base / CONFIG_ECHO_FILENAME}
+    if p.is_file():
+        return {**_artifact_paths(p.parent), "model": p}
+    return _artifact_paths(p)
 
 
 def _config_for_model(paths: dict[str, Path], config_arg) -> RunConfig:
-    if config_arg is not None:
-        return _load_run_config(config_arg)
-    if paths["config"].exists():
-        return RunConfig.from_yaml(paths["config"])
-    return RunConfig()
+    if config_arg is None and paths["config"].exists():
+        config_arg = paths["config"]
+    return _load_run_config(config_arg)
 
 
 def _write_loss_history(history, path) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mse"])
         for epoch, value in enumerate(history):
             writer.writerow([epoch, repr(float(value))])
-    os.replace(tmp, str(path))
 
 
 def _feature_store(config: RunConfig, root: Path, records):
@@ -138,11 +137,8 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     model0 = init_model(config.layer_dims, seed=config.seed)
     model, history = train(model0, store, config.train)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {"model": out / MODEL_FILENAME, "cov": out / COV_FILENAME,
-             "thresholds": out / THRESHOLDS_FILENAME,
-             "loss": out / LOSS_FILENAME, "config": out / CONFIG_ECHO_FILENAME}
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    paths = _artifact_paths(out_dir)
     save_model(model, paths["model"])
     _write_loss_history(history, paths["loss"])
 
@@ -174,17 +170,8 @@ def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
                   machine: str, mode: str, out_csv):
     """Score every test clip of a machine; returns (rows, row_errors)."""
     mode = normalize_mode(mode)
-    if not paths["model"].exists():
-        raise ModelFileError(f"model file not found: {paths['model']}")
     model = load_model(paths["model"])
-    cov = None
-    if mode == "mahalanobis":
-        if not paths["cov"].exists():
-            raise ModelFileError(
-                f"covariance file required for mahalanobis mode: {paths['cov']}")
-        cov = load_covariances(paths["cov"])
-    if not paths["thresholds"].exists():
-        raise ModelFileError(f"threshold file not found: {paths['thresholds']}")
+    cov = load_covariances(paths["cov"]) if mode == "mahalanobis" else None
     thresholds = load_thresholds(paths["thresholds"])
     if mode not in thresholds:
         raise ModelFileError(f"no {mode!r} threshold in {paths['thresholds']}")
@@ -220,13 +207,10 @@ def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
         rows.append((rec.path, score.value, decide(score, threshold)))
     write_score_csv(rows, out_csv)
     if row_errors:
-        err_path = str(out_csv) + ".errors.csv"
-        tmp = err_path + ".tmp"
-        with open(tmp, "w", newline="") as fh:
+        with atomic_write(str(out_csv) + ".errors.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["clip_path", "error"])
             writer.writerows(row_errors)
-        os.replace(tmp, err_path)
     config.echo(str(out_csv) + ".config.yaml",
                 extra={"command": "score", "machine": machine, "mode": mode,
                        "data_root": str(data_root), "model": str(paths["model"])})
@@ -237,8 +221,6 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
                     macs: int | None = None, p: float = 0.1):
     """Join scores with ground truth, compute the report, write CSV + table."""
     scores_path = Path(scores_csv)
-    if not scores_path.exists():
-        raise ConfigError(f"scores file not found: {scores_path}")
     truth_path = Path(manifest_path)
     if not truth_path.exists():
         raise ConfigError(f"truth manifest not found: {truth_path}")
@@ -268,17 +250,13 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
                           reference=reference, p=p)
     out_base = str(out_base)
     write_report_csv(report, out_base + ".csv")
-    table = render_report(report)
-    tmp = out_base + ".txt.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(table)
-    os.replace(tmp, out_base + ".txt")
-    echo = {"command": "evaluate", "scores": str(scores_path),
-            "manifest": str(truth_path), "pauc_p": p,
-            "reference": None if reference_csv is None else str(reference_csv),
-            "macs_per_vector": macs}
-    with open(out_base + ".config.yaml", "w") as fh:
-        yaml.safe_dump(echo, fh, sort_keys=False)
+    with atomic_write(out_base + ".txt") as fh:
+        fh.write(render_report(report))
+    write_yaml(out_base + ".config.yaml",
+               {"command": "evaluate", "scores": str(scores_path),
+                "manifest": str(truth_path), "pauc_p": p,
+                "reference": None if reference_csv is None else str(reference_csv),
+                "macs_per_vector": macs})
     return report, skipped
 
 
@@ -302,9 +280,8 @@ def _cmd_synth(args) -> int:
         raise ConfigError(f"spec not found: {spec_path}")
     spec = SynthSpec.from_yaml(spec_path)
     manifest = synth_generate(spec, args.out, seed=args.seed)
-    echo = {"command": "synth", "seed": args.seed, "spec": spec.to_dict()}
-    with open(Path(args.out) / "synth_spec.yaml", "w") as fh:
-        yaml.safe_dump(echo, fh, sort_keys=False)
+    write_yaml(Path(args.out) / "synth_spec.yaml",
+               {"command": "synth", "seed": args.seed, "spec": spec.to_dict()})
     print(f"wrote {len(manifest.records)} clips for "
           f"{len(manifest.machines())} machine(s) under {args.out}")
     return EXIT_OK
@@ -320,8 +297,8 @@ def _cmd_train(args) -> int:
 def _cmd_score(args) -> int:
     paths = _model_paths(args.model)
     config = _config_for_model(paths, args.config)
-    rows, row_errors = score_machine(config, paths, args.data_root,
-                                     args.machine, args.mode, args.out)
+    rows, row_errors = score_machine(config, paths, args.data_root, args.machine,
+                                     args.mode or config.mode, args.out)
     print(f"scored {len(rows)} clips -> {args.out}"
           + (f" ({len(row_errors)} warnings, see {args.out}.errors.csv)"
              if row_errors else ""))
@@ -340,11 +317,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_macs(args) -> int:
-    model_path = Path(args.model)
-    if not model_path.exists():
-        raise ModelFileError(f"model file not found: {model_path}")
-    model = load_model(model_path)
-    config = _config_for_model(_model_paths(args.model), args.config)
+    paths = _model_paths(args.model)
+    model = load_model(paths["model"])
+    config = _config_for_model(paths, args.config)
     per_vector = count_macs(model)
     t, k = _frames_for_seconds(config, args.seconds)
     f = config.features
@@ -384,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run config YAML (default: echo stored beside the model)")
     p.add_argument("--data-root", required=True)
     p.add_argument("--machine", required=True)
-    p.add_argument("--mode", default="mse", choices=["mse", "mahala", "mahalanobis"])
+    p.add_argument("--mode", default=None, choices=["mse", "mahala", "mahalanobis"],
+                   help="scoring mode (default: scoring.mode of the run config)")
     p.add_argument("--out", required=True, help="output scores CSV")
     p.set_defaults(fn=_cmd_score)
 
@@ -399,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("macs", help="report model complexity")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, help="model file or training out dir")
     p.add_argument("--config", default=None)
     p.add_argument("--seconds", type=float, default=10.0,
                    help="clip length for the per-clip figure")

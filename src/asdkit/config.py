@@ -7,21 +7,63 @@ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import yaml
 
+from ._io import write_yaml
 from .dsp import FeatureConfig
 from .errors import ConfigError
-from .model import TrainConfig
+from .model import TrainConfig, default_layer_dims
 from .scoring import DEFAULT_PERCENTILE, DEFAULT_RIDGE, MODES
 
 MODE_ALIASES = {"mse": "mse", "mahala": "mahalanobis", "mahalanobis": "mahalanobis"}
 
 
-def default_layer_dims(feature_dim: int) -> list[int]:
-    """Baseline bottleneck shape scaled to the feature dimension."""
-    return [feature_dim, 128, 128, 128, 128, 8, 128, 128, 128, 128, feature_dim]
+def _keys(cls) -> tuple[str, ...]:
+    """Config keys of a dataclass: its fields, minus private ones like _mel_fb."""
+    return tuple(f.name for f in fields(cls) if not f.name.startswith("_"))
+
+
+# YAML section -> its keys, in echo order; model and scoring keys are RunConfig fields
+_SECTIONS = {"features": _keys(FeatureConfig), "model": ("layer_dims",),
+             "train": _keys(TrainConfig),
+             "scoring": ("mode", "ridge", "threshold_percentile")}
+
+
+def _checked(name: str, value, default):
+    """value if it has the type of default, else ConfigError naming the key.
+
+    Ints reject bools. Floats must be finite and also accept ints and numeric
+    strings, because YAML reads 1e-3 (no dot) as a string.
+    """
+    kind = type(default)
+    if kind is float and type(value) in (int, str):
+        try:
+            value = float(value)
+        except (ValueError, OverflowError):
+            pass
+    if type(value) is kind and (kind is not float or -math.inf < value < math.inf):
+        return value
+    raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+
+
+def _section(data: dict, name: str) -> dict:
+    raw = data.get(name) or {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping, got {raw!r}")
+    bad = set(raw) - set(_SECTIONS[name])
+    if bad:
+        raise ConfigError(f"unknown {name} keys: {sorted(bad)}")
+    return raw
+
+
+def _typed_section(data: dict, name: str, cls) -> dict:
+    """The section's values, each checked against its field default in cls."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {key: _checked(f"{name}.{key}", value, defaults[key])
+            for key, value in _section(data, name).items()}
 
 
 @dataclass
@@ -35,90 +77,60 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.layer_dims is None:
-            self.layer_dims = default_layer_dims(self.features.feature_dim)
-        self.mode = normalize_mode(self.mode)
         d = self.features.feature_dim
-        if self.layer_dims[0] != d or self.layer_dims[-1] != d:
+        self.layer_dims = list(default_layer_dims(d) if self.layer_dims is None
+                               else self.layer_dims)
+        self.mode = normalize_mode(self.mode)
+        if len(self.layer_dims) < 2 or self.layer_dims[0] != d or self.layer_dims[-1] != d:
             raise ConfigError(
-                f"model input/output dims {self.layer_dims[0]}/{self.layer_dims[-1]} "
-                f"must equal context_frames * n_mels = {d}")
+                f"model layer_dims {self.layer_dims} must start and end with "
+                f"context_frames * n_mels = {d}")
 
     @classmethod
     def from_dict(cls, data: dict, seed_override: int | None = None) -> "RunConfig":
         data = dict(data or {})
         # "run" is provenance metadata written by the config echo; ignore it
-        unknown = set(data) - {"features", "model", "train", "scoring", "seed", "run"}
+        unknown = set(data) - {*_SECTIONS, "seed", "run"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        seed = int(data.get("seed", 0))
+        seed = _checked("seed", data.get("seed", 0), 0)
         if seed_override is not None:
             seed = seed_override
-        feat_kwargs = dict(data.get("features") or {})
-        bad = set(feat_kwargs) - {"sample_rate_hz", "n_fft", "hop_length", "n_mels",
-                                  "context_frames", "log_floor", "normalize"}
-        if bad:
-            raise ConfigError(f"unknown feature keys: {sorted(bad)}")
-        features = FeatureConfig(**feat_kwargs)
-        model_section = dict(data.get("model") or {})
-        bad = set(model_section) - {"layer_dims"}
-        if bad:
-            raise ConfigError(f"unknown model keys: {sorted(bad)}")
-        layer_dims = model_section.get("layer_dims")
-        train_kwargs = dict(data.get("train") or {})
-        bad = set(train_kwargs) - {"epochs", "batch_size", "learning_rate",
-                                   "beta1", "beta2", "adam_eps", "seed"}
-        if bad:
-            raise ConfigError(f"unknown train keys: {sorted(bad)}")
+        layer_dims = _section(data, "model").get("layer_dims")
+        if layer_dims is not None:
+            if not isinstance(layer_dims, list):
+                raise ConfigError(f"model.layer_dims: expected a list, got {layer_dims!r}")
+            layer_dims = [_checked(f"model.layer_dims[{i}]", d, 0)
+                          for i, d in enumerate(layer_dims)]
         # shuffle stream follows the master seed unless pinned explicitly
-        train_kwargs.setdefault("seed", seed + 1)
-        scoring = dict(data.get("scoring") or {})
-        bad = set(scoring) - {"mode", "ridge", "threshold_percentile"}
-        if bad:
-            raise ConfigError(f"unknown scoring keys: {sorted(bad)}")
-        try:
-            return cls(features=features,
-                       layer_dims=None if layer_dims is None else [int(d) for d in layer_dims],
-                       train=TrainConfig(**train_kwargs),
-                       mode=scoring.get("mode", "mse"),
-                       ridge=float(scoring.get("ridge", DEFAULT_RIDGE)),
-                       threshold_percentile=float(
-                           scoring.get("threshold_percentile", DEFAULT_PERCENTILE)),
-                       seed=seed)
-        except TypeError as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        train = {"seed": seed + 1, **_typed_section(data, "train", TrainConfig)}
+        return cls(features=FeatureConfig(**_typed_section(data, "features", FeatureConfig)),
+                   layer_dims=layer_dims, train=TrainConfig(**train), seed=seed,
+                   **_typed_section(data, "scoring", cls))
 
     @classmethod
     def from_yaml(cls, path, seed_override: int | None = None) -> "RunConfig":
-        with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+        try:
+            with open(path) as fh:
+                data = yaml.safe_load(fh) or {}
+        except (OSError, yaml.YAMLError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a YAML mapping")
         return cls.from_dict(data, seed_override=seed_override)
 
     def to_dict(self) -> dict:
-        f = self.features
-        return {
-            "seed": self.seed,
-            "features": {"sample_rate_hz": f.sample_rate_hz, "n_fft": f.n_fft,
-                         "hop_length": f.hop_length, "n_mels": f.n_mels,
-                         "context_frames": f.context_frames,
-                         "log_floor": f.log_floor, "normalize": f.normalize},
-            "model": {"layer_dims": list(self.layer_dims)},
-            "train": {"epochs": self.train.epochs, "batch_size": self.train.batch_size,
-                      "learning_rate": self.train.learning_rate,
-                      "beta1": self.train.beta1, "beta2": self.train.beta2,
-                      "adam_eps": self.train.adam_eps, "seed": self.train.seed},
-            "scoring": {"mode": self.mode, "ridge": self.ridge,
-                        "threshold_percentile": self.threshold_percentile},
-        }
+        owners = {"features": self.features, "model": self, "train": self.train,
+                  "scoring": self}
+        return {"seed": self.seed,
+                **{name: {key: getattr(owners[name], key) for key in keys}
+                   for name, keys in _SECTIONS.items()}}
 
     def echo(self, path, extra: dict | None = None) -> None:
         payload = self.to_dict()
         if extra:
             payload["run"] = extra
-        with open(path, "w") as fh:
-            yaml.safe_dump(payload, fh, sort_keys=False)
+        write_yaml(path, payload)
 
 
 def normalize_mode(mode: str) -> str:

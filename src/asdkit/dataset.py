@@ -4,10 +4,10 @@ The on-disk layout mirrors the usual machine-condition-monitoring convention:
 
     <root>/<machine_type>/<split>/section_<NN>_<domain>_<split>_<condition>_<idx>[_<k>_<v>...].wav
 
-File names are parsed by token scanning driven by a NamingConfig, so trees
-with variant names (missing domain/condition tokens, extra attribute tokens)
-remain ingestible; names that cannot be parsed are collected into a
-skipped-files report instead of being dropped silently.
+File names are parsed by token scanning, so trees with variant names
+(missing domain/condition tokens, extra attribute tokens) remain ingestible;
+names that cannot be parsed are collected into a skipped-files report instead
+of being dropped silently.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._io import atomic_write
 from .errors import DatasetError
 
 DOMAINS = ("source", "target", "unknown")
@@ -27,6 +28,11 @@ ROLES = ("development", "additional_training", "evaluation")
 MANIFEST_COLUMNS = ["machine_type", "section", "domain", "split",
                     "condition", "path", "attributes", "role"]
 MANIFEST_FILENAME = "manifest.csv"
+
+# tokens a file name may carry; a missing domain or condition maps to "unknown"
+SECTION_PREFIX = "section"
+NAME_DOMAINS = ("source", "target")
+NAME_CONDITIONS = ("normal", "anomaly")
 
 
 @dataclass
@@ -92,43 +98,7 @@ class DatasetManifest:
         return {r.filename: r for r in self.records}
 
 
-@dataclass
-class EvalSet:
-    """Test clips of one (machine, section) with ground truth and counts."""
-
-    machine_type: str
-    section: str
-    records: list[ClipRecord]
-
-    @property
-    def n_normal_source(self) -> int:
-        return sum(1 for r in self.records if r.condition == "normal" and r.domain == "source")
-
-    @property
-    def n_normal_target(self) -> int:
-        return sum(1 for r in self.records if r.condition == "normal" and r.domain == "target")
-
-    @property
-    def n_normal(self) -> int:
-        return sum(1 for r in self.records if r.condition == "normal")
-
-    @property
-    def n_anomaly(self) -> int:
-        return sum(1 for r in self.records if r.condition == "anomaly")
-
-
-@dataclass
-class NamingConfig:
-    """Declares the tokens the filename parser recognizes."""
-
-    section_prefix: str = "section"
-    domains: tuple[str, ...] = ("source", "target")
-    splits: tuple[str, ...] = ("train", "test", "supplementary")
-    conditions: tuple[str, ...] = ("normal", "anomaly")
-    separator: str = "_"
-
-
-def parse_clip_name(filename: str, naming: NamingConfig | None = None) -> dict:
+def parse_clip_name(filename: str) -> dict:
     """Parse one WAV filename into record fields.
 
     Token scan: 'section' + id first, then any domain/split/condition tokens in
@@ -137,11 +107,9 @@ def parse_clip_name(filename: str, naming: NamingConfig | None = None) -> dict:
     split is left None for the caller to fill from the directory layout.
     Raises ValueError when the name does not start with the section prefix.
     """
-    naming = naming or NamingConfig()
-    stem = Path(filename).stem
-    tokens = stem.split(naming.separator)
-    if len(tokens) < 2 or tokens[0] != naming.section_prefix:
-        raise ValueError(f"{filename}: expected '{naming.section_prefix}_<id>_...'")
+    tokens = Path(filename).stem.split("_")
+    if len(tokens) < 2 or tokens[0] != SECTION_PREFIX:
+        raise ValueError(f"{filename}: expected '{SECTION_PREFIX}_<id>_...'")
     section = tokens[1]
     domain = "unknown"
     split = None
@@ -149,11 +117,11 @@ def parse_clip_name(filename: str, naming: NamingConfig | None = None) -> dict:
     index = None
     rest: list[str] = []
     for tok in tokens[2:]:
-        if index is None and tok in naming.domains:
+        if index is None and tok in NAME_DOMAINS:
             domain = tok
-        elif index is None and tok in naming.splits:
+        elif index is None and tok in SPLITS:
             split = tok
-        elif index is None and tok in naming.conditions:
+        elif index is None and tok in NAME_CONDITIONS:
             condition = tok
         elif index is None and tok.isdigit():
             index = int(tok)
@@ -168,8 +136,7 @@ def parse_clip_name(filename: str, naming: NamingConfig | None = None) -> dict:
             "condition": condition, "index": index, "attributes": attributes}
 
 
-def scan_dataset(root_dir, naming: NamingConfig | None = None,
-                 role: str = "development") -> DatasetManifest:
+def scan_dataset(root_dir, role: str = "development") -> DatasetManifest:
     """Walk a dataset tree and build the manifest.
 
     Expects <root>/<machine>/<subdir>/*.wav; the subdir name supplies the
@@ -179,7 +146,6 @@ def scan_dataset(root_dir, naming: NamingConfig | None = None,
     root = Path(root_dir)
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
-    naming = naming or NamingConfig()
     records: list[ClipRecord] = []
     skipped: list[tuple[str, str]] = []
     wavs = sorted(root.rglob("*.wav"))
@@ -193,12 +159,12 @@ def scan_dataset(root_dir, naming: NamingConfig | None = None,
             continue
         machine = rel.parts[0]
         try:
-            parsed = parse_clip_name(wav.name, naming)
+            parsed = parse_clip_name(wav.name)
         except ValueError as exc:
             skipped.append((str(rel), str(exc)))
             continue
         split = parsed["split"]
-        if split is None and rel.parent.name in naming.splits:
+        if split is None and rel.parent.name in SPLITS:
             split = rel.parent.name
         if split is None:
             skipped.append((str(rel), "no split token and directory is not a split name"))
@@ -262,25 +228,14 @@ def apply_attributes(manifest: DatasetManifest,
     return warnings
 
 
-def build_eval_set(manifest: DatasetManifest, machine: str, section: str) -> EvalSet:
-    records = [r for r in manifest.select(machine=machine, split="test")
-               if r.section == section]
-    if not records:
-        raise DatasetError(f"no test clips for machine {machine!r} section {section!r}")
-    return EvalSet(machine_type=machine, section=section, records=records)
-
-
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS)
         for r in sorted(manifest.records, key=lambda r: r.path):
             attr_text = ";".join(f"{k}={v}" for k, v in sorted(r.attributes.items()))
             writer.writerow([r.machine_type, r.section, r.domain, r.split,
                              r.condition, r.path, attr_text, manifest.role])
-    tmp.replace(path)
 
 
 def load_manifest(path) -> DatasetManifest:

@@ -65,7 +65,6 @@ class LogMelSpectrogram:
     values: np.ndarray
     n_fft: int
     hop_length: int
-    window: str = "hann"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -73,27 +72,6 @@ class LogMelSpectrogram:
             raise ConfigError(f"log-mel matrix must be 2-D, got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("log-mel spectrogram contains non-finite entries")
-
-    @property
-    def mel_bands(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
-class StackedFeature:
-    """One stacked feature vector: `context` consecutive log-mel frames, concatenated."""
-
-    vector: np.ndarray
-    frame_index: int
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise ConfigError("stacked feature must be a flat vector")
 
 
 @dataclass
@@ -205,20 +183,18 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int,
-                   to_scale=hz_to_mel, from_scale=mel_to_hz) -> np.ndarray:
+def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int) -> np.ndarray:
     """Triangular mel filterbank, shape (n_mels, n_fft//2 + 1).
 
     Filter centers are equally spaced on the HTK mel scale
-    (2595 * log10(1 + f/700)) between 0 Hz and Nyquist; pass a different
-    to_scale/from_scale pair to swap the warping. Raises ConfigError when
+    (2595 * log10(1 + f/700)) between 0 Hz and Nyquist. Raises ConfigError when
     n_mels is too large for the FFT resolution (some filter would not cover
     any bin).
     """
     if n_mels < 1:
         raise ConfigError(f"n_mels must be >= 1, got {n_mels}")
     nyquist = sample_rate_hz / 2.0
-    edges_hz = from_scale(np.linspace(0.0, to_scale(nyquist), n_mels + 2))
+    edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(nyquist), n_mels + 2))
     bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate_hz / n_fft)
     lower, center, upper = edges_hz[:-2], edges_hz[1:-1], edges_hz[2:]
     up = (bin_hz[None, :] - lower[:, None]) / (center - lower)[:, None]
@@ -261,12 +237,6 @@ def stack_frames(spec: LogMelSpectrogram, context_frames: int) -> np.ndarray:
     cols = np.arange(context_frames)[None, :] + np.arange(k)[:, None]
     # (K, P, F) -> (K, P*F), frame-major concatenation
     return spec.values.T[cols].reshape(k, context_frames * n_bands)
-
-
-def stacked_features(spec: LogMelSpectrogram, context_frames: int) -> list[StackedFeature]:
-    """Same stacking as stack_frames, as typed single-vector records."""
-    matrix = stack_frames(spec, context_frames)
-    return [StackedFeature(vector=row, frame_index=k) for k, row in enumerate(matrix)]
 
 
 def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:

@@ -18,11 +18,11 @@ comparisons as the brute-force double loop.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._io import atomic_write
 from .errors import UndefinedMetricError
 
 DEFAULT_PAUC_P = 0.1
@@ -209,8 +209,7 @@ def _pct(value: float | None) -> str:
 
 def write_report_csv(report: MetricsReport, path) -> None:
     has_ref = any(row.deltas for row in report.rows)
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         header = ["machine_type", "section", "auc_source", "auc_target", "pauc"]
         if has_ref:
@@ -231,7 +230,6 @@ def write_report_csv(report: MetricsReport, path) -> None:
                     cells += ["" if ref is None else f"{ref:.2f}",
                               "" if delta is None else f"{delta:+.2f}"]
             writer.writerow(cells)
-    os.replace(tmp, str(path))
 
 
 def render_report(report: MetricsReport) -> str:

@@ -18,19 +18,25 @@ Model file layout (little-endian):
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import atomic_write
 from .errors import ConfigError, ModelFileError, TrainingDivergedError
 
 MODEL_MAGIC = b"ASDK-AE\x00"
 MODEL_VERSION = 1
 _DTYPE_CODES = {1: np.float32, 2: np.float64}
 
-DEFAULT_LAYER_DIMS = [640, 128, 128, 128, 128, 8, 128, 128, 128, 128, 640]
+
+def default_layer_dims(feature_dim: int) -> list[int]:
+    """Baseline bottleneck shape scaled to the feature dimension."""
+    return [feature_dim, 128, 128, 128, 128, 8, 128, 128, 128, 128, feature_dim]
+
+
+DEFAULT_LAYER_DIMS = default_layer_dims(640)
 
 
 @dataclass
@@ -231,15 +237,16 @@ def save_model(model: AeModel, path) -> None:
     for w, b in zip(model.weights, model.biases):
         blob += np.ascontiguousarray(w).tobytes()
         blob += np.ascontiguousarray(b).tobytes()
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(bytes(blob))
-    os.replace(tmp, str(path))
 
 
 def load_model(path) -> AeModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ModelFileError(f"{path}: unreadable model file ({exc})") from exc
     header = len(MODEL_MAGIC) + 12 + 8
     if len(blob) < header:
         raise ModelFileError(f"{path}: truncated model file")

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import csv
 import json
-import os
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ._io import atomic_write
 from .errors import ConfigError, InsufficientDataError, ModelFileError
 from .model import AeModel, forward
 
@@ -251,15 +252,16 @@ def save_covariances(cov: DomainCovariances, path) -> None:
     blob += struct.pack("<dQQ", cov.ridge, cov.n_source, cov.n_target)
     blob += np.ascontiguousarray(cov.inv_sigma_source, dtype=np.float64).tobytes()
     blob += np.ascontiguousarray(cov.inv_sigma_target, dtype=np.float64).tobytes()
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(bytes(blob))
-    os.replace(tmp, str(path))
 
 
 def load_covariances(path) -> DomainCovariances:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ModelFileError(f"{path}: unreadable covariance file ({exc})") from exc
     header = len(COV_MAGIC) + 12 + 24
     if len(blob) < header:
         raise ModelFileError(f"{path}: truncated covariance file")
@@ -281,44 +283,58 @@ def load_covariances(path) -> DomainCovariances:
 
 
 def save_thresholds(thresholds: dict[str, Threshold], path) -> None:
-    payload = {mode: {"phi": t.phi, "percentile": t.percentile,
-                      "split": t.split, "mode": t.mode}
-               for mode, t in thresholds.items()}
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
+    payload = {mode: asdict(t) for mode, t in thresholds.items()}
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, str(path))
 
 
 def load_thresholds(path) -> dict[str, Threshold]:
+    """Read thresholds.json: {mode: {phi, percentile, split, mode}}, phi finite."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise ModelFileError(f"{path}: unreadable threshold file ({exc})") from exc
-    return {mode: Threshold(**fields) for mode, fields in payload.items()}
+    if not isinstance(payload, dict):
+        raise ModelFileError(f"{path}: threshold file must map mode to threshold")
+    expected = {f.name for f in fields(Threshold)}
+    for mode, entry in payload.items():
+        if not isinstance(entry, dict) or set(entry) != expected:
+            raise ModelFileError(f"{path}: {mode!r} threshold must have exactly the "
+                                 f"fields {sorted(expected)}, got {entry!r}")
+        phi = entry["phi"]
+        if type(phi) not in (int, float) or not -math.inf < phi < math.inf:
+            raise ModelFileError(f"{path}: {mode!r} threshold phi {phi!r} is not "
+                                 "a finite number")
+    return {mode: Threshold(**entry) for mode, entry in payload.items()}
 
 
 def write_score_csv(rows, path) -> None:
     """rows: iterable of (clip_path, score_value, decision)."""
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["clip_path", "score", "decision"])
         for clip_path, value, decision in rows:
             writer.writerow([clip_path, repr(float(value)), decision])
-    os.replace(tmp, str(path))
 
 
 def read_score_csv(path) -> list[tuple[str, float, str]]:
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"clip_path", "score"}
-        if not required <= set(reader.fieldnames or []):
-            raise ConfigError(f"{path}: score CSV needs columns {sorted(required)}")
-        for row in reader:
-            out.append((row["clip_path"], float(row["score"]),
-                        row.get("decision", "")))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            required = {"clip_path", "score"}
+            if not required <= set(reader.fieldnames or []):
+                raise ConfigError(f"{path}: score CSV needs columns {sorted(required)}")
+            for row in reader:
+                try:
+                    score = float(row["score"])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{path} line {reader.line_num}: score "
+                                      f"{row['score']!r} of {row['clip_path']!r} "
+                                      "is not a number") from exc
+                out.append((row["clip_path"], score, row.get("decision", "")))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read scores file {path}: {exc}") from exc
     return out

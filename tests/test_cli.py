@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import pytest
 import yaml
 
 from asdkit.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH,
@@ -34,6 +35,13 @@ def tree_digest(root: Path) -> str:
             h.update(str(p.relative_to(root)).encode())
             h.update(p.read_bytes())
     return h.hexdigest()
+
+
+def copy_artifacts(paths, dest: Path, keys=("model", "cov", "thresholds", "config")) -> Path:
+    dest.mkdir()
+    for key in keys:
+        (dest / paths[key].name).write_bytes(paths[key].read_bytes())
+    return dest
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +187,7 @@ def test_score_command_dimension_mismatch_fails_fast(trained_artifacts, tmp_path
     assert "feature dim 320" in capsys.readouterr().err
     assert not out_csv.exists()
 
-    model_dir = tmp_path / "model"
-    model_dir.mkdir()
-    for key in ("model", "thresholds", "config"):
-        (model_dir / paths[key].name).write_bytes(paths[key].read_bytes())
+    model_dir = copy_artifacts(paths, tmp_path / "model", ("model", "thresholds", "config"))
     save_covariances(identity_covariances(8), model_dir / paths["cov"].name)
     rc = main(["score", "--model", str(model_dir), "--data-root", str(root),
                "--machine", SMALL_MACHINE, "--mode", "mahala", "--out", str(out_csv)])
@@ -210,6 +215,42 @@ def test_score_command_unreadable_wav_is_row_level(trained_artifacts, tmp_path,
         assert manifest.select(machine=SMALL_MACHINE, split="test")[0].path in errors
     finally:
         victim.write_bytes(original)
+
+
+@pytest.mark.parametrize("source", ["echo", "--config"])
+def test_score_mode_defaults_to_config_mode(trained_artifacts, tmp_path, source):
+    config, paths, root = trained_artifacts
+    model_dir = copy_artifacts(paths, tmp_path / "model")
+    settings = config.to_dict()
+    settings["scoring"]["mode"] = "mahalanobis"
+    cfg = model_dir / "config.yaml" if source == "echo" else tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(settings))
+    cmd = ["score", "--model", str(model_dir), "--data-root", str(root),
+           "--machine", SMALL_MACHINE]
+    if source == "--config":  # overrides the mse echo beside the model
+        cmd += ["--config", str(cfg)]
+    assert main(cmd + ["--mode", "mahala", "--out", str(tmp_path / "explicit.csv")]) == EXIT_OK
+    assert main(cmd + ["--out", str(tmp_path / "default.csv")]) == EXIT_OK
+    assert ((tmp_path / "default.csv").read_bytes()
+            == (tmp_path / "explicit.csv").read_bytes())
+
+
+def test_score_out_into_missing_directory(trained_artifacts, tmp_path, capsys):
+    config, paths, root = trained_artifacts
+    rc = main(["score", "--model", str(paths["model"].parent), "--data-root", str(root),
+               "--machine", SMALL_MACHINE, "--out", str(tmp_path / "nowhere" / "s.csv")])
+    assert rc == EXIT_CONFIG
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_model_path_that_is_a_directory(trained_artifacts, tmp_path):
+    config, paths, root = trained_artifacts
+    model_dir = copy_artifacts(paths, tmp_path / "model", ("cov", "thresholds", "config"))
+    (model_dir / "model.aem").mkdir()
+    assert main(["score", "--model", str(model_dir), "--data-root", str(root),
+                 "--machine", SMALL_MACHINE, "--out", str(tmp_path / "s.csv")]) == EXIT_ARTIFACT
+    for arg in (model_dir, model_dir / "model.aem"):
+        assert main(["macs", "--model", str(arg)]) == EXIT_ARTIFACT
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +339,13 @@ def test_macs_command_corrupt_model(tmp_path):
 
 def test_macs_command_missing_model(tmp_path):
     assert main(["macs", "--model", str(tmp_path / "no.aem")]) == EXIT_ARTIFACT
+
+
+def test_macs_accepts_training_dir(trained_artifacts, capsys):
+    config, paths, root = trained_artifacts
+    outs = []
+    for arg in (paths["model"].parent, paths["model"]):
+        assert main(["macs", "--model", str(arg), "--seconds", "1"]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "layer dims: [160, 64, 8, 64, 160]" in outs[0]

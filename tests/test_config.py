@@ -1,0 +1,57 @@
+from __future__ import annotations
+
+import pytest
+import yaml
+
+from asdkit.cli import EXIT_CONFIG, main
+from asdkit.config import RunConfig
+from asdkit.errors import ConfigError
+
+
+@pytest.mark.parametrize("data, key, expected", [
+    # YAML reads 1e-3 (no dot) as the string "1e-3"
+    (yaml.safe_load("train: {learning_rate: 1e-3}"), "learning_rate", 1e-3),
+    ({"train": {"learning_rate": 1}}, "learning_rate", 1.0),
+    ({"train": {"adam_eps": "1e-8"}}, "adam_eps", 1e-8),
+])
+def test_float_keys_take_ints_and_numeric_strings(data, key, expected):
+    value = getattr(RunConfig.from_dict(data).train, key)
+    assert type(value) is float and value == expected
+
+
+@pytest.mark.parametrize("data, name", [
+    ({"features": {"n_mels": "abc"}}, "features.n_mels"),
+    ({"features": {"n_mels": 32.0}}, "features.n_mels"),
+    ({"features": {"n_mels": True}}, "features.n_mels"),
+    ({"features": {"normalize": "yes"}}, "features.normalize"),
+    ({"features": {"normalize": 1}}, "features.normalize"),
+    ({"features": {"log_floor": "tiny"}}, "features.log_floor"),
+    ({"train": {"learning_rate": "abc"}}, "train.learning_rate"),
+    ({"train": {"learning_rate": "nan"}}, "train.learning_rate"),
+    ({"train": {"learning_rate": float("inf")}}, "train.learning_rate"),
+    ({"train": {"epochs": [3]}}, "train.epochs"),
+    ({"scoring": {"ridge": None}}, "scoring.ridge"),
+    ({"scoring": {"mode": ["mse"]}}, "scoring.mode"),
+    ({"seed": "seven"}, "seed"),
+    ({"seed": False}, "seed"),
+    ({"model": {"layer_dims": [640, "wide", 640]}}, r"model.layer_dims\[1\]"),
+    ({"model": {"layer_dims": 640}}, "model.layer_dims"),
+    ({"train": [1, 2]}, "'train'"),
+])
+def test_bad_config_value_names_key(data, name):
+    with pytest.raises(ConfigError, match=name):
+        RunConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("text", ["features: {n_mels: abc}\n",
+                                  "train: {learning_rate: abc}\n",
+                                  "model: {layer_dims: []}\n",
+                                  "features: [unclosed\n"])
+def test_bad_config_file_exits_config(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    rc = main(["train", "--config", str(cfg), "--data-root", str(tmp_path),
+               "--machine", "m", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+

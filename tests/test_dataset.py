@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asdkit.dataset import (ClipRecord, DatasetManifest, build_eval_set,
+from asdkit.dataset import (ClipRecord, DatasetManifest,
                             check_first_shot, check_single_section,
                             load_attributes_csv, apply_attributes,
                             load_manifest, official_layout_violations,
@@ -14,8 +14,6 @@ from asdkit.dataset import (ClipRecord, DatasetManifest, build_eval_set,
 from asdkit.dsp import read_wav
 from asdkit.errors import ConfigError, DatasetError
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
-
-from conftest import SMALL_MACHINE
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +329,3 @@ def test_synth_invalid_specs():
         zero.validate()
     with pytest.raises(ConfigError):
         SynthSpec.from_dict({"nonsense_key": 1})
-
-
-def test_eval_set_counts(small_dataset):
-    _, manifest = small_dataset
-    eval_set = build_eval_set(manifest, SMALL_MACHINE, "00")
-    assert eval_set.n_normal_source == 5
-    assert eval_set.n_normal_target == 5
-    assert eval_set.n_normal == 10
-    assert eval_set.n_anomaly == 8
-    with pytest.raises(DatasetError):
-        build_eval_set(manifest, "ghost_machine", "00")

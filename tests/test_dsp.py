@@ -7,7 +7,7 @@ from scipy.io import wavfile
 from asdkit.dsp import (AudioClip, FeatureConfig, LogMelSpectrogram,
                         extract_features, frame_count, hann_window, hz_to_mel,
                         log_mel, mel_filterbank, mel_to_hz, read_wav,
-                        stack_frames, stacked_features, stft_power,
+                        stack_frames, stft_power,
                         wav_num_samples)
 from asdkit.errors import (ChannelCountError, ConfigError, EmptyAudioError,
                            TooShortError, WavFormatError)
@@ -214,15 +214,6 @@ def test_mel_requires_at_least_one_band():
         mel_filterbank(0, 1024, SR)
 
 
-def test_mel_custom_scale_functions():
-    # identity warping spaces the triangles linearly in Hz
-    linear = lambda f: np.asarray(f, dtype=np.float64)
-    fb = mel_filterbank(16, 512, SR, to_scale=linear, from_scale=linear)
-    peaks = fb.argmax(axis=1)
-    spacing = np.diff(peaks)
-    assert np.all(np.abs(spacing - spacing.mean()) <= 1)
-
-
 # ---------------------------------------------------------------------------
 # log_mel
 
@@ -304,16 +295,6 @@ def test_stack_layout_against_index_oracle():
 def test_stack_too_short():
     with pytest.raises(TooShortError):
         stack_frames(spec_of(np.zeros((8, 3))), 5)
-
-
-def test_stacked_feature_records_match_matrix():
-    values = np.random.default_rng(2).standard_normal((6, 8))
-    spec = spec_of(values)
-    matrix = stack_frames(spec, 4)
-    records = stacked_features(spec, 4)
-    assert [r.frame_index for r in records] == list(range(matrix.shape[0]))
-    for rec, row in zip(records, matrix):
-        assert np.array_equal(rec.vector, row)
 
 
 def test_extract_features_shape_and_normalize_toggle():

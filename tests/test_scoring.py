@@ -364,3 +364,38 @@ def test_score_csv_roundtrip(tmp_path):
     write_score_csv(rows, path)
     loaded = read_score_csv(path)
     assert loaded == rows
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"mse": 0.5}',
+    '{"mse": {"phi": 0.5, "percentile": 90.0, "split": "train", "mode": "mse", "x": 1}}',
+    '{"mse": {"phi": 0.5, "split": "train", "mode": "mse"}}',
+    '{"mse": {"phi": NaN, "percentile": 90.0, "split": "train", "mode": "mse"}}',
+    '{"mse": {"phi": Infinity, "percentile": 90.0, "split": "train", "mode": "mse"}}',
+    '{"mse": {"phi": "0.5", "percentile": 90.0, "split": "train", "mode": "mse"}}',
+    '{"mse": {"phi": null, "percentile": 90.0, "split": "train", "mode": "mse"}}',
+], ids=["list", "not-a-mapping", "unknown-field", "missing-field", "nan-phi",
+        "inf-phi", "string-phi", "null-phi"])
+def test_corrupt_threshold_file_is_model_file_error(tmp_path, text):
+    path = tmp_path / "thresholds.json"
+    path.write_text(text)
+    with pytest.raises(ModelFileError, match="thresholds.json"):
+        load_thresholds(path)
+
+
+def test_threshold_file_of_exact_fields_loads(tmp_path):
+    path = tmp_path / "thresholds.json"
+    path.write_text('{"mse": {"phi": 1, "percentile": 90.0, "split": "train", '
+                    '"mode": "mse"}}')
+    assert load_thresholds(path)["mse"].phi == 1
+
+
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_non_numeric_score_names_its_row(tmp_path, value):
+    path = tmp_path / "scores.csv"
+    path.write_text("clip_path,score,decision\n"
+                    "a/test/x.wav,0.5,normal\n"
+                    f"a/test/y.wav,{value},normal\n")
+    with pytest.raises(ConfigError, match=r"line 3: .*'a/test/y.wav'"):
+        read_score_csv(path)
