@@ -2,9 +2,9 @@
 
 Exit codes are stable for scripting:
     0  success
-    2  configuration problem (bad flags, bad/missing config or synth spec)
+    2  configuration problem (bad flags, config or synth spec, unreadable table)
     3  data problem (empty manifest, unknown machine, no train clips)
-    4  artifact problem (missing/corrupt model, covariance, threshold files)
+    4  artifact problem (missing/corrupt/non-finite model, covariance, thresholds)
     5  scores and ground truth do not match up
 
 Every command echoes its resolved configuration next to its outputs. Every
@@ -133,11 +133,14 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
                            key=lambda r: r.path)
     if not train_records:
         raise DatasetError(f"no training clips for machine {machine!r}")
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     store, clips = _feature_store(config, Path(data_root), train_records)
     model0 = init_model(config.layer_dims, seed=config.seed)
     model, history = train(model0, store, config.train)
 
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     paths = _artifact_paths(out_dir)
     save_model(model, paths["model"])
     _write_loss_history(history, paths["loss"])
@@ -222,8 +225,6 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
     """Join scores with ground truth, compute the report, write CSV + table."""
     scores_path = Path(scores_csv)
     truth_path = Path(manifest_path)
-    if not truth_path.exists():
-        raise ConfigError(f"truth manifest not found: {truth_path}")
     score_rows = read_score_csv(scores_path)
     if not score_rows:
         raise MismatchError(f"{scores_path}: no score rows")
@@ -275,10 +276,7 @@ def _frames_for_seconds(config: RunConfig, seconds: float) -> tuple[int, int]:
 # commands
 
 def _cmd_synth(args) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise ConfigError(f"spec not found: {spec_path}")
-    spec = SynthSpec.from_yaml(spec_path)
+    spec = SynthSpec.from_yaml(args.spec)
     manifest = synth_generate(spec, args.out, seed=args.seed)
     write_yaml(Path(args.out) / "synth_spec.yaml",
                {"command": "synth", "seed": args.seed, "spec": spec.to_dict()})
@@ -383,26 +381,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# error class -> exit code, first match wins; any other toolkit error is a data problem
+_EXIT_CODES = ((ConfigError, EXIT_CONFIG), (ModelFileError, EXIT_ARTIFACT),
+               (MismatchError, EXIT_MISMATCH), (AsdkitError, EXIT_DATA))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DatasetError, TooShortError, WavFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARTIFACT
-    except MismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except AsdkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import yaml
 
@@ -21,14 +21,15 @@ from .scoring import DEFAULT_PERCENTILE, DEFAULT_RIDGE, MODES
 MODE_ALIASES = {"mse": "mse", "mahala": "mahalanobis", "mahalanobis": "mahalanobis"}
 
 
-def _keys(cls) -> tuple[str, ...]:
-    """Config keys of a dataclass: its fields, minus private ones like _mel_fb."""
-    return tuple(f.name for f in fields(cls) if not f.name.startswith("_"))
+def _defaults(cls) -> dict:
+    """Config keys of a dataclass and their defaults, minus private fields like _mel_fb."""
+    return {f.name: f.default_factory() if f.default is MISSING else f.default
+            for f in fields(cls) if not f.name.startswith("_")}
 
 
 # YAML section -> its keys, in echo order; model and scoring keys are RunConfig fields
-_SECTIONS = {"features": _keys(FeatureConfig), "model": ("layer_dims",),
-             "train": _keys(TrainConfig),
+_SECTIONS = {"features": tuple(_defaults(FeatureConfig)), "model": ("layer_dims",),
+             "train": tuple(_defaults(TrainConfig)),
              "scoring": ("mode", "ridge", "threshold_percentile")}
 
 
@@ -36,9 +37,17 @@ def _checked(name: str, value, default):
     """value if it has the type of default, else ConfigError naming the key.
 
     Ints reject bools. Floats must be finite and also accept ints and numeric
-    strings, because YAML reads 1e-3 (no dot) as a string.
+    strings, because YAML reads 1e-3 (no dot) as a string. A dataclass default
+    takes a mapping (see from_mapping). A list or tuple default takes a list or
+    tuple whose items are typed like its first item; a tuple keeps its length.
     """
     kind = type(default)
+    if is_dataclass(default):
+        return from_mapping(kind, value, name)
+    if (kind in (list, tuple) and type(value) in (list, tuple)
+            and (kind is list or len(value) == len(default))):
+        return kind(_checked(f"{name}[{i}]", item, default[0])
+                    for i, item in enumerate(value))
     if kind is float and type(value) in (int, str):
         try:
             value = float(value)
@@ -46,7 +55,32 @@ def _checked(name: str, value, default):
             pass
     if type(value) is kind and (kind is not float or -math.inf < value < math.inf):
         return value
-    raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+    expected = f"a list of {len(default)}" if kind is tuple else kind.__name__
+    raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+
+
+def from_mapping(cls, data, name: str):
+    """Dataclass cls from a mapping: unknown keys are rejected, values checked as name.key."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name!r} must be a mapping, got {data!r}")
+    defaults = _defaults(cls)
+    unknown = set(data) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return cls(**{key: _checked(f"{name}.{key}", value, defaults[key])
+                  for key, value in data.items()})
+
+
+def read_yaml(path, what: str) -> dict:
+    """The mapping in a YAML file; any read or parse failure is a ConfigError."""
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{what} not found or unreadable: {path}: {exc}") from exc
+    if data is not None and not isinstance(data, dict):  # None: an empty file
+        raise ConfigError(f"{path}: {what} must be a YAML mapping")
+    return data or {}
 
 
 def _section(data: dict, name: str) -> dict:
@@ -57,13 +91,6 @@ def _section(data: dict, name: str) -> dict:
     if bad:
         raise ConfigError(f"unknown {name} keys: {sorted(bad)}")
     return raw
-
-
-def _typed_section(data: dict, name: str, cls) -> dict:
-    """The section's values, each checked against its field default in cls."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    return {key: _checked(f"{name}.{key}", value, defaults[key])
-            for key, value in _section(data, name).items()}
 
 
 @dataclass
@@ -98,26 +125,17 @@ class RunConfig:
             seed = seed_override
         layer_dims = _section(data, "model").get("layer_dims")
         if layer_dims is not None:
-            if not isinstance(layer_dims, list):
-                raise ConfigError(f"model.layer_dims: expected a list, got {layer_dims!r}")
-            layer_dims = [_checked(f"model.layer_dims[{i}]", d, 0)
-                          for i, d in enumerate(layer_dims)]
+            layer_dims = _checked("model.layer_dims", layer_dims, [0])
         # shuffle stream follows the master seed unless pinned explicitly
-        train = {"seed": seed + 1, **_typed_section(data, "train", TrainConfig)}
-        return cls(features=FeatureConfig(**_typed_section(data, "features", FeatureConfig)),
-                   layer_dims=layer_dims, train=TrainConfig(**train), seed=seed,
-                   **_typed_section(data, "scoring", cls))
+        train = from_mapping(TrainConfig, {"seed": seed + 1, **_section(data, "train")}, "train")
+        features = from_mapping(FeatureConfig, _section(data, "features"), "features")
+        scoring = {key: _checked(f"scoring.{key}", value, getattr(cls, key))
+                   for key, value in _section(data, "scoring").items()}
+        return cls(features=features, layer_dims=layer_dims, train=train, seed=seed, **scoring)
 
     @classmethod
     def from_yaml(cls, path, seed_override: int | None = None) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                data = yaml.safe_load(fh) or {}
-        except (OSError, yaml.YAMLError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a YAML mapping")
-        return cls.from_dict(data, seed_override=seed_override)
+        return cls.from_dict(read_yaml(path, "config"), seed_override=seed_override)
 
     def to_dict(self) -> dict:
         owners = {"features": self.features, "model": self, "train": self.train,

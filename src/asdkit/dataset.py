@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._io import atomic_write
-from .errors import DatasetError
+from .errors import ConfigError, DatasetError
 
 DOMAINS = ("source", "target", "unknown")
 SPLITS = ("train", "test", "supplementary")
@@ -242,22 +242,25 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     records = []
     roles = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(MANIFEST_COLUMNS) - set(reader.fieldnames or [])
-        if missing:
-            raise DatasetError(f"{path}: manifest missing columns {sorted(missing)}")
-        for row in reader:
-            attributes = {}
-            if row["attributes"]:
-                for item in row["attributes"].split(";"):
-                    k, _, v = item.partition("=")
-                    attributes[k] = v
-            records.append(ClipRecord(
-                machine_type=row["machine_type"], section=row["section"],
-                domain=row["domain"], split=row["split"], condition=row["condition"],
-                path=row["path"], attributes=attributes))
-            roles.add(row["role"])
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = set(MANIFEST_COLUMNS) - set(reader.fieldnames or [])
+            if missing:
+                raise DatasetError(f"{path}: manifest missing columns {sorted(missing)}")
+            for row in reader:
+                attributes = {}
+                if row["attributes"]:
+                    for item in row["attributes"].split(";"):
+                        k, _, v = item.partition("=")
+                        attributes[k] = v
+                records.append(ClipRecord(
+                    machine_type=row["machine_type"], section=row["section"],
+                    domain=row["domain"], split=row["split"], condition=row["condition"],
+                    path=row["path"], attributes=attributes))
+                roles.add(row["role"])
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
     if not records:
         raise DatasetError(f"{path}: empty manifest")
     if len(roles) != 1:

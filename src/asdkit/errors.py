@@ -42,7 +42,7 @@ class UndefinedMetricError(AsdkitError):
 
 
 class ModelFileError(AsdkitError):
-    """Model or covariance artifact is missing, truncated, or has a wrong magic/version."""
+    """Model or covariance artifact is missing, truncated, corrupt, or non-finite."""
 
 
 class MismatchError(AsdkitError):

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._io import atomic_write
-from .errors import UndefinedMetricError
+from .config import _checked
+from .errors import ConfigError, UndefinedMetricError
 
 DEFAULT_PAUC_P = 0.1
 
@@ -189,17 +190,19 @@ def build_report(scored: ScoredTestSet, model_macs: int | None = None,
 def load_reference_csv(path) -> dict[str, dict[str, float]]:
     """Reference table: columns machine,auc_source,auc_target,pauc (percent)."""
     reference = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"machine", "auc_source", "auc_target", "pauc"}
-        if not needed <= set(reader.fieldnames or []):
-            raise UndefinedMetricError(
-                f"{path}: reference CSV needs columns {sorted(needed)}")
-        for row in reader:
-            reference[row["machine"]] = {
-                "auc_source": float(row["auc_source"]),
-                "auc_target": float(row["auc_target"]),
-                "pauc": float(row["pauc"])}
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            needed = {"machine", "auc_source", "auc_target", "pauc"}
+            if not needed <= set(reader.fieldnames or []):
+                raise UndefinedMetricError(
+                    f"{path}: reference CSV needs columns {sorted(needed)}")
+            for row in reader:
+                reference[row["machine"]] = {
+                    key: _checked(f"{path} line {reader.line_num}: {key}", row[key], 0.0)
+                    for key in ("auc_source", "auc_target", "pauc")}
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read reference table {path}: {exc}") from exc
     return reference
 
 

@@ -279,4 +279,6 @@ def load_model(path) -> AeModel:
         biases.append(b)
     if offset != len(blob):
         raise ModelFileError(f"{path}: {len(blob) - offset} trailing bytes")
+    if not all(np.isfinite(a).all() for a in weights + biases):
+        raise ModelFileError(f"{path}: non-finite weights")
     return AeModel(layer_dims=dims, weights=weights, biases=biases, rng_seed=int(seed))

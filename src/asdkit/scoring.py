@@ -278,6 +278,8 @@ def load_covariances(path) -> DomainCovariances:
                           offset=header).reshape(d, d).copy()
     inv_t = np.frombuffer(blob, dtype=np.float64, count=d * d,
                           offset=header + matrix_bytes).reshape(d, d).copy()
+    if not (math.isfinite(ridge) and np.isfinite(inv_s).all() and np.isfinite(inv_t).all()):
+        raise ModelFileError(f"{path}: non-finite covariance values")
     return DomainCovariances(inv_sigma_source=inv_s, inv_sigma_target=inv_t,
                              ridge=ridge, n_source=int(n_source), n_target=int(n_target))
 

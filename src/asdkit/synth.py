@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-import yaml
 from scipy.io import wavfile
 
+from .config import from_mapping, read_yaml
 from .dataset import ClipRecord, DatasetManifest, save_manifest, MANIFEST_FILENAME
 from .errors import ConfigError
 
@@ -79,36 +79,16 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthSpec":
-        data = dict(data)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown synth spec keys: {sorted(unknown)}")
-        if "counts" in data:
-            bad = set(data["counts"]) - set(SynthCounts.__dataclass_fields__)
-            if bad:
-                raise ConfigError(f"unknown count keys: {sorted(bad)}")
-            data["counts"] = SynthCounts(**data["counts"])
-        for key in ("f0_range_hz", "harmonics_range", "am_rate_range_hz", "am_depth_range"):
-            if key in data:
-                data[key] = tuple(data[key])
-        spec = cls(**data)
+        spec = from_mapping(cls, data, "spec")
         spec.validate()
         return spec
 
     @classmethod
     def from_yaml(cls, path) -> "SynthSpec":
-        with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: synth spec must be a mapping")
-        return cls.from_dict(data)
+        return cls.from_dict(read_yaml(path, "synth spec"))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("f0_range_hz", "harmonics_range", "am_rate_range_hz", "am_depth_range"):
-            d[key] = list(d[key])
-        return d
+        return asdict(self)
 
 
 @dataclass

@@ -3,14 +3,20 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from asdkit import cli
 from asdkit.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH,
                         EXIT_OK, main)
 from asdkit.dataset import load_manifest
-from asdkit.model import DEFAULT_LAYER_DIMS, init_model, save_model
-from asdkit.scoring import identity_covariances, read_score_csv, save_covariances
+from asdkit.errors import (AsdkitError, ConfigError, DatasetError, InsufficientDataError,
+                           MismatchError, ModelFileError, TooShortError,
+                           TrainingDivergedError, UndefinedMetricError, WavFormatError)
+from asdkit.model import DEFAULT_LAYER_DIMS, init_model, load_model, save_model
+from asdkit.scoring import (identity_covariances, read_score_csv, save_covariances,
+                            write_score_csv)
 from asdkit.synth import SynthCounts, SynthSpec
 
 from conftest import SMALL_MACHINE, fast_config
@@ -73,6 +79,30 @@ def test_synth_command_invalid_spec(tmp_path):
                  "--out", str(tmp_path / "d")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("text, name", [
+    ("clip_seconds: abc\n", "spec.clip_seconds"),
+    ("counts: 5\n", "spec.counts"),
+    ("f0_range_hz: 5\n", "spec.f0_range_hz"),
+    ("f0_range_hz: [1, 2, 3]\n", "spec.f0_range_hz"),
+    ("counts: {source_train: 1.5}\n", "spec.counts.source_train"),
+    ("machines: [unclosed\n", "spec.yaml"),
+    (None, "spec.yaml"),
+    ("machines: ab\n", "spec.machines"),
+    ("[]\n", "spec.yaml"),
+], ids=["str-float", "counts-scalar", "range-scalar", "range-length", "float-count",
+        "bad-yaml", "directory", "machines-string", "not-a-mapping"])
+def test_bad_synth_spec_exits_config(tmp_path, capsys, text, name):
+    spec_path = tmp_path / "spec.yaml"
+    if text is None:
+        spec_path.mkdir()
+    else:
+        spec_path.write_text(text)
+    out = tmp_path / "d"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_command_deterministic(tmp_path):
     spec_path = write_synth_spec(tmp_path / "spec.yaml",
                                  SynthSpec(clip_seconds=0.5,
@@ -119,6 +149,23 @@ def test_train_command_rerun_is_byte_identical(small_dataset, tmp_path):
                      "--machine", SMALL_MACHINE, "--out", str(out)]) == EXIT_OK
         blobs.append((out / "model.aem").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_train_out_that_is_a_file_fails_before_reading_clips(small_dataset, tmp_path,
+                                                             monkeypatch, capsys):
+    root, _ = small_dataset
+    out = tmp_path / "out"
+    out.write_text("keep me\n")
+
+    def no_clip_reads(path, *args):
+        raise AssertionError(f"read {path} before checking --out")
+    monkeypatch.setattr(cli, "read_wav", no_clip_reads)
+    monkeypatch.setattr(cli, "wav_num_samples", no_clip_reads)
+    rc = main(["train", "--config", str(write_run_config(tmp_path / "cfg.yaml")),
+               "--data-root", str(root), "--machine", SMALL_MACHINE, "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert out.read_text() == "keep me\n"
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +300,20 @@ def test_model_path_that_is_a_directory(trained_artifacts, tmp_path):
         assert main(["macs", "--model", str(arg)]) == EXIT_ARTIFACT
 
 
+def test_non_finite_model_exits_artifact(trained_artifacts, tmp_path, capsys):
+    config, paths, root = trained_artifacts
+    model_dir = copy_artifacts(paths, tmp_path / "model")
+    model = load_model(model_dir / "model.aem")
+    model.weights[0][0, 0] = np.nan
+    save_model(model, model_dir / "model.aem")
+    out_csv = tmp_path / "s.csv"
+    rc = main(["score", "--model", str(model_dir), "--data-root", str(root),
+               "--machine", SMALL_MACHINE, "--mode", "mse", "--out", str(out_csv)])
+    assert rc == EXIT_ARTIFACT
+    assert "non-finite" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -316,6 +377,24 @@ def test_evaluate_missing_scores_file(small_dataset, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("case", ["manifest-directory", "missing-reference",
+                                  "non-numeric-reference"])
+def test_evaluate_unreadable_table_exits_config(small_dataset, tmp_path, case):
+    root, manifest = small_dataset
+    scores_csv = tmp_path / "scores.csv"
+    write_score_csv(separated_scores(manifest, SMALL_MACHINE), scores_csv)
+    truth = tmp_path if case == "manifest-directory" else root / "manifest.csv"
+    cmd = ["evaluate", "--scores", str(scores_csv), "--manifest", str(truth),
+           "--out", str(tmp_path / "report")]
+    reference = tmp_path / "reference.csv"
+    if case == "non-numeric-reference":
+        reference.write_text(f"machine,auc_source,auc_target,pauc\n{SMALL_MACHINE},x,90,80\n")
+    if case != "manifest-directory":
+        cmd += ["--reference", str(reference)]
+    assert main(cmd) == EXIT_CONFIG
+    assert not (tmp_path / "report.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # macs
 
@@ -349,3 +428,22 @@ def test_macs_accepts_training_dir(trained_artifacts, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert "layer dims: [160, 64, 8, 64, 160]" in outs[0]
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError("boom"), EXIT_CONFIG), (ModelFileError("boom"), EXIT_ARTIFACT),
+    (MismatchError("boom"), EXIT_MISMATCH), (DatasetError("boom"), EXIT_DATA),
+    (InsufficientDataError("boom"), EXIT_DATA), (TooShortError("boom"), EXIT_DATA),
+    (WavFormatError("boom"), EXIT_DATA), (UndefinedMetricError("boom"), EXIT_DATA),
+    (TrainingDivergedError("boom", epoch=0, batch=0, param_norm=1.0), EXIT_DATA),
+    (AsdkitError("boom"), EXIT_DATA),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_error_class_exit_codes(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "_cmd_macs", fail)
+    assert main(["macs", "--model", "m"]) == code
+    assert capsys.readouterr().err == "error: boom\n"

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 import yaml
 
+import asdkit
 from asdkit.cli import EXIT_CONFIG, main
 from asdkit.config import RunConfig
 from asdkit.errors import ConfigError
@@ -55,3 +59,22 @@ def test_bad_config_file_exits_config(tmp_path, capsys, text):
     assert rc == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
 
+
+
+def _yaml_loads(source: str) -> int:
+    """Number of yaml.*load* calls and `from yaml import *load*` names."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and "load" in node.attr
+                and isinstance(node.value, ast.Name) and node.value.id == "yaml"):
+            count += 1
+        elif isinstance(node, ast.ImportFrom) and node.module == "yaml":
+            count += sum("load" in alias.name for alias in node.names)
+    return count
+
+
+def test_yaml_is_parsed_only_in_config():
+    src = Path(asdkit.__file__).parent
+    loads = {path.name: n for path in sorted(src.glob("*.py"))
+             if (n := _yaml_loads(path.read_text()))}
+    assert loads == {"config.py": 1}

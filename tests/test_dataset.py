@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from asdkit.dataset import (ClipRecord, DatasetManifest,
                             check_first_shot, check_single_section,
@@ -329,3 +330,11 @@ def test_synth_invalid_specs():
         zero.validate()
     with pytest.raises(ConfigError):
         SynthSpec.from_dict({"nonsense_key": 1})
+
+
+def test_synth_spec_dict_round_trip():
+    spec = SynthSpec(clip_seconds=1.5, machines=["a", "b"],
+                     counts=SynthCounts(source_train=7, supplementary=0),
+                     f0_range_hz=(90.0, 150.0), harmonics_range=(2, 4))
+    assert SynthSpec.from_dict(spec.to_dict()) == spec
+    assert SynthSpec.from_dict(yaml.safe_load(yaml.safe_dump(spec.to_dict()))) == spec

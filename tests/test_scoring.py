@@ -343,6 +343,21 @@ def test_covariance_file_corruption(tmp_path, rng):
         load_covariances(tmp_path / "m.cov")
 
 
+@pytest.mark.parametrize("field, value", [("inv_sigma_source", np.nan),
+                                          ("inv_sigma_target", np.inf),
+                                          ("ridge", np.nan)])
+def test_non_finite_covariance_file_is_model_file_error(tmp_path, field, value):
+    cov = DomainCovariances(inv_sigma_source=np.eye(3), inv_sigma_target=np.eye(3),
+                            ridge=1e-3, n_source=2, n_target=2)
+    if field == "ridge":
+        cov.ridge = value
+    else:
+        getattr(cov, field)[1, 1] = value
+    save_covariances(cov, tmp_path / "c.cov")
+    with pytest.raises(ModelFileError, match="non-finite"):
+        load_covariances(tmp_path / "c.cov")
+
+
 def test_threshold_file_roundtrip(tmp_path):
     thresholds = {"mse": Threshold(phi=0.123, percentile=90.0),
                   "mahalanobis": Threshold(phi=4.56, percentile=90.0,
