@@ -34,6 +34,14 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
             os.remove(tmp)
 
 
+def make_dir(path) -> None:
+    """mkdir -p, with an OSError (say, path is a file) as a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def write_yaml(path, payload: dict) -> None:
     with atomic_write(path) as fh:
         yaml.safe_dump(payload, fh, sort_keys=False)

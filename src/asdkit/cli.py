@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._io import atomic_write, write_yaml
-from .config import RunConfig, normalize_mode
+from ._io import atomic_write, make_dir, write_yaml
+from .config import RunConfig, normalize_mode, read_yaml
 from .dataset import (DatasetManifest, MANIFEST_FILENAME, load_manifest,
                       scan_dataset)
 from .dsp import extract_features, frame_count, read_wav, wav_num_samples
@@ -60,9 +60,8 @@ def _resolve_manifest(data_root) -> DatasetManifest:
 
 
 def _load_run_config(config_path, seed_override: int | None = None) -> RunConfig:
-    if config_path is None:
-        return RunConfig(seed=seed_override) if seed_override is not None else RunConfig()
-    return RunConfig.from_yaml(config_path, seed_override=seed_override)
+    data = {} if config_path is None else read_yaml(config_path, "config")
+    return RunConfig.from_dict(data, seed_override=seed_override)
 
 
 def _artifact_paths(out_dir) -> dict[str, Path]:
@@ -133,10 +132,7 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
                            key=lambda r: r.path)
     if not train_records:
         raise DatasetError(f"no training clips for machine {machine!r}")
-    try:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    make_dir(out_dir)
     store, clips = _feature_store(config, Path(data_root), train_records)
     model0 = init_model(config.layer_dims, seed=config.seed)
     model, history = train(model0, store, config.train)

@@ -133,10 +133,6 @@ class RunConfig:
                    for key, value in _section(data, "scoring").items()}
         return cls(features=features, layer_dims=layer_dims, train=train, seed=seed, **scoring)
 
-    @classmethod
-    def from_yaml(cls, path, seed_override: int | None = None) -> "RunConfig":
-        return cls.from_dict(read_yaml(path, "config"), seed_override=seed_override)
-
     def to_dict(self) -> dict:
         owners = {"features": self.features, "model": self, "train": self.train,
                   "scoring": self}

@@ -13,7 +13,11 @@ Model file layout (little-endian):
     u32      number of dims
     u64      rng seed recorded at init
     u32[n]   layer dims
-    per layer: weight matrix (in*out values, row-major), then bias (out values)
+    payload: the flat parameter vector W0, b0, W1, b1, ... (each weight matrix
+             in*out values, row-major, then its bias, out values)
+
+The payload order is also the in-memory layout: AeModel.params is that flat
+vector, and its weights and biases are views into it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import ConfigError, ModelFileError, TrainingDivergedError
 
 MODEL_MAGIC = b"ASDK-AE\x00"
 MODEL_VERSION = 1
+_HEADER = struct.Struct("<8sIIIQ")  # magic, version, dtype code, number of dims, seed
 _DTYPE_CODES = {1: np.float32, 2: np.float64}
 
 
@@ -39,12 +44,38 @@ def default_layer_dims(feature_dim: int) -> list[int]:
 DEFAULT_LAYER_DIMS = default_layer_dims(640)
 
 
+def _n_params(dims) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+def _views(flat: np.ndarray, dims) -> list[np.ndarray]:
+    """Views W0, b0, W1, b1, ... into a flat parameter-shaped buffer."""
+    views, pos = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        views.append(flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        views.append(flat[pos:pos + fan_out])
+        pos += fan_out
+    return views
+
+
 @dataclass
 class AeModel:
+    """Parameters as one flat array in model-file payload order; weights[l]
+    (shape (dims[l], dims[l+1])) and biases[l] are views into it."""
+
     layer_dims: list[int]
-    weights: list[np.ndarray]  # weights[l] has shape (dims[l], dims[l+1])
-    biases: list[np.ndarray]
+    params: np.ndarray
     rng_seed: int = 0
+
+    def __post_init__(self):
+        dims = self.layer_dims
+        if len(dims) < 2 or min(dims) < 1 or dims[0] != dims[-1]:
+            raise ConfigError(f"layer dims {dims}: need at least 2 dims, each >= 1, "
+                              "with input dim equal to output dim")
+        views = _views(self.params, dims)
+        self.weights = tuple(views[0::2])
+        self.biases = tuple(views[1::2])
 
     @property
     def input_dim(self) -> int:
@@ -52,20 +83,13 @@ class AeModel:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+        return self.params.dtype
 
     def copy(self) -> "AeModel":
-        return AeModel(layer_dims=list(self.layer_dims),
-                       weights=[w.copy() for w in self.weights],
-                       biases=[b.copy() for b in self.biases],
-                       rng_seed=self.rng_seed)
+        return AeModel(list(self.layer_dims), self.params.copy(), self.rng_seed)
 
     def param_norm(self) -> float:
-        total = 0.0
-        for w, b in zip(self.weights, self.biases):
-            total += float(np.sum(w.astype(np.float64) ** 2))
-            total += float(np.sum(b.astype(np.float64) ** 2))
-        return float(np.sqrt(total))
+        return float(np.sqrt(np.sum(self.params.astype(np.float64) ** 2)))
 
 
 @dataclass
@@ -90,24 +114,22 @@ class TrainConfig:
 def init_model(layer_dims, seed: int = 0, dtype=np.float32) -> AeModel:
     """Fan-in-scaled uniform init, deterministic per seed; biases start at zero."""
     dims = [int(d) for d in layer_dims]
-    if len(dims) < 2:
-        raise ConfigError(f"need at least input and output dims, got {dims}")
-    if any(d < 1 for d in dims):
-        raise ConfigError(f"all layer dims must be >= 1, got {dims}")
-    if dims[0] != dims[-1]:
-        raise ConfigError(
-            f"autoencoder input dim {dims[0]} must equal output dim {dims[-1]}")
+    model = AeModel(dims, np.zeros(_n_params(dims), dtype=dtype), int(seed))
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype))
-        biases.append(np.zeros(fan_out, dtype=dtype))
-    return AeModel(layer_dims=dims, weights=weights, biases=biases, rng_seed=int(seed))
+    for w in model.weights:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
-def _forward_cached(model: AeModel, x: np.ndarray):
-    """Returns (pre-activations per layer, post-activations incl. input)."""
+def _forward_cached(model: AeModel, batch):
+    """Checks and casts a (B, D) or (D,) batch; returns (pre-acts, post-acts incl. input)."""
+    x = np.asarray(batch, dtype=model.dtype)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.shape[1] != model.input_dim:
+        raise ConfigError(
+            f"input dim {x.shape[1]} does not match model dim {model.input_dim}")
     acts = [x]
     pre = []
     a = x
@@ -122,43 +144,27 @@ def _forward_cached(model: AeModel, x: np.ndarray):
 
 def forward(model: AeModel, batch: np.ndarray) -> np.ndarray:
     """Reconstruct a batch; accepts (B, D) or a single (D,) vector."""
-    x = np.asarray(batch, dtype=model.dtype)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != model.input_dim:
-        raise ConfigError(
-            f"input dim {x.shape[1]} does not match model dim {model.input_dim}")
-    _, acts = _forward_cached(model, x)
-    out = acts[-1]
-    return out[0] if single else out
+    out = _forward_cached(model, batch)[1][-1]
+    return out[0] if np.ndim(batch) == 1 else out
 
 
 def gradient(model: AeModel, batch: np.ndarray):
     """Analytic gradient of the batch-mean MSE (mean over batch and dims).
 
-    Returns (loss, weight_grads, bias_grads) with gradients shaped like the
-    parameters.
+    Returns (loss, grad) with grad laid out like model.params.
     """
-    x = np.asarray(batch, dtype=model.dtype)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != model.input_dim:
-        raise ConfigError(
-            f"input dim {x.shape[1]} does not match model dim {model.input_dim}")
-    pre, acts = _forward_cached(model, x)
-    residual = acts[-1] - x
+    pre, acts = _forward_cached(model, batch)
+    residual = acts[-1] - acts[0]
     loss = float(np.mean(residual.astype(np.float64) ** 2))
-    n_layers = len(model.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
+    grad = np.empty_like(model.params)
+    views = _views(grad, model.layer_dims)
     delta = (2.0 / residual.size) * residual  # dL/d(output pre-activation)
-    for l in range(n_layers - 1, -1, -1):
-        grads_w[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+    for l in range(len(model.weights) - 1, -1, -1):
+        np.matmul(acts[l].T, delta, out=views[2 * l])
+        np.sum(delta, axis=0, out=views[2 * l + 1])
         if l > 0:
             delta = (delta @ model.weights[l].T) * (pre[l - 1] > 0)
-    return loss, grads_w, grads_b
+    return loss, grad
 
 
 def train(model: AeModel, features: np.ndarray, config: TrainConfig):
@@ -171,17 +177,12 @@ def train(model: AeModel, features: np.ndarray, config: TrainConfig):
     feats = np.asarray(features, dtype=model.dtype)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ConfigError(f"need a (N, D) feature matrix, got shape {feats.shape}")
-    if feats.shape[1] != model.input_dim:
-        raise ConfigError(
-            f"feature dim {feats.shape[1]} does not match model dim {model.input_dim}")
     if not np.all(np.isfinite(feats)):
         raise ConfigError("training features contain non-finite values")
     model = model.copy()
     rng = np.random.default_rng(config.seed)
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    m = np.zeros_like(model.params)
+    v = np.zeros_like(model.params)
     step = 0
     history = []
     n = feats.shape[0]
@@ -190,7 +191,7 @@ def train(model: AeModel, features: np.ndarray, config: TrainConfig):
         epoch_sq_sum = 0.0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             batch = feats[order[start:start + config.batch_size]]
-            loss, grads_w, grads_b = gradient(model, batch)
+            loss, g = gradient(model, batch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch} batch {batch_idx} "
@@ -200,16 +201,11 @@ def train(model: AeModel, features: np.ndarray, config: TrainConfig):
             step += 1
             bc1 = 1.0 - config.beta1 ** step
             bc2 = 1.0 - config.beta2 ** step
-            for l in range(len(model.weights)):
-                for params, grads, m, v in (
-                        (model.weights, grads_w, m_w, v_w),
-                        (model.biases, grads_b, m_b, v_b)):
-                    g = grads[l]
-                    m[l] = config.beta1 * m[l] + (1.0 - config.beta1) * g
-                    v[l] = config.beta2 * v[l] + (1.0 - config.beta2) * g * g
-                    update = (config.learning_rate * (m[l] / bc1)
-                              / (np.sqrt(v[l] / bc2) + config.adam_eps))
-                    params[l] = (params[l] - update).astype(params[l].dtype)
+            m = config.beta1 * m + (1.0 - config.beta1) * g
+            v = config.beta2 * v + (1.0 - config.beta2) * g * g
+            # in place: weights and biases are views into params
+            model.params -= (config.learning_rate * (m / bc1)
+                             / (np.sqrt(v / bc2) + config.adam_eps))
         history.append(epoch_sq_sum / feats.size)
     return model, history
 
@@ -229,16 +225,10 @@ def save_model(model: AeModel, path) -> None:
     dtype_code = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}.get(model.dtype)
     if dtype_code is None:
         raise ModelFileError(f"cannot serialize dtype {model.dtype}")
-    blob = bytearray()
-    blob += MODEL_MAGIC
-    blob += struct.pack("<III", MODEL_VERSION, dtype_code, len(dims))
-    blob += struct.pack("<Q", model.rng_seed & 0xFFFFFFFFFFFFFFFF)
-    blob += struct.pack(f"<{len(dims)}I", *dims)
-    for w, b in zip(model.weights, model.biases):
-        blob += np.ascontiguousarray(w).tobytes()
-        blob += np.ascontiguousarray(b).tobytes()
+    header = _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, dtype_code, len(dims),
+                          model.rng_seed & 0xFFFFFFFFFFFFFFFF)
     with atomic_write(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(header + struct.pack(f"<{len(dims)}I", *dims) + model.params.tobytes())
 
 
 def load_model(path) -> AeModel:
@@ -247,38 +237,30 @@ def load_model(path) -> AeModel:
             blob = fh.read()
     except OSError as exc:
         raise ModelFileError(f"{path}: unreadable model file ({exc})") from exc
-    header = len(MODEL_MAGIC) + 12 + 8
-    if len(blob) < header:
+    if len(blob) < _HEADER.size:
         raise ModelFileError(f"{path}: truncated model file")
-    if blob[:len(MODEL_MAGIC)] != MODEL_MAGIC:
+    magic, version, dtype_code, n_dims, seed = _HEADER.unpack_from(blob)
+    if magic != MODEL_MAGIC:
         raise ModelFileError(f"{path}: not a model file (bad magic)")
-    version, dtype_code, n_dims = struct.unpack_from("<III", blob, len(MODEL_MAGIC))
     if version != MODEL_VERSION:
         raise ModelFileError(f"{path}: unsupported model version {version}")
     if dtype_code not in _DTYPE_CODES:
         raise ModelFileError(f"{path}: unknown dtype code {dtype_code}")
-    (seed,) = struct.unpack_from("<Q", blob, len(MODEL_MAGIC) + 12)
-    offset = header
-    if len(blob) < offset + 4 * n_dims:
+    offset = _HEADER.size + 4 * n_dims
+    if len(blob) < offset:
         raise ModelFileError(f"{path}: truncated model file")
-    dims = list(struct.unpack_from(f"<{n_dims}I", blob, offset))
-    offset += 4 * n_dims
+    dims = list(struct.unpack_from(f"<{n_dims}I", blob, _HEADER.size))
     dtype = np.dtype(_DTYPE_CODES[dtype_code])
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w_bytes = fan_in * fan_out * dtype.itemsize
-        b_bytes = fan_out * dtype.itemsize
-        if len(blob) < offset + w_bytes + b_bytes:
-            raise ModelFileError(f"{path}: truncated model file")
-        w = np.frombuffer(blob, dtype=dtype, count=fan_in * fan_out,
-                          offset=offset).reshape(fan_in, fan_out).copy()
-        offset += w_bytes
-        b = np.frombuffer(blob, dtype=dtype, count=fan_out, offset=offset).copy()
-        offset += b_bytes
-        weights.append(w)
-        biases.append(b)
-    if offset != len(blob):
-        raise ModelFileError(f"{path}: {len(blob) - offset} trailing bytes")
-    if not all(np.isfinite(a).all() for a in weights + biases):
+    n_params = _n_params(dims)
+    extra = len(blob) - offset - n_params * dtype.itemsize
+    if extra < 0:
+        raise ModelFileError(f"{path}: truncated model file")
+    if extra > 0:
+        raise ModelFileError(f"{path}: {extra} trailing bytes")
+    params = np.frombuffer(blob, dtype=dtype, count=n_params, offset=offset).copy()
+    if not np.isfinite(params).all():
         raise ModelFileError(f"{path}: non-finite weights")
-    return AeModel(layer_dims=dims, weights=weights, biases=biases, rng_seed=int(seed))
+    try:
+        return AeModel(dims, params, int(seed))
+    except ConfigError as exc:
+        raise ModelFileError(f"{path}: {exc}") from exc

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
+from ._io import make_dir
 from .config import from_mapping, read_yaml
 from .dataset import ClipRecord, DatasetManifest, save_manifest, MANIFEST_FILENAME
 from .errors import ConfigError
@@ -185,7 +186,7 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
     """
     spec.validate()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     records: list[ClipRecord] = []
     c = spec.counts
     for m_idx, machine in enumerate(spec.machines):

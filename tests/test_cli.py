@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,16 @@ def test_bad_synth_spec_exits_config(tmp_path, capsys, text, name):
     assert not out.exists()
 
 
+def test_synth_out_that_is_a_file_exits_config(tmp_path, capsys):
+    spec_path = write_synth_spec(tmp_path / "spec.yaml",
+                                 SynthSpec(clip_seconds=0.5,
+                                           counts=SynthCounts(2, 2, 1, 1, 1, 1, 0)))
+    out = tmp_path / "data"
+    out.write_text("")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
 def test_synth_command_deterministic(tmp_path):
     spec_path = write_synth_spec(tmp_path / "spec.yaml",
                                  SynthSpec(clip_seconds=0.5,
@@ -149,6 +160,18 @@ def test_train_command_rerun_is_byte_identical(small_dataset, tmp_path):
                      "--machine", SMALL_MACHINE, "--out", str(out)]) == EXIT_OK
         blobs.append((out / "model.aem").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_train_without_config_matches_empty_config(small_dataset, tmp_path):
+    root, _ = small_dataset
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    for name, config_args in (("none", []), ("empty", ["--config", str(empty)])):
+        assert main(["train", *config_args, "--data-root", str(root),
+                     "--machine", SMALL_MACHINE, "--out", str(tmp_path / name),
+                     "--seed", "7"]) == EXIT_OK
+    assert ((tmp_path / "none" / "model.aem").read_bytes()
+            == (tmp_path / "empty" / "model.aem").read_bytes())
 
 
 def test_train_out_that_is_a_file_fails_before_reading_clips(small_dataset, tmp_path,
@@ -312,6 +335,28 @@ def test_non_finite_model_exits_artifact(trained_artifacts, tmp_path, capsys):
     assert rc == EXIT_ARTIFACT
     assert "non-finite" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+def write_raw_model(path: Path, dims) -> None:
+    """A float32 .aem file with these header dims and the zero payload they imply."""
+    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    path.write_bytes(b"ASDK-AE\x00" + struct.pack(f"<IIIQ{len(dims)}I", 1, 1, len(dims), 0, *dims)
+                     + np.zeros(n_params, np.float32).tobytes())
+
+
+@pytest.mark.parametrize("command", ["score", "macs"])
+@pytest.mark.parametrize("dims", [lambda d: [], lambda d: [d], lambda d: [d, 4, 3]],
+                         ids=["no-dims", "one-dim", "output-not-input"])
+def test_impossible_layer_dims_exit_artifact(trained_artifacts, tmp_path, capsys,
+                                             dims, command):
+    config, paths, root = trained_artifacts
+    model_dir = copy_artifacts(paths, tmp_path / "model", ("cov", "thresholds", "config"))
+    write_raw_model(model_dir / "model.aem", dims(config.features.feature_dim))
+    extra = {"score": ["--data-root", str(root), "--machine", SMALL_MACHINE,
+                       "--mode", "mse", "--out", str(tmp_path / "s.csv")],
+             "macs": []}[command]
+    assert main([command, "--model", str(model_dir), *extra]) == EXIT_ARTIFACT
+    assert "need at least 2 dims" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from asdkit.errors import ConfigError, ModelFileError, TrainingDivergedError
-from asdkit.model import (DEFAULT_LAYER_DIMS, TrainConfig, count_macs,
+from asdkit.model import (DEFAULT_LAYER_DIMS, AeModel, TrainConfig, count_macs,
                           forward, gradient, init_model, load_model,
                           save_model, train)
 
@@ -41,6 +41,24 @@ def test_init_rejects_mismatched_io_dims():
         init_model([640], seed=0)
     with pytest.raises(ConfigError):
         init_model([4, 0, 4], seed=0)
+
+
+def test_weights_and_biases_are_views_in_model_file_order(tmp_path):
+    model = make_model([3, 2, 3])
+    assert isinstance(model.weights, tuple) and isinstance(model.biases, tuple)
+    model.weights[0][:] = np.arange(1, 7).reshape(3, 2)   # W0: params[0:6]
+    model.biases[0][:] = [7, 8]                          # b0: params[6:8]
+    model.weights[1][:] = np.arange(9, 15).reshape(2, 3)  # W1: params[8:14]
+    model.biases[1][:] = [15, 16, 17]                    # b1: params[14:17]
+    assert np.array_equal(model.params, np.arange(1, 18))
+    path = tmp_path / "m.aem"
+    save_model(model, path)
+    assert path.read_bytes().endswith(model.params.tobytes())
+    assert np.array_equal(load_model(path).params, model.params)
+    dup = model.copy()
+    dup.params[:] = -1.0
+    assert np.array_equal(model.params, np.arange(1, 18))
+    assert np.all(dup.weights[1] == -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,38 +103,22 @@ def test_gradient_zero_at_perfect_reconstruction():
     model.weights[0][:] = np.eye(3)
     model.biases[0][:] = 0.0
     batch = np.random.default_rng(1).standard_normal((4, 3))
-    loss, grads_w, grads_b = gradient(model, batch)
+    loss, grad = gradient(model, batch)
     assert loss == 0.0
-    assert all(np.all(g == 0.0) for g in grads_w)
-    assert all(np.all(g == 0.0) for g in grads_b)
-
-
-def flatten_params(model):
-    return np.concatenate([w.ravel() for w in model.weights]
-                          + [b.ravel() for b in model.biases])
-
-
-def set_params(model, flat):
-    pos = 0
-    for w in model.weights:
-        w[:] = flat[pos:pos + w.size].reshape(w.shape)
-        pos += w.size
-    for b in model.biases:
-        b[:] = flat[pos:pos + b.size]
-        pos += b.size
+    assert np.all(grad == 0.0)
 
 
 def fd_gradient(model, batch, step=1e-5):
     """Central finite differences of the batch-mean MSE over every parameter."""
-    base = flatten_params(model)
+    base = model.params.copy()
     grad = np.zeros_like(base)
     probe = model.copy()
     for i in range(base.size):
         for sign, slot in ((+1, 0), (-1, 1)):
             perturbed = base.copy()
             perturbed[i] += sign * step
-            set_params(probe, perturbed)
-            loss, _, _ = gradient(probe, batch)
+            probe.params[:] = perturbed
+            loss, _ = gradient(probe, batch)
             if slot == 0:
                 plus = loss
             else:
@@ -126,8 +128,7 @@ def fd_gradient(model, batch, step=1e-5):
 
 
 def analytic_flat_gradient(model, batch):
-    _, grads_w, grads_b = gradient(model, batch)
-    return np.concatenate([g.ravel() for g in grads_w] + [g.ravel() for g in grads_b])
+    return gradient(model, batch)[1]
 
 
 def max_relative_error(analytic, numeric):
@@ -179,7 +180,7 @@ def test_gradient_scales_linearly():
     model = make_model([5, 4, 5], seed=2, dtype=np.float64)
     batch = np.random.default_rng(3).standard_normal((3, 5))
     analytic = analytic_flat_gradient(model, batch)
-    base = flatten_params(model)
+    base = model.params.copy()
     probe = model.copy()
     doubled_fd = np.zeros_like(base)
     step = 1e-5
@@ -187,8 +188,8 @@ def test_gradient_scales_linearly():
         for sign in (+1, -1):
             perturbed = base.copy()
             perturbed[i] += sign * step
-            set_params(probe, perturbed)
-            loss, _, _ = gradient(probe, batch)
+            probe.params[:] = perturbed
+            loss, _ = gradient(probe, batch)
             if sign > 0:
                 plus = 2 * loss
             else:
@@ -233,6 +234,52 @@ def test_train_deterministic_and_nonmutating():
     for w0, w1 in zip(before, model.weights):
         assert np.array_equal(w0, w1)  # input model untouched
     assert trained_a.layer_dims == model.layer_dims
+
+
+def reference_adam_train(model, features, config):
+    """Per-layer Adam with separate moment lists for weights and biases, run
+    over the per-layer views of gradient()'s flat result."""
+    feats = np.asarray(features, dtype=model.dtype)
+    model = model.copy()
+    weights, biases = list(model.weights), list(model.biases)
+    rng = np.random.default_rng(config.seed)
+    m_w = [np.zeros_like(w) for w in model.weights]
+    v_w = [np.zeros_like(w) for w in model.weights]
+    m_b = [np.zeros_like(b) for b in model.biases]
+    v_b = [np.zeros_like(b) for b in model.biases]
+    step = 0
+    n = feats.shape[0]
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = feats[order[start:start + config.batch_size]]
+            grads = AeModel(model.layer_dims, gradient(model, batch)[1])
+            grads_w, grads_b = grads.weights, grads.biases
+            step += 1
+            bc1 = 1.0 - config.beta1 ** step
+            bc2 = 1.0 - config.beta2 ** step
+            for l in range(len(model.weights)):
+                for params, grads, m, v in (
+                        (weights, grads_w, m_w, v_w),
+                        (biases, grads_b, m_b, v_b)):
+                    g = grads[l]
+                    m[l] = config.beta1 * m[l] + (1.0 - config.beta1) * g
+                    v[l] = config.beta2 * v[l] + (1.0 - config.beta2) * g * g
+                    update = (config.learning_rate * (m[l] / bc1)
+                              / (np.sqrt(v[l] / bc2) + config.adam_eps))
+                    params[l] = (params[l] - update).astype(params[l].dtype)
+            for view, new in zip(model.weights + model.biases, weights + biases):
+                view[:] = new
+    return model
+
+
+def test_flat_adam_matches_per_layer_reference():
+    rng = np.random.default_rng(6)
+    features = rng.standard_normal((50, 8)).astype(np.float32)
+    model = make_model([8, 5, 3, 5, 8], seed=2, dtype=np.float32)
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=4)
+    trained, _ = train(model, features, cfg)
+    assert np.array_equal(trained.params, reference_adam_train(model, features, cfg).params)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
