@@ -102,9 +102,15 @@ def _feature_store(config: RunConfig, root: Path, records):
     Returns the array and, per clip, (offset, K, domain) of its rows.
     """
     f = config.features
-    counts = [max(frame_count(wav_num_samples(root / rec.path), f.n_fft, f.hop_length)
-                  - f.context_frames + 1, 0)
-              for rec in records]
+    counts = []
+    for rec in records:
+        n = wav_num_samples(root / rec.path)
+        k = frame_count(n, f.n_fft, f.hop_length) - f.context_frames + 1
+        if k <= 0:
+            raise TooShortError(
+                f"training clip {rec.path} has {n} samples, fewer than "
+                f"{f.context_frames} frames of {f.n_fft} samples at hop {f.hop_length}")
+        counts.append(k)
     store = np.empty((sum(counts), f.feature_dim), dtype=np.float32)
     clips = []
     offset = 0
@@ -197,19 +203,23 @@ def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
         try:
             feats = extract_features(read_wav(root / rec.path), config.features)
             if mode == "mse":
-                score = score_mse(model, feats, clip_id=rec.path)
+                score = score_mse(model, feats)
             else:
-                score = score_mahalanobis(model, feats, cov, clip_id=rec.path)
-        except (WavFormatError, TooShortError, ConfigError, FileNotFoundError) as exc:
+                score = score_mahalanobis(model, feats, cov)
+        except (WavFormatError, TooShortError, ConfigError) as exc:
             row_errors.append((rec.path, str(exc)))
             continue
-        rows.append((rec.path, score.value, decide(score, threshold)))
-    write_score_csv(rows, out_csv)
+        rows.append((rec.path, score, decide(score, threshold)))
     if row_errors:
         with atomic_write(str(out_csv) + ".errors.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["clip_path", "error"])
             writer.writerows(row_errors)
+    if not rows:
+        path, error = row_errors[0]
+        raise DatasetError(f"no test clip of {machine!r} could be scored (see "
+                           f"{out_csv}.errors.csv); first: {path}: {error}")
+    write_score_csv(rows, out_csv)
     config.echo(str(out_csv) + ".config.yaml",
                 extra={"command": "score", "machine": machine, "mode": mode,
                        "data_root": str(data_root), "model": str(paths["model"])})

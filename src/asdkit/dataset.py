@@ -66,7 +66,6 @@ class ClipRecord:
 class DatasetManifest:
     records: list[ClipRecord]
     role: str = "development"
-    root: str | None = None
     skipped: list[tuple[str, str]] = field(default_factory=list)  # (path, reason)
 
     def __post_init__(self):
@@ -189,7 +188,7 @@ def scan_dataset(root_dir, role: str = "development") -> DatasetManifest:
         raise DatasetError(f"no parseable .wav files under {root} "
                            f"({len(skipped)} skipped)")
     records.sort(key=lambda r: r.path)
-    return DatasetManifest(records=records, role=role, root=str(root), skipped=skipped)
+    return DatasetManifest(records=records, role=role, skipped=skipped)
 
 
 def load_attributes_csv(path) -> dict[str, dict[str, str]]:
@@ -269,7 +268,7 @@ def load_manifest(path) -> DatasetManifest:
     dupes = [p for p, c in counts.items() if c > 1]
     if dupes:
         raise DatasetError(f"{path}: duplicate clip paths: {dupes[:5]}")
-    return DatasetManifest(records=records, role=roles.pop(), root=str(path.parent))
+    return DatasetManifest(records=records, role=roles.pop())
 
 
 def check_first_shot(development: DatasetManifest, evaluation: DatasetManifest) -> None:

@@ -5,8 +5,8 @@ Conventions (deliberate choices, all configurable through FeatureConfig):
     frame count T = 1 + floor((L - n_fft) / hop).
   * Mel scale: HTK formula mel(f) = 2595 * log10(1 + f / 700), filters laid
     0 Hz .. Nyquist, plain triangles (peak 1, no area normalization).
-  * log-mel uses the natural log with a 1e-12 floor on mel power, so every
-    entry is finite.
+  * log-mel uses the natural log with a 1e-12 floor on mel power, so no
+    entry is -inf; a spectrogram with a non-finite entry is rejected.
 Clips shorter than one FFT frame are rejected rather than padded. Everything
 here is a pure function of its inputs, safe to call concurrently on
 different clips.
@@ -32,7 +32,7 @@ LOG_FLOOR = 1e-12
 
 @dataclass
 class AudioClip:
-    """Mono PCM audio, samples normalized to [-1, 1]."""
+    """Mono audio as float64 samples (16-bit PCM scaled to [-1, 1), float taken as is)."""
 
     samples: np.ndarray
     sample_rate_hz: int
@@ -56,22 +56,6 @@ class AudioClip:
     @property
     def duration_seconds(self) -> float:
         return self.samples.size / self.sample_rate_hz
-
-
-@dataclass
-class LogMelSpectrogram:
-    """Log-mel energies, shape (mel_bands, num_frames)."""
-
-    values: np.ndarray
-    n_fft: int
-    hop_length: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ConfigError(f"log-mel matrix must be 2-D, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigError("log-mel spectrogram contains non-finite entries")
 
 
 @dataclass
@@ -104,15 +88,14 @@ class FeatureConfig:
 
 
 def read_wav(path) -> AudioClip:
-    """Read a mono 16-bit PCM or IEEE-float WAV, normalized to [-1, 1].
+    """Read a mono 16-bit PCM or IEEE-float WAV as float64 samples.
 
     16-bit samples divide by 32768, so full-scale -32768 maps to exactly -1.0.
-    Raises WavFormatError / ChannelCountError / EmptyAudioError; never downmixes.
+    Float samples are taken as stored. Raises WavFormatError (a missing file
+    too) / ChannelCountError / EmptyAudioError; never downmixes.
     """
     try:
         rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
     except Exception as exc:
         raise WavFormatError(f"not a readable WAV file: {path} ({exc})") from exc
     if data.ndim > 1:
@@ -137,8 +120,6 @@ def wav_num_samples(path) -> int:
     """
     try:
         _, data = wavfile.read(path, mmap=True)
-    except FileNotFoundError:
-        raise
     except Exception as exc:
         raise WavFormatError(f"not a readable WAV file: {path} ({exc})") from exc
     return int(data.shape[0])
@@ -208,8 +189,10 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int) -> np.ndarray:
     return fb
 
 
-def log_mel(clip: AudioClip, config: FeatureConfig) -> LogMelSpectrogram:
-    """Log-mel spectrogram: log(max(mel_fb @ power_spectrogram, floor))."""
+def log_mel(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
+    """log(max(mel_fb @ power_spectrogram, floor)), shape (n_mels, T).
+
+    ConfigError if an entry is not finite (huge float samples overflow the power)."""
     if clip.sample_rate_hz != config.sample_rate_hz:
         raise ConfigError(
             f"clip rate {clip.sample_rate_hz} Hz != configured {config.sample_rate_hz} Hz "
@@ -217,26 +200,28 @@ def log_mel(clip: AudioClip, config: FeatureConfig) -> LogMelSpectrogram:
     power = stft_power(clip, config.n_fft, config.hop_length)
     mel_power = config.mel_matrix() @ power
     values = np.log(np.maximum(mel_power, config.log_floor))
-    return LogMelSpectrogram(values=values, n_fft=config.n_fft,
-                             hop_length=config.hop_length)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"log-mel spectrogram contains non-finite entries "
+                          f"({clip.source_path})")
+    return values
 
 
-def stack_frames(spec: LogMelSpectrogram, context_frames: int) -> np.ndarray:
+def stack_frames(spec: np.ndarray, context_frames: int) -> np.ndarray:
     """Concatenate runs of consecutive frames into feature vectors.
 
-    Returns an array of shape (K, context_frames * F) with K = T - P + 1;
-    row k is [X_k; X_{k+1}; ...; X_{k+P-1}] in frame order.
+    From a (F, T) log-mel matrix, returns shape (K, context_frames * F) with
+    K = T - P + 1; row k is [X_k; X_{k+1}; ...; X_{k+P-1}] in frame order.
     """
     if context_frames < 1:
         raise ConfigError(f"context_frames must be >= 1, got {context_frames}")
-    n_bands, n_frames = spec.values.shape
+    n_bands, n_frames = spec.shape
     if n_frames < context_frames:
         raise TooShortError(
             f"spectrogram has {n_frames} frames, need at least {context_frames}")
     k = n_frames - context_frames + 1
     cols = np.arange(context_frames)[None, :] + np.arange(k)[:, None]
     # (K, P, F) -> (K, P*F), frame-major concatenation
-    return spec.values.T[cols].reshape(k, context_frames * n_bands)
+    return spec.T[cols].reshape(k, context_frames * n_bands)
 
 
 def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:

@@ -43,19 +43,6 @@ DEFAULT_PERCENTILE = 90.0
 
 
 @dataclass
-class AnomalyScore:
-    value: float
-    clip_id: str | None = None
-    mode: str = "mse"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown scoring mode {self.mode!r}")
-        if not np.isfinite(self.value) or self.value < 0:
-            raise ConfigError(f"anomaly score must be finite and >= 0, got {self.value}")
-
-
-@dataclass
 class DomainCovariances:
     inv_sigma_source: np.ndarray
     inv_sigma_target: np.ndarray
@@ -86,15 +73,19 @@ def _residuals(model: AeModel, features: np.ndarray) -> np.ndarray:
     return feats - recon
 
 
+def _checked_score(value: float) -> float:
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"anomaly score must be finite and >= 0, got {value}")
+    return value
+
+
 def _mse(residuals: np.ndarray) -> float:
-    return float(np.mean(residuals**2))
+    return _checked_score(float(np.mean(residuals**2)))
 
 
-def score_mse(model: AeModel, features: np.ndarray,
-              clip_id: str | None = None) -> AnomalyScore:
+def score_mse(model: AeModel, features: np.ndarray) -> float:
     """Mean squared reconstruction error over all stacked vectors of a clip."""
-    return AnomalyScore(value=_mse(_residuals(model, features)), clip_id=clip_id,
-                        mode="mse")
+    return _mse(_residuals(model, features))
 
 
 def mahalanobis_frame_scores(residuals: np.ndarray, inv_sigma: np.ndarray) -> np.ndarray:
@@ -103,8 +94,7 @@ def mahalanobis_frame_scores(residuals: np.ndarray, inv_sigma: np.ndarray) -> np
     return np.sum((e @ inv_sigma) * e, axis=1)
 
 
-def score_mahalanobis(model: AeModel, features: np.ndarray, cov: DomainCovariances,
-                      clip_id: str | None = None) -> AnomalyScore:
+def score_mahalanobis(model: AeModel, features: np.ndarray, cov: DomainCovariances) -> float:
     """Per-frame minimum of the source/target quadratic forms, averaged over D*K."""
     residuals = _residuals(model, features)
     d = residuals.shape[1]
@@ -112,8 +102,7 @@ def score_mahalanobis(model: AeModel, features: np.ndarray, cov: DomainCovarianc
         raise ConfigError(f"covariance dim {cov.dim} does not match feature dim {d}")
     q_source = mahalanobis_frame_scores(residuals, cov.inv_sigma_source)
     q_target = mahalanobis_frame_scores(residuals, cov.inv_sigma_target)
-    value = float(np.sum(np.minimum(q_source, q_target)) / residuals.size)
-    return AnomalyScore(value=value, clip_id=clip_id, mode="mahalanobis")
+    return _checked_score(float(np.sum(np.minimum(q_source, q_target)) / residuals.size))
 
 
 class ResidualMoments:
@@ -201,19 +190,6 @@ def covariances_from_moments(source: ResidualMoments, target: ResidualMoments,
         ridge=ridge, n_source=source.n, n_target=target.n)
 
 
-def fit_covariances(model: AeModel, source_features: np.ndarray,
-                    target_features: np.ndarray,
-                    ridge: float = DEFAULT_RIDGE) -> DomainCovariances:
-    """Fit inverse residual covariances per domain from training features.
-
-    Same fit as covariances_from_moments, with each domain's features taken
-    as one batch.
-    """
-    _, moments = residual_statistics(
-        model, [(source_features, "source"), (target_features, "target")])
-    return covariances_from_moments(moments["source"], moments["target"], ridge)
-
-
 def identity_covariances(dim: int) -> DomainCovariances:
     """Identity inverse covariances; makes the mahalanobis mode equal the mse mode."""
     return DomainCovariances(inv_sigma_source=np.eye(dim),
@@ -224,8 +200,7 @@ def identity_covariances(dim: int) -> DomainCovariances:
 def fit_threshold(training_scores, percentile: float = DEFAULT_PERCENTILE,
                   split: str = "train", mode: str = "mse") -> Threshold:
     """Empirical percentile (linear interpolation) of training-split scores."""
-    values = [s.value if isinstance(s, AnomalyScore) else float(s)
-              for s in training_scores]
+    values = [float(s) for s in training_scores]
     if not values:
         raise ConfigError("cannot fit a threshold on an empty score list")
     if not (0.0 < percentile <= 100.0):
@@ -234,9 +209,9 @@ def fit_threshold(training_scores, percentile: float = DEFAULT_PERCENTILE,
     return Threshold(phi=phi, percentile=percentile, split=split, mode=mode)
 
 
-def decide(score: AnomalyScore, threshold: Threshold) -> str:
+def decide(score: float, threshold: Threshold) -> str:
     """'anomaly' iff the score strictly exceeds phi, else 'normal'."""
-    return "anomaly" if score.value > threshold.phi else "normal"
+    return "anomaly" if score > threshold.phi else "normal"
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,6 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
                 path=str(Path(machine) / "supplementary" / name),
                 attributes={"aux": kind}))
     records.sort(key=lambda r: r.path)
-    manifest = DatasetManifest(records=records, role="development", root=str(out))
+    manifest = DatasetManifest(records=records, role="development")
     save_manifest(manifest, out / MANIFEST_FILENAME)
     return manifest

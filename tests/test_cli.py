@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import shutil
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from scipy.io import wavfile
 
 from asdkit import cli
 from asdkit.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH,
@@ -18,7 +20,7 @@ from asdkit.errors import (AsdkitError, ConfigError, DatasetError, InsufficientD
 from asdkit.model import DEFAULT_LAYER_DIMS, init_model, load_model, save_model
 from asdkit.scoring import (identity_covariances, read_score_csv, save_covariances,
                             write_score_csv)
-from asdkit.synth import SynthCounts, SynthSpec
+from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 from conftest import SMALL_MACHINE, fast_config
 
@@ -191,6 +193,39 @@ def test_train_out_that_is_a_file_fails_before_reading_clips(small_dataset, tmp_
     assert out.read_text() == "keep me\n"
 
 
+def write_silence(n_samples):
+    return lambda path: wavfile.write(path, 16000, np.zeros(n_samples, dtype=np.int16))
+
+
+@pytest.mark.parametrize("change, message", [
+    (Path.unlink, "not a readable WAV file"),
+    (write_silence(500), "500 samples"),  # shorter than one 1024-sample frame
+    (write_silence(2048), "2048 samples"),  # 3 frames, fewer than the 5 stacked
+], ids=["missing", "shorter-than-a-frame", "fewer-frames-than-stacked"])
+def test_bad_training_clip_exits_data_naming_it(small_dataset, tmp_path, capsys,
+                                                change, message):
+    root = tmp_path / "data"
+    shutil.copytree(small_dataset[0], root)
+    victim = small_dataset[1].select(split="train")[0].path
+    change(root / victim)
+    rc = main(["train", "--config", str(write_run_config(tmp_path / "cfg.yaml")),
+               "--data-root", str(root), "--machine", SMALL_MACHINE,
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert victim in err and message in err
+
+
+def test_run_config_with_unknown_scoring_mode_exits_config(small_dataset, tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"scoring": {"mode": "zscore"}}))
+    rc = main(["train", "--config", str(cfg), "--data-root", str(small_dataset[0]),
+               "--machine", SMALL_MACHINE, "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "zscore" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # score
 
@@ -285,6 +320,47 @@ def test_score_command_unreadable_wav_is_row_level(trained_artifacts, tmp_path,
         assert manifest.select(machine=SMALL_MACHINE, split="test")[0].path in errors
     finally:
         victim.write_bytes(original)
+
+
+def test_score_overflowing_wav_is_row_level(trained_artifacts, tmp_path):
+    config, paths, root = trained_artifacts
+    victim = sorted(r.path for r in load_manifest(root / "manifest.csv").select(
+        machine=SMALL_MACHINE, split="test"))[0]
+    original = (root / victim).read_bytes()
+    # finite float64 samples whose power spectrum overflows
+    wavfile.write(root / victim, 16000, np.full(16000, 1e200))
+    try:
+        out_csv = tmp_path / "scores.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["score", "--model", str(paths["model"].parent),
+                       "--data-root", str(root), "--machine", SMALL_MACHINE,
+                       "--mode", "mse", "--out", str(out_csv)])
+        assert rc == EXIT_OK
+        rows = read_score_csv(out_csv)
+        assert len(rows) == 17 and victim not in {path for path, _, _ in rows}
+        errors = (tmp_path / "scores.csv.errors.csv").read_text().splitlines()
+        assert len(errors) == 2 and errors[1].startswith(victim + ",")
+        assert "non-finite" in errors[1]
+    finally:
+        (root / victim).write_bytes(original)
+
+
+def test_score_that_scores_nothing_exits_data(trained_artifacts, tmp_path, capsys):
+    config, paths, root = trained_artifacts
+    data = tmp_path / "data8k"  # the model was trained at 16 kHz
+    manifest = synth_generate(
+        SynthSpec(sample_rate=8000, clip_seconds=0.5, machines=[SMALL_MACHINE],
+                  counts=SynthCounts(0, 0, 2, 1, 1, 1, 0)), data, seed=3)
+    first = sorted(r.path for r in manifest.records)[0]
+    out_csv = tmp_path / "scores.csv"
+    rc = main(["score", "--model", str(paths["model"].parent), "--data-root", str(data),
+               "--machine", SMALL_MACHINE, "--mode", "mse", "--out", str(out_csv)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "could be scored" in err and first in err and "clip rate 8000 Hz" in err
+    errors = (tmp_path / "scores.csv.errors.csv").read_text().splitlines()
+    assert len(errors) == 1 + len(manifest.records)
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("source", ["echo", "--config"])

@@ -5,9 +5,8 @@ import pytest
 
 from asdkit.errors import ConfigError, InsufficientDataError, ModelFileError
 from asdkit.model import init_model
-from asdkit.scoring import (AnomalyScore, DomainCovariances, Threshold, decide,
-                            fit_covariances, fit_threshold,
-                            identity_covariances, load_covariances,
+from asdkit.scoring import (DEFAULT_RIDGE, DomainCovariances, Threshold, decide,
+                            fit_threshold, identity_covariances, load_covariances,
                             load_thresholds, mahalanobis_frame_scores,
                             read_score_csv, save_covariances, save_thresholds,
                             score_mahalanobis, score_mse, write_score_csv,
@@ -41,15 +40,13 @@ def identity_model(dim):
 
 def test_mse_zero_for_perfect_reconstruction():
     feats = np.random.default_rng(0).standard_normal((6, 5))
-    score = score_mse(identity_model(5), feats)
-    assert score.value == 0.0
-    assert score.mode == "mse"
+    assert score_mse(identity_model(5), feats) == 0.0
 
 
 def test_mse_hand_case():
     # residuals (1,0,0,0) and (0,1,0,0): (1 + 1) / (4 * 2) = 0.25
     feats = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
-    assert score_mse(zero_model(4), feats).value == 0.25
+    assert score_mse(zero_model(4), feats) == 0.25
 
 
 def test_mse_matches_elementwise_oracle(rng):
@@ -62,7 +59,7 @@ def test_mse_matches_elementwise_oracle(rng):
         for d in range(feats.shape[1]):
             total += (feats[k, d] - recon[k, d]) ** 2
     expected = total / feats.size
-    assert score_mse(model, feats).value == pytest.approx(expected, rel=1e-12)
+    assert score_mse(model, feats) == pytest.approx(expected, rel=1e-12)
 
 
 def test_mse_requires_features():
@@ -70,19 +67,34 @@ def test_mse_requires_features():
         score_mse(zero_model(3), np.zeros((0, 3)))
 
 
+def test_mse_rejects_overflowing_reconstruction():
+    model = init_model([3, 3], seed=0, dtype=np.float32)
+    model.weights[0][:] = 3e38  # finite float32 weights whose products overflow
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ConfigError, match="finite"):
+        score_mse(model, np.ones((2, 3)))
+
+
 def test_mse_zero_residual_frame_scales_score_exactly():
     value = np.array([0.5, -1.0, 2.0])
     model = constant_model(3, value)
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((7, 3))
-    old = score_mse(model, feats).value
+    old = score_mse(model, feats)
     extended = np.vstack([feats, value])  # residual of the new frame is zero
-    new = score_mse(model, extended).value
+    new = score_mse(model, extended)
     assert new == pytest.approx(old * 7 / 8, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # covariances
+
+def fit_covariances(model, source_features, target_features, ridge=DEFAULT_RIDGE):
+    """Each domain's features taken as one batch: the fit train_machine streams."""
+    _, moments = residual_statistics(
+        model, [(source_features, "source"), (target_features, "target")])
+    return covariances_from_moments(moments["source"], moments["target"], ridge)
+
 
 def test_covariance_hand_case():
     residuals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -156,7 +168,7 @@ def test_covariances_from_streamed_clips_equal_batch_fit(rng):
              for k, domain in [(7, "source"), (1, "target"), (12, "source"),
                                (4, "unknown"), (5, "target"), (3, "source")]]
     scores, moments = residual_statistics(model, clips)
-    assert scores == [score_mse(model, feats).value for feats, _ in clips]
+    assert scores == [score_mse(model, feats) for feats, _ in clips]
     streamed = covariances_from_moments(moments["source"], moments["target"])
     batch = fit_covariances(
         model, np.vstack([f for f, d in clips if d == "source"]),
@@ -183,8 +195,8 @@ def test_covariance_rejects_bad_ridge():
 def test_mahalanobis_identity_equals_mse(rng):
     model = init_model([6, 4, 6], seed=3, dtype=np.float64)
     feats = rng.standard_normal((11, 6))
-    mse = score_mse(model, feats).value
-    mah = score_mahalanobis(model, feats, identity_covariances(6)).value
+    mse = score_mse(model, feats)
+    mah = score_mahalanobis(model, feats, identity_covariances(6))
     assert mah == pytest.approx(mse, rel=1e-12)
 
 
@@ -194,8 +206,8 @@ def test_mahalanobis_min_picks_smaller_form(rng):
     cov = DomainCovariances(inv_sigma_source=2.0 * np.eye(4),
                             inv_sigma_target=np.eye(4),
                             ridge=0.0, n_source=0, n_target=0)
-    assert score_mahalanobis(model, feats, cov).value == \
-        pytest.approx(score_mse(model, feats).value, rel=1e-12)
+    assert score_mahalanobis(model, feats, cov) == \
+        pytest.approx(score_mse(model, feats), rel=1e-12)
 
 
 def random_spd(rng, dim):
@@ -219,7 +231,7 @@ def test_mahalanobis_matches_quadratic_form_oracle(rng):
         q_t = sum(e[i] * inv_t[i, j] * e[j] for i in range(3) for j in range(3))
         total += min(q_s, q_t)
     expected = total / (3 * 4)
-    assert score_mahalanobis(model, feats, cov).value == pytest.approx(expected, rel=1e-10)
+    assert score_mahalanobis(model, feats, cov) == pytest.approx(expected, rel=1e-10)
 
 
 def test_mahalanobis_not_above_single_domain_scores(rng):
@@ -233,12 +245,20 @@ def test_mahalanobis_not_above_single_domain_scores(rng):
     residuals = (feats - forward(model, feats)).astype(np.float64)
     q_s = mahalanobis_frame_scores(residuals, inv_s)
     q_t = mahalanobis_frame_scores(residuals, inv_t)
-    combined = score_mahalanobis(model, feats, cov).value
+    combined = score_mahalanobis(model, feats, cov)
     assert np.all(np.minimum(q_s, q_t) <= q_s + 1e-12)
     assert np.all(np.minimum(q_s, q_t) <= q_t + 1e-12)
     assert combined <= np.mean(q_s) / 5 + 1e-12
     assert combined <= np.mean(q_t) / 5 + 1e-12
     assert combined >= 0.0
+
+
+def test_mahalanobis_rejects_negative_score(rng):
+    feats = rng.standard_normal((4, 3))
+    indefinite = DomainCovariances(inv_sigma_source=-np.eye(3), inv_sigma_target=-np.eye(3),
+                                   ridge=0.0, n_source=0, n_target=0)
+    with pytest.raises(ConfigError, match=">= 0"):
+        score_mahalanobis(zero_model(3), feats, indefinite)
 
 
 def test_mahalanobis_dim_mismatch():
@@ -255,8 +275,8 @@ def test_scores_are_nonnegative(rng):
         cov = DomainCovariances(inv_sigma_source=random_spd(rng, dim),
                                 inv_sigma_target=random_spd(rng, dim),
                                 ridge=0.0, n_source=0, n_target=0)
-        assert score_mse(model, feats).value >= 0.0
-        assert score_mahalanobis(model, feats, cov).value >= 0.0
+        assert score_mse(model, feats) >= 0.0
+        assert score_mahalanobis(model, feats, cov) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -288,29 +308,19 @@ def test_threshold_rejects_bad_inputs():
 
 def test_decide_strict_inequality():
     threshold = Threshold(phi=1.0)
-    assert decide(AnomalyScore(2.0), threshold) == "anomaly"
-    assert decide(AnomalyScore(1.0), threshold) == "normal"
-    assert decide(AnomalyScore(0.5), threshold) == "normal"
+    assert decide(2.0, threshold) == "anomaly"
+    assert decide(1.0, threshold) == "normal"
+    assert decide(0.5, threshold) == "normal"
 
 
 def test_decide_invariant_under_increasing_transform(rng):
     for _ in range(50):
         value = float(rng.uniform(0, 5))
         phi = float(rng.uniform(0, 5))
-        base = decide(AnomalyScore(value), Threshold(phi=phi))
+        base = decide(value, Threshold(phi=phi))
         for transform in (np.exp, lambda v: 3 * v + 7, lambda v: v**3 + v):
-            mapped = decide(AnomalyScore(float(transform(value))),
-                            Threshold(phi=float(transform(phi))))
+            mapped = decide(float(transform(value)), Threshold(phi=float(transform(phi))))
             assert mapped == base
-
-
-def test_anomaly_score_validation():
-    with pytest.raises(ConfigError):
-        AnomalyScore(value=-0.5)
-    with pytest.raises(ConfigError):
-        AnomalyScore(value=float("nan"))
-    with pytest.raises(ConfigError):
-        AnomalyScore(value=1.0, mode="zscore")
 
 
 # ---------------------------------------------------------------------------
