@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -105,8 +106,8 @@ def _feature_store(config: RunConfig, root: Path, records):
     counts = []
     for rec in records:
         n = wav_num_samples(root / rec.path)
-        k = frame_count(n, f.n_fft, f.hop_length) - f.context_frames + 1
-        if k <= 0:
+        k = f.vector_count(n)
+        if k == 0:
             raise TooShortError(
                 f"training clip {rec.path} has {n} samples, fewer than "
                 f"{f.context_frames} frames of {f.n_fft} samples at hop {f.hop_length}")
@@ -130,6 +131,7 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     statistics and threshold scores are streamed clip by clip over it.
     Returns the artifact paths.
     """
+    model0 = init_model(config.layer_dims, seed=config.seed)  # bad dims fail before any I/O
     manifest = _resolve_manifest(data_root)
     if machine not in manifest.machines():
         raise DatasetError(
@@ -140,7 +142,6 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
         raise DatasetError(f"no training clips for machine {machine!r}")
     make_dir(out_dir)
     store, clips = _feature_store(config, Path(data_root), train_records)
-    model0 = init_model(config.layer_dims, seed=config.seed)
     model, history = train(model0, store, config.train)
 
     paths = _artifact_paths(out_dir)
@@ -229,6 +230,8 @@ def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
 def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
                     macs: int | None = None, p: float = 0.1):
     """Join scores with ground truth, compute the report, write CSV + table."""
+    if not 0 < p <= 1:
+        raise ConfigError(f"--pauc-p must be in (0, 1], got {p}")
     scores_path = Path(scores_csv)
     truth_path = Path(manifest_path)
     score_rows = read_score_csv(scores_path)
@@ -265,17 +268,6 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
                 "reference": None if reference_csv is None else str(reference_csv),
                 "macs_per_vector": macs})
     return report, skipped
-
-
-def _frames_for_seconds(config: RunConfig, seconds: float) -> tuple[int, int]:
-    f = config.features
-    t = frame_count(int(round(seconds * f.sample_rate_hz)), f.n_fft, f.hop_length)
-    if t == 0:
-        raise ConfigError(f"{seconds} s is shorter than one {f.n_fft}-sample frame")
-    if t < f.context_frames:
-        raise ConfigError(f"{seconds} s gives only {t} frames, need "
-                          f">= {f.context_frames}")
-    return t, t - f.context_frames + 1
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +317,17 @@ def _cmd_macs(args) -> int:
     model = load_model(paths["model"])
     config = _config_for_model(paths, args.config)
     per_vector = count_macs(model)
-    t, k = _frames_for_seconds(config, args.seconds)
     f = config.features
+    n = round(args.seconds * f.sample_rate_hz) if 0 < args.seconds < math.inf else 0
+    k = f.vector_count(n)
+    if k == 0:
+        raise ConfigError(f"--seconds {args.seconds} gives no {f.context_frames}-frame "
+                          f"vector (n_fft={f.n_fft}, hop={f.hop_length})")
     print(f"layer dims: {model.layer_dims}")
     print(f"MACs per input vector: {per_vector}")
     print(f"clip of {args.seconds:g} s at {f.sample_rate_hz} Hz "
           f"(n_fft={f.n_fft}, hop={f.hop_length}, stack={f.context_frames}): "
-          f"T={t} frames, K={k} vectors")
+          f"T={frame_count(n, f.n_fft, f.hop_length)} frames, K={k} vectors")
     print(f"MACs per clip: {per_vector * k}")
     return EXIT_OK
 

@@ -22,9 +22,9 @@ MODE_ALIASES = {"mse": "mse", "mahala": "mahalanobis", "mahalanobis": "mahalanob
 
 
 def _defaults(cls) -> dict:
-    """Config keys of a dataclass and their defaults, minus private fields like _mel_fb."""
+    """Config keys of a dataclass and their defaults."""
     return {f.name: f.default_factory() if f.default is MISSING else f.default
-            for f in fields(cls) if not f.name.startswith("_")}
+            for f in fields(cls)}
 
 
 # YAML section -> its keys, in echo order; model and scoring keys are RunConfig fields
@@ -108,6 +108,11 @@ class RunConfig:
         self.layer_dims = list(default_layer_dims(d) if self.layer_dims is None
                                else self.layer_dims)
         self.mode = normalize_mode(self.mode)
+        if not self.ridge > 0:
+            raise ConfigError(f"scoring.ridge must be > 0, got {self.ridge}")
+        if not 0 < self.threshold_percentile <= 100:
+            raise ConfigError("scoring.threshold_percentile must be in (0, 100], "
+                              f"got {self.threshold_percentile}")
         if len(self.layer_dims) < 2 or self.layer_dims[0] != d or self.layer_dims[-1] != d:
             raise ConfigError(
                 f"model layer_dims {self.layer_dims} must start and end with "

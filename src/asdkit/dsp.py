@@ -1,12 +1,12 @@
 """Audio front-end: WAV loading, STFT, mel filterbank, log-mel features, frame stacking.
 
-Conventions (deliberate choices, all configurable through FeatureConfig):
+Conventions (deliberate choices; FeatureConfig sets the sizes, not the rules):
   * STFT: periodic Hann window, no centering/padding, power = |DFT bin|^2,
     frame count T = 1 + floor((L - n_fft) / hop).
   * Mel scale: HTK formula mel(f) = 2595 * log10(1 + f / 700), filters laid
     0 Hz .. Nyquist, plain triangles (peak 1, no area normalization).
-  * log-mel uses the natural log with a 1e-12 floor on mel power, so no
-    entry is -inf; a spectrogram with a non-finite entry is rejected.
+  * log-mel uses the natural log with a fixed LOG_FLOOR = 1e-12 on mel power,
+    so no entry is -inf; a spectrogram with a non-finite entry is rejected.
 Clips shorter than one FFT frame are rejected rather than padded. Everything
 here is a pure function of its inputs, safe to call concurrently on
 different clips.
@@ -14,7 +14,8 @@ different clips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.io import wavfile
@@ -58,14 +59,12 @@ class AudioClip:
         return self.samples.size / self.sample_rate_hz
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureConfig:
-    """Parameters of the feature extraction pipeline.
+    """Parameters of the feature extraction pipeline, checked once here.
 
     ``context_frames`` is the number of consecutive log-mel frames concatenated
     into one model input; feature dimension = context_frames * n_mels.
-    ``normalize`` standardizes each dimension over the clip's stacked vectors
-    (off by default: the baseline trains on raw log-mel).
     """
 
     sample_rate_hz: int = 16000
@@ -73,18 +72,22 @@ class FeatureConfig:
     hop_length: int = 512
     n_mels: int = 128
     context_frames: int = 5
-    log_floor: float = LOG_FLOOR
-    normalize: bool = False
-    _mel_fb: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.n_fft <= 0 or (self.n_fft & (self.n_fft - 1)) != 0:
+            raise ConfigError(f"n_fft must be a power of two, got {self.n_fft}")
+        if not 1 <= self.hop_length <= self.n_fft:
+            raise ConfigError(f"hop_length must be in [1, n_fft], got {self.hop_length}")
+        if self.context_frames < 1:
+            raise ConfigError(f"context_frames must be >= 1, got {self.context_frames}")
 
     @property
     def feature_dim(self) -> int:
         return self.context_frames * self.n_mels
 
-    def mel_matrix(self) -> np.ndarray:
-        if self._mel_fb is None:
-            self._mel_fb = mel_filterbank(self.n_mels, self.n_fft, self.sample_rate_hz)
-        return self._mel_fb
+    def vector_count(self, n_samples: int) -> int:
+        """Stacked vectors K = T - context_frames + 1 in n_samples, 0 if none."""
+        return max(frame_count(n_samples, self.n_fft, self.hop_length) - self.context_frames + 1, 0)
 
 
 def read_wav(path) -> AudioClip:
@@ -135,16 +138,13 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft_power(clip: AudioClip, n_fft: int = 1024, hop_length: int = 512) -> np.ndarray:
+def stft_power(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     """Power spectrogram, shape (n_fft//2 + 1, T) with T = frame_count(L, n_fft, hop).
 
     Frames are windowed with a periodic Hann window; entries are |DFT bin|^2.
     No padding: a clip shorter than one frame raises TooShortError.
     """
-    if n_fft <= 0 or (n_fft & (n_fft - 1)) != 0:
-        raise ConfigError(f"n_fft must be a power of two, got {n_fft}")
-    if hop_length <= 0 or hop_length > n_fft:
-        raise ConfigError(f"hop_length must be in [1, n_fft], got {hop_length}")
+    n_fft, hop_length = config.n_fft, config.hop_length
     x = clip.samples
     if x.size < n_fft:
         raise TooShortError(
@@ -164,13 +164,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.cache
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, n_fft//2 + 1).
+    """Triangular mel filterbank, shape (n_mels, n_fft//2 + 1), read-only.
 
     Filter centers are equally spaced on the HTK mel scale
     (2595 * log10(1 + f/700)) between 0 Hz and Nyquist. Raises ConfigError when
     n_mels is too large for the FFT resolution (some filter would not cover
-    any bin).
+    any bin). Cached per argument triple, hence read-only.
     """
     if n_mels < 1:
         raise ConfigError(f"n_mels must be >= 1, got {n_mels}")
@@ -186,34 +187,35 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int) -> np.ndarray:
         raise ConfigError(
             f"{int(dead.sum())} mel filters cover no FFT bin "
             f"(n_mels={n_mels} too large for n_fft={n_fft} at {sample_rate_hz} Hz)")
+    fb.flags.writeable = False
     return fb
 
 
 def log_mel(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     """log(max(mel_fb @ power_spectrogram, floor)), shape (n_mels, T).
 
-    ConfigError if an entry is not finite (huge float samples overflow the power)."""
+    ConfigError, not a numpy warning, if an entry is not finite (huge samples overflow)."""
     if clip.sample_rate_hz != config.sample_rate_hz:
         raise ConfigError(
             f"clip rate {clip.sample_rate_hz} Hz != configured {config.sample_rate_hz} Hz "
             f"({clip.source_path}); resampling is out of scope")
-    power = stft_power(clip, config.n_fft, config.hop_length)
-    mel_power = config.mel_matrix() @ power
-    values = np.log(np.maximum(mel_power, config.log_floor))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = stft_power(clip, config)
+        mel_power = mel_filterbank(config.n_mels, config.n_fft, config.sample_rate_hz) @ power
+        values = np.log(np.maximum(mel_power, LOG_FLOOR))
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"log-mel spectrogram contains non-finite entries "
                           f"({clip.source_path})")
     return values
 
 
-def stack_frames(spec: np.ndarray, context_frames: int) -> np.ndarray:
-    """Concatenate runs of consecutive frames into feature vectors.
+def stack_frames(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """Concatenate runs of P = config.context_frames consecutive frames into vectors.
 
-    From a (F, T) log-mel matrix, returns shape (K, context_frames * F) with
-    K = T - P + 1; row k is [X_k; X_{k+1}; ...; X_{k+P-1}] in frame order.
+    From a (F, T) log-mel matrix, returns shape (K, P * F) with K = T - P + 1;
+    row k is [X_k; X_{k+1}; ...; X_{k+P-1}] in frame order.
     """
-    if context_frames < 1:
-        raise ConfigError(f"context_frames must be >= 1, got {context_frames}")
+    context_frames = config.context_frames
     n_bands, n_frames = spec.shape
     if n_frames < context_frames:
         raise TooShortError(
@@ -226,9 +228,4 @@ def stack_frames(spec: np.ndarray, context_frames: int) -> np.ndarray:
 
 def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     """Full pipeline clip -> stacked log-mel vectors, shape (K, feature_dim)."""
-    feats = stack_frames(log_mel(clip, config), config.context_frames)
-    if config.normalize:
-        mean = feats.mean(axis=0)
-        std = feats.std(axis=0)
-        feats = (feats - mean) / np.maximum(std, 1e-8)
-    return feats
+    return stack_frames(log_mel(clip, config), config)

@@ -2,9 +2,10 @@
 
 The network is a plain fully-connected stack: rectifier on hidden layers,
 identity output, no batch-norm (keeps repeated runs bitwise identical).
-Training uses Adam with per-epoch uniform shuffling from a seeded stream, so
-(seed, data, config) fully determine the trained parameters. Parameters live
-in float32 by default; gradient tests run the same code in float64.
+Training uses Adam (fixed ADAM_* constants) with per-epoch uniform shuffling
+from a seeded stream, so (seed, data, config) fully determine the trained
+parameters. Parameters live in float32 by default; gradient tests run the same
+code in float64.
 
 Model file layout (little-endian):
     8 bytes  magic  b"ASDK-AE\\0"
@@ -34,6 +35,7 @@ MODEL_MAGIC = b"ASDK-AE\x00"
 MODEL_VERSION = 1
 _HEADER = struct.Struct("<8sIIIQ")  # magic, version, dtype code, number of dims, seed
 _DTYPE_CODES = {1: np.float32, 2: np.float64}
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def default_layer_dims(feature_dim: int) -> list[int]:
@@ -97,9 +99,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 256
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -199,13 +198,13 @@ def train(model: AeModel, features: np.ndarray, config: TrainConfig):
                     epoch=epoch, batch=batch_idx, param_norm=model.param_norm())
             epoch_sq_sum += loss * batch.size
             step += 1
-            bc1 = 1.0 - config.beta1 ** step
-            bc2 = 1.0 - config.beta2 ** step
-            m = config.beta1 * m + (1.0 - config.beta1) * g
-            v = config.beta2 * v + (1.0 - config.beta2) * g * g
+            bc1 = 1.0 - ADAM_BETA1 ** step
+            bc2 = 1.0 - ADAM_BETA2 ** step
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
             # in place: weights and biases are views into params
             model.params -= (config.learning_rate * (m / bc1)
-                             / (np.sqrt(v / bc2) + config.adam_eps))
+                             / (np.sqrt(v / bc2) + ADAM_EPS))
         history.append(epoch_sq_sum / feats.size)
     return model, history
 

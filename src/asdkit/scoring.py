@@ -69,8 +69,9 @@ def _residuals(model: AeModel, features: np.ndarray) -> np.ndarray:
         feats = feats[None, :]
     if feats.shape[0] < 1:
         raise ConfigError("need at least one feature vector")
-    recon = np.asarray(forward(model, feats), dtype=np.float64)
-    return feats - recon
+    # an overflowing model gives inf/nan; the score check rejects it, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        return feats - np.asarray(forward(model, feats), dtype=np.float64)
 
 
 def _checked_score(value: float) -> float:
@@ -100,8 +101,9 @@ def score_mahalanobis(model: AeModel, features: np.ndarray, cov: DomainCovarianc
     d = residuals.shape[1]
     if cov.dim != d:
         raise ConfigError(f"covariance dim {cov.dim} does not match feature dim {d}")
-    q_source = mahalanobis_frame_scores(residuals, cov.inv_sigma_source)
-    q_target = mahalanobis_frame_scores(residuals, cov.inv_sigma_target)
+    with np.errstate(invalid="ignore"):  # inf residuals give nan, rejected below
+        q_source = mahalanobis_frame_scores(residuals, cov.inv_sigma_source)
+        q_target = mahalanobis_frame_scores(residuals, cov.inv_sigma_target)
     return _checked_score(float(np.sum(np.minimum(q_source, q_target)) / residuals.size))
 
 

