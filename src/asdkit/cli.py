@@ -27,7 +27,8 @@ from ._io import atomic_write, make_dir, write_yaml
 from .config import RunConfig, normalize_mode, read_yaml
 from .dataset import (DatasetManifest, MANIFEST_FILENAME, load_manifest,
                       scan_dataset)
-from .dsp import extract_features, frame_count, read_wav, wav_num_samples
+from .dsp import (extract_features, frame_count, log_mel, read_wav, stack_frames,
+                  wav_num_samples)
 from .errors import (AsdkitError, ConfigError, DatasetError, MismatchError,
                      ModelFileError, TooShortError, WavFormatError)
 from .metrics import (ScoredClip, ScoredTestSet, build_report,
@@ -96,30 +97,33 @@ def _write_loss_history(history, path) -> None:
 
 
 def _feature_store(config: RunConfig, root: Path, records):
-    """Extract every clip's features into one float32 (N, D) array.
+    """Extract every clip's log-mel frames into one float32 (M, n_mels) array.
 
-    The array is allocated once at its final size, counted from each clip's
-    WAV header, so no per-clip or float64 copy of the whole set is ever held.
-    Returns the array and, per clip, (offset, K, domain) of its rows.
+    M is the total frame count of the clips. The array is allocated once at
+    its final size, counted from each clip's WAV headers, and holds each frame
+    once: a stacked (context_frames * n_mels) vector is built from it only
+    when needed. Returns the frames, the first frame row of every stacked
+    vector (the rows train() takes), and per clip (offset, T, domain) of its
+    frame rows.
     """
     f = config.features
     counts = []
     for rec in records:
         n = wav_num_samples(root / rec.path)
-        k = f.vector_count(n)
-        if k == 0:
+        if f.vector_count(n) == 0:
             raise TooShortError(
                 f"training clip {rec.path} has {n} samples, fewer than "
                 f"{f.context_frames} frames of {f.n_fft} samples at hop {f.hop_length}")
-        counts.append(k)
-    store = np.empty((sum(counts), f.feature_dim), dtype=np.float32)
-    clips = []
+        counts.append(frame_count(n, f.n_fft, f.hop_length))
+    frames = np.empty((sum(counts), f.n_mels), dtype=np.float32)
+    rows, clips = [], []
     offset = 0
-    for rec, k in zip(records, counts):
-        store[offset:offset + k] = extract_features(read_wav(root / rec.path), f)
-        clips.append((offset, k, rec.domain))
-        offset += k
-    return store, clips
+    for rec, t in zip(records, counts):
+        frames[offset:offset + t] = log_mel(read_wav(root / rec.path), f).T
+        rows.append(np.arange(offset, offset + t - f.context_frames + 1))
+        clips.append((offset, t, rec.domain))
+        offset += t
+    return frames, np.concatenate(rows), clips
 
 
 def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
@@ -127,9 +131,9 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
 
     Trains on source+target train clips together, fits per-domain residual
     covariances, and fits one threshold per scoring mode on the training
-    scores. The only full-size array is the float32 feature store; residual
-    statistics and threshold scores are streamed clip by clip over it.
-    Returns the artifact paths.
+    scores. The only full-size array is the float32 frame store: training
+    stacks each batch from it, and residual statistics and threshold scores
+    stack and stream it clip by clip. Returns the artifact paths.
     """
     model0 = init_model(config.layer_dims, seed=config.seed)  # bad dims fail before any I/O
     manifest = _resolve_manifest(data_root)
@@ -141,15 +145,18 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     if not train_records:
         raise DatasetError(f"no training clips for machine {machine!r}")
     make_dir(out_dir)
-    store, clips = _feature_store(config, Path(data_root), train_records)
-    model, history = train(model0, store, config.train)
+    frames, rows, clips = _feature_store(config, Path(data_root), train_records)
+    model, history = train(model0, frames, config.train, rows)
 
     paths = _artifact_paths(out_dir)
     save_model(model, paths["model"])
     _write_loss_history(history, paths["loss"])
 
+    def vectors(offset, t):
+        return stack_frames(frames[offset:offset + t].T, config.features)
+
     mse_scores, moments = residual_statistics(
-        model, ((store[o:o + k], domain) for o, k, domain in clips))
+        model, ((vectors(o, t), domain) for o, t, domain in clips))
     cov = None
     if moments["source"].n and moments["target"].n:
         cov = covariances_from_moments(moments["source"], moments["target"],
@@ -162,8 +169,7 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     thresholds = {"mse": fit_threshold(mse_scores, config.threshold_percentile,
                                        split="train", mode="mse")}
     if cov is not None:
-        mah_scores = [score_mahalanobis(model, store[o:o + k], cov)
-                      for o, k, _ in clips]
+        mah_scores = [score_mahalanobis(model, vectors(o, t), cov) for o, t, _ in clips]
         thresholds["mahalanobis"] = fit_threshold(
             mah_scores, config.threshold_percentile, split="train", mode="mahalanobis")
     save_thresholds(thresholds, paths["thresholds"])
@@ -232,6 +238,8 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
     """Join scores with ground truth, compute the report, write CSV + table."""
     if not 0 < p <= 1:
         raise ConfigError(f"--pauc-p must be in (0, 1], got {p}")
+    if macs is not None and macs < 0:
+        raise ConfigError(f"--macs must be >= 0, got {macs}")
     scores_path = Path(scores_csv)
     truth_path = Path(manifest_path)
     score_rows = read_score_csv(scores_path)

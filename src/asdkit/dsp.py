@@ -74,12 +74,15 @@ class FeatureConfig:
     context_frames: int = 5
 
     def __post_init__(self):
+        if self.sample_rate_hz <= 0:
+            raise ConfigError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         if self.n_fft <= 0 or (self.n_fft & (self.n_fft - 1)) != 0:
             raise ConfigError(f"n_fft must be a power of two, got {self.n_fft}")
         if not 1 <= self.hop_length <= self.n_fft:
             raise ConfigError(f"hop_length must be in [1, n_fft], got {self.hop_length}")
         if self.context_frames < 1:
             raise ConfigError(f"context_frames must be >= 1, got {self.context_frames}")
+        mel_filterbank(self.n_mels, self.n_fft, self.sample_rate_hz)  # every filter covers a bin
 
     @property
     def feature_dim(self) -> int:

@@ -166,30 +166,82 @@ def gradient(model: AeModel, batch: np.ndarray):
     return loss, grad
 
 
-def train(model: AeModel, features: np.ndarray, config: TrainConfig):
+def _adam_step(params, g, m, v, step: int, learning_rate: float, scratch) -> None:
+    """One Adam update of params, m and v in place, for gradient g at 1-based step.
+
+    scratch is (float buffer, float buffer, bool buffer), each shaped like
+    params; nothing is allocated. Moments below the dtype's smallest normal
+    number are set to 0: once a parameter's gradient stays 0 (a dead unit)
+    they would otherwise decay into subnormals that never reach 0 and slow
+    every later step.
+    """
+    tmp, denom, keep = scratch
+    bc1 = 1.0 - ADAM_BETA1 ** step
+    bc2 = 1.0 - ADAM_BETA2 ** step
+    # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
+    np.multiply(m, ADAM_BETA1, out=m)
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    np.multiply(v, ADAM_BETA2, out=v)
+    v += np.multiply(tmp, g, out=tmp)
+    # multiplying by the mask is branch-free; a masked copy is ~20x slower
+    # when dead units scatter zeros through the moments
+    smallest = np.finfo(params.dtype).tiny
+    m *= np.greater_equal(np.abs(m, out=tmp), smallest, out=keep)
+    v *= np.greater_equal(v, smallest, out=keep)
+    # params -= learning_rate * (m / bc1) / (sqrt(v / bc2) + eps)
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, bc1, out=tmp)
+    tmp *= learning_rate
+    tmp /= denom
+    params -= tmp
+
+
+def train(model: AeModel, features: np.ndarray, config: TrainConfig, rows=None):
     """Adam on the reconstruction MSE. Returns (trained model, per-epoch loss).
+
+    features is a (N, D) matrix of model inputs, or (M, F) log-mel frames with
+    D = P * F: the model input starting at frame row r is then
+    features[r:r + P] read as one vector. rows gives the first frame row of
+    every input (default: each row of features is one input, P = 1). Batches
+    are gathered from it as needed, so no (N, D) stacked copy is built.
 
     The input model is not modified. Shuffling comes from a stream seeded by
     config.seed, so results are reproducible. Aborts with
     TrainingDivergedError as soon as a batch loss is non-finite.
     """
     feats = np.asarray(features, dtype=model.dtype)
-    if feats.ndim != 2 or feats.shape[0] < 1:
+    if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
         raise ConfigError(f"need a (N, D) feature matrix, got shape {feats.shape}")
+    context, rem = divmod(model.input_dim, feats.shape[1])
+    if rem or not context:
+        raise ConfigError(f"feature width {feats.shape[1]} does not divide "
+                          f"model input dim {model.input_dim}")
+    rows = np.arange(feats.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+    if (rows.ndim != 1 or rows.size < 1 or rows.min() < 0
+            or rows.max() + context > feats.shape[0]):
+        raise ConfigError(f"each model input takes {context} rows of features from its "
+                          f"first row in rows, which must lie within the "
+                          f"{feats.shape[0]} rows of features")
     if not np.all(np.isfinite(feats)):
         raise ConfigError("training features contain non-finite values")
     model = model.copy()
     rng = np.random.default_rng(config.seed)
     m = np.zeros_like(model.params)
     v = np.zeros_like(model.params)
+    scratch = (np.empty_like(m), np.empty_like(m), np.empty(m.shape, dtype=bool))
+    window = np.arange(context)
     step = 0
     history = []
-    n = feats.shape[0]
+    n = rows.size
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_sq_sum = 0.0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            batch = feats[order[start:start + config.batch_size]]
+            first = rows[order[start:start + config.batch_size]]
+            batch = feats[first[:, None] + window].reshape(first.size, model.input_dim)
             loss, g = gradient(model, batch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -198,14 +250,9 @@ def train(model: AeModel, features: np.ndarray, config: TrainConfig):
                     epoch=epoch, batch=batch_idx, param_norm=model.param_norm())
             epoch_sq_sum += loss * batch.size
             step += 1
-            bc1 = 1.0 - ADAM_BETA1 ** step
-            bc2 = 1.0 - ADAM_BETA2 ** step
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
             # in place: weights and biases are views into params
-            model.params -= (config.learning_rate * (m / bc1)
-                             / (np.sqrt(v / bc2) + ADAM_EPS))
-        history.append(epoch_sq_sum / feats.size)
+            _adam_step(model.params, g, m, v, step, config.learning_rate, scratch)
+        history.append(epoch_sq_sum / (n * model.input_dim))
     return model, history
 
 

@@ -13,9 +13,10 @@ normalization stays dimensionally consistent across modes.
 
 Scoring always runs in float64 regardless of the model's parameter dtype.
 Residuals are taken against the features exactly as passed in: at train time
-those are rows of the float32 feature store, so train-time residuals (and the
-thresholds and covariances fitted on them) are taken against the float32
-model input, while test clips are scored against their float64 features.
+those are vectors stacked from the float32 frame store, so train-time
+residuals (and the thresholds and covariances fitted on them) are taken
+against the float32 model input, while test clips are scored against their
+float64 features.
 Scoring functions are pure; concurrent calls on different clips are safe.
 """
 

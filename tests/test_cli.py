@@ -222,7 +222,9 @@ def test_bad_training_clip_exits_data_naming_it(small_dataset, tmp_path, capsys,
     ({"scoring": {"ridge": 0}}, "scoring.ridge"),
     ({"model": {"layer_dims": [160, 0, 160]}}, "each >= 1"),
     ({"features": {"hop_length": 0}}, "hop_length must be in"),
-], ids=["percentile-150", "ridge-0", "zero-width-layer", "hop-0"])
+    ({"features": {"sample_rate_hz": 0}}, "sample_rate_hz must be > 0"),
+    ({"features": {"n_mels": 256}}, "mel filters cover no FFT bin"),
+], ids=["percentile-150", "ridge-0", "zero-width-layer", "hop-0", "rate-0", "n_mels-256"])
 def test_bad_run_config_fails_before_training(small_dataset, tmp_path, capsys,
                                               monkeypatch, settings, message):
     def no_clip_reads(path, *args):
@@ -236,7 +238,7 @@ def test_bad_run_config_fails_before_training(small_dataset, tmp_path, capsys,
                "--machine", SMALL_MACHINE, "--out", str(out)])
     assert rc == EXIT_CONFIG
     assert message in capsys.readouterr().err
-    assert not (out / "model.aem").exists()
+    assert not out.exists()
 
 
 def test_run_config_with_unknown_scoring_mode_exits_config(small_dataset, tmp_path,
@@ -554,6 +556,18 @@ def test_evaluate_unreadable_table_exits_config(small_dataset, tmp_path, case):
         cmd += ["--reference", str(reference)]
     assert main(cmd) == EXIT_CONFIG
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_evaluate_negative_macs_exits_config(small_dataset, tmp_path, capsys):
+    root, manifest = small_dataset
+    scores_csv = tmp_path / "scores.csv"
+    write_score_csv(separated_scores(manifest, SMALL_MACHINE), scores_csv)
+    rc = main(["evaluate", "--scores", str(scores_csv), "--manifest",
+               str(root / "manifest.csv"), "--out", str(tmp_path / "report"),
+               "--macs", "-5"])
+    assert rc == EXIT_CONFIG
+    assert "--macs must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
 
 
 @pytest.mark.parametrize("p", ["0", "1.5", "-0.1", "nan", "inf"])

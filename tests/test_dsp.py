@@ -106,7 +106,7 @@ def test_frame_count_matches_stft_around_frame_boundaries(n_fft, hop):
                 assert expected == 0
                 continue
             power = stft_power(clip_of(rng.standard_normal(length)),
-                               FeatureConfig(n_fft=n_fft, hop_length=hop))
+                               FeatureConfig(n_fft=n_fft, hop_length=hop, n_mels=8))
             assert power.shape[1] == expected
             assert expected == frames - (length < boundary)
 
@@ -135,7 +135,10 @@ def test_stft_too_short():
     ({"hop_length": 0}, "hop_length must be in"),
     ({"hop_length": -5}, "hop_length must be in"),
     ({"context_frames": 0}, "context_frames must be >= 1"),
-], ids=["n_fft-1000", "hop-2048", "hop-0", "hop-minus-5", "context-0"])
+    ({"sample_rate_hz": 0}, "sample_rate_hz must be > 0"),
+    ({"n_mels": 256}, "mel filters cover no FFT bin"),
+], ids=["n_fft-1000", "hop-2048", "hop-0", "hop-minus-5", "context-0", "rate-0",
+        "n_mels-256"])
 def test_feature_config_rejects_bad_params(params, match):
     with pytest.raises(ConfigError, match=match):
         FeatureConfig(**params)
@@ -169,7 +172,7 @@ def test_stft_matches_naive_dft_oracle():
     rng = np.random.default_rng(42)
     samples = rng.standard_normal(n_fft * 2)
     clip = clip_of(samples)
-    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=n_fft))
+    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=n_fft, n_mels=8))
     for frame_idx in range(power.shape[1]):
         frame = samples[frame_idx * n_fft:(frame_idx + 1) * n_fft] * hann_window(n_fft)
         expected = naive_dft_power(frame)
@@ -182,7 +185,7 @@ def test_stft_exact_bin_sine_concentrates_energy():
     freq = bin_idx * SR / n_fft
     t = np.arange(n_fft * 4) / SR
     clip = clip_of(0.7 * np.sin(2 * np.pi * freq * t))
-    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=n_fft))
+    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=n_fft, n_mels=8))
     for column in power.T:
         peak = column[bin_idx]
         main_lobe = {bin_idx - 1, bin_idx, bin_idx + 1}
@@ -196,7 +199,7 @@ def test_stft_parseval_energy():
     rng = np.random.default_rng(7)
     samples = rng.standard_normal(n_fft * 8)
     clip = clip_of(samples / np.max(np.abs(samples)))
-    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=hop))
+    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=hop, n_mels=8))
     window = hann_window(n_fft)
     for frame_idx in range(power.shape[1]):
         frame = clip.samples[frame_idx * hop:frame_idx * hop + n_fft] * window

@@ -3,16 +3,24 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from asdkit.cli import train_machine
 from asdkit.config import RunConfig
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
+N_CLIPS = 66
 
-def test_train_machine_peak_below_one_float64_feature_copy(tmp_path):
-    # 10 s clips give K = 307 vectors of D = 64 * 5 = 320 per clip; with 66
-    # clips the per-clip and D x D transients stay well below the feature
-    # matrix itself.
+
+@pytest.fixture(scope="module")
+def traced_training(tmp_path_factory):
+    """tracemalloc peak of one train_machine run, and the stacked vector count.
+
+    10 s clips give K = 307 vectors of D = 64 * 5 = 320 per clip; with 66
+    clips the per-clip and D x D transients stay well below the stacked
+    feature matrix itself.
+    """
+    tmp_path = tmp_path_factory.mktemp("memory")
     spec = SynthSpec(clip_seconds=10.0, machines=["fan"],
                      counts=SynthCounts(source_train=60, target_train=6,
                                         test_normal_source=0, test_normal_target=0,
@@ -23,8 +31,7 @@ def test_train_machine_peak_below_one_float64_feature_copy(tmp_path):
                                   "model": {"layer_dims": [320, 32, 8, 32, 320]},
                                   "train": {"epochs": 1}})
     f = config.features
-    k = f.vector_count(int(spec.clip_seconds * f.sample_rate_hz))
-    float64_copy = 66 * k * f.feature_dim * np.dtype(np.float64).itemsize
+    n_vectors = N_CLIPS * f.vector_count(int(spec.clip_seconds * f.sample_rate_hz))
 
     tracemalloc.start()
     try:
@@ -33,4 +40,18 @@ def test_train_machine_peak_below_one_float64_feature_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert paths["cov"].exists()
+    return peak, n_vectors * f.feature_dim
+
+
+def test_train_machine_peak_below_one_float64_feature_copy(traced_training):
+    peak, n_values = traced_training
+    float64_copy = n_values * np.dtype(np.float64).itemsize
     assert peak < float64_copy, (peak / 2**20, float64_copy / 2**20)
+
+
+def test_train_machine_peak_below_one_float32_stacked_store(traced_training):
+    # training reads log-mel frames, each stored once, and stacks vectors only
+    # per batch and per clip: no (N, D) float32 store of stacked vectors
+    peak, n_values = traced_training
+    float32_store = n_values * np.dtype(np.float32).itemsize
+    assert peak < float32_store, (peak / 2**20, float32_store / 2**20)

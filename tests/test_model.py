@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from asdkit.errors import ConfigError, ModelFileError, TrainingDivergedError
-from asdkit.model import (DEFAULT_LAYER_DIMS, AeModel, TrainConfig, count_macs,
-                          forward, gradient, init_model, load_model,
+from asdkit.model import (DEFAULT_LAYER_DIMS, AeModel, TrainConfig, _adam_step,
+                          count_macs, forward, gradient, init_model, load_model,
                           save_model, train)
 
 
@@ -280,6 +282,69 @@ def test_flat_adam_matches_per_layer_reference():
     cfg = TrainConfig(epochs=3, batch_size=16, seed=4)
     trained, _ = train(model, features, cfg)
     assert np.array_equal(trained.params, reference_adam_train(model, features, cfg).params)
+
+
+def test_train_on_frames_matches_train_on_stacked_vectors():
+    # three "clips" of 9, 6 and 11 frames of 4 bands, stacked 3 frames deep
+    rng = np.random.default_rng(8)
+    frames = rng.standard_normal((26, 4)).astype(np.float32)
+    context = 3
+    rows = np.concatenate([np.arange(o, o + t - context + 1)
+                           for o, t in ((0, 9), (9, 6), (15, 11))])
+    stacked = np.stack([frames[r:r + context].reshape(-1) for r in rows])
+    model = make_model([12, 6, 3, 6, 12], seed=3, dtype=np.float32)
+    cfg = TrainConfig(epochs=4, batch_size=5, seed=2)
+    from_frames, hist_frames = train(model, frames, cfg, rows)
+    from_matrix, hist_matrix = train(model, stacked, cfg)
+    assert from_frames.params.tobytes() == from_matrix.params.tobytes()
+    assert hist_frames == hist_matrix
+
+
+def test_train_rejects_frames_that_do_not_fit_the_model():
+    model = make_model([12, 6, 12])
+    cfg = TrainConfig(epochs=1)
+    with pytest.raises(ConfigError, match="does not divide"):
+        train(model, np.zeros((20, 5)), cfg, np.arange(10))
+    with pytest.raises(ConfigError, match="within the 20 rows"):
+        train(model, np.zeros((20, 4)), cfg, np.arange(19))  # last input runs past row 20
+    with pytest.raises(ConfigError, match="within the 20 rows"):
+        train(model, np.zeros((20, 4)), cfg, [-1, 0])
+    with pytest.raises(ConfigError, match="within the 20 rows"):
+        train(model, np.zeros((20, 6)), cfg)  # (N, D/2) read as one input per row
+
+
+def test_adam_step_flushes_decayed_moments_to_zero():
+    # once the gradient stays 0, m decays by beta1 per step into float32's
+    # subnormals, where 0.9 * k ulps rounds back to k ulps for k <= 4
+    params = np.zeros(3, dtype=np.float32)
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    scratch = (np.empty_like(params), np.empty_like(params), np.empty(3, dtype=bool))
+    _adam_step(params, np.array([1.0, -1e-3, 1e-20], dtype=np.float32), m, v, 1,
+               1e-3, scratch)
+    zero = np.zeros_like(params)
+    for step in range(2, 1002):
+        _adam_step(params, zero, m, v, step, 1e-3, scratch)
+    assert np.all(m == 0)
+    tiny = np.finfo(np.float32).tiny
+    assert np.all((v == 0) | (v >= tiny)), v
+
+
+def test_adam_step_allocates_nothing():
+    rng = np.random.default_rng(3)
+    params = rng.standard_normal(100_000).astype(np.float32)
+    g = rng.standard_normal(params.size).astype(np.float32)
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    scratch = (np.empty_like(params), np.empty_like(params),
+               np.empty(params.size, dtype=bool))
+    _adam_step(params, g, m, v, 1, 1e-3, scratch)
+    tracemalloc.start()
+    try:
+        for step in range(2, 6):
+            _adam_step(params, g, m, v, step, 1e-3, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.nbytes // 10, peak
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
