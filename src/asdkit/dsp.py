@@ -152,9 +152,7 @@ def stft_power(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     if x.size < n_fft:
         raise TooShortError(
             f"clip has {x.size} samples, shorter than one {n_fft}-sample frame")
-    num_frames = frame_count(x.size, n_fft, hop_length)
-    offsets = np.arange(num_frames) * hop_length
-    frames = x[offsets[:, None] + np.arange(n_fft)[None, :]]
+    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop_length]
     spectrum = np.fft.rfft(frames * hann_window(n_fft)[None, :], axis=1)
     return (spectrum.real**2 + spectrum.imag**2).T
 

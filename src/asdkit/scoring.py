@@ -224,14 +224,12 @@ def save_covariances(cov: DomainCovariances, path) -> None:
     d = cov.dim
     if cov.inv_sigma_source.shape != (d, d) or cov.inv_sigma_target.shape != (d, d):
         raise ModelFileError("covariance matrices must be square and same-sized")
-    blob = bytearray()
-    blob += COV_MAGIC
-    blob += struct.pack("<III", COV_VERSION, d, 0)
-    blob += struct.pack("<dQQ", cov.ridge, cov.n_source, cov.n_target)
-    blob += np.ascontiguousarray(cov.inv_sigma_source, dtype=np.float64).tobytes()
-    blob += np.ascontiguousarray(cov.inv_sigma_target, dtype=np.float64).tobytes()
     with atomic_write(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(COV_MAGIC)
+        fh.write(struct.pack("<III", COV_VERSION, d, 0))
+        fh.write(struct.pack("<dQQ", cov.ridge, cov.n_source, cov.n_target))
+        for matrix in (cov.inv_sigma_source, cov.inv_sigma_target):
+            fh.write(np.ascontiguousarray(matrix, dtype=np.float64))  # no bytes copy
 
 
 def load_covariances(path) -> DomainCovariances:

@@ -9,18 +9,25 @@ waveform (spiky derivative) and in log-mel space (broadband transients).
 
 Generation is fully deterministic: every clip draws from its own RNG stream
 keyed by (seed, machine, split, domain, condition, index), so the same seed
-reproduces a byte-identical tree no matter the generation order.
+reproduces a byte-identical tree no matter the generation order. Clips render
+in forked worker processes, one per CPU this process may run on (in-process
+when that is one), and the tree is identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.io import wavfile
 
-from ._io import make_dir
+from ._io import atomic_write, make_dir
 from .config import from_mapping, read_yaml
 from .dataset import ClipRecord, DatasetManifest, save_manifest, MANIFEST_FILENAME
 from .errors import ConfigError
@@ -174,19 +181,84 @@ def _render_clip(spec: SynthSpec, profile: _MachineProfile, domain: str,
     return x
 
 
-def _write_pcm16(path: Path, samples: np.ndarray, sample_rate: int) -> None:
+def _render_supplementary(spec: SynthSpec, profile: _MachineProfile, kind: str,
+                          rng: np.random.Generator) -> np.ndarray:
+    if kind == "clean":
+        samples = _tone(spec, profile, "source", rng)
+    else:
+        samples = 0.05 * _pink_noise(
+            int(round(spec.clip_seconds * spec.sample_rate)), spec.sample_rate, rng)
+    peak = np.max(np.abs(samples))
+    if peak > 0.98:
+        samples = samples * (0.98 / peak)
+    return samples
+
+
+class _Job(NamedTuple):
+    """One clip to render: its RNG key, what to render and where to write it."""
+
+    rng_key: list[int]
+    profile: _MachineProfile
+    domain: str
+    condition: str
+    aux: str | None  # "clean"/"noise" for a supplementary clip, else None
+    path: Path
+
+
+def _render_job(spec: SynthSpec, job: _Job) -> None:
+    """Render one clip and write it as 16-bit PCM.
+
+    Runs in a worker process, so it calls only private helpers: no public
+    asdkit function runs outside the calling process.
+    """
+    rng = np.random.default_rng(job.rng_key)
+    if job.aux is None:
+        samples = _render_clip(spec, job.profile, job.domain, job.condition, rng)
+    else:
+        samples = _render_supplementary(spec, job.profile, job.aux, rng)
     data = np.clip(np.round(samples * 32767.0), -32768, 32767).astype(np.int16)
-    wavfile.write(path, sample_rate, data)
+    with atomic_write(job.path, "wb") as fh:
+        wavfile.write(fh, spec.sample_rate, data)
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def _render_all(spec: SynthSpec, jobs: list[_Job]) -> None:
+    """Run every job, on forked worker processes when more than one CPU is free.
+
+    Fork, not spawn or forkserver: those re-import the caller's __main__ (a
+    script that calls synth_generate at top level breaks the pool) and pay
+    the numpy/scipy import in every worker. The workers run only this
+    module's numpy code. The first failing job (in job order) cancels the
+    jobs not yet started and its error is raised here.
+    """
+    workers = min(_worker_count(), len(jobs))
+    if workers <= 1:
+        for job in jobs:
+            _render_job(spec, job)
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        for _ in pool.map(functools.partial(_render_job, spec), jobs):
+            pass
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
     """Render the dataset tree under out_dir and write its manifest.csv.
 
-    Deterministic per seed: repeated runs produce byte-identical trees.
+    Deterministic per seed: repeated runs produce byte-identical trees,
+    whatever the number of worker processes.
     """
     spec.validate()
     out = Path(out_dir)
     make_dir(out)
+    jobs: list[_Job] = []
     records: list[ClipRecord] = []
     c = spec.counts
     for m_idx, machine in enumerate(spec.machines):
@@ -200,47 +272,38 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
             ("test", "target", "anomaly", c.test_anomaly_target),
         ]
         for split, domain, condition, count in plan:
-            subdir = out / machine / split
             if count:
-                subdir.mkdir(parents=True, exist_ok=True)
+                make_dir(out / machine / split)
             for i in range(count):
-                rng = np.random.default_rng(
-                    [seed, m_idx, _SPLIT_CODE[split], _DOMAIN_CODE[domain],
-                     _COND_CODE[condition], i])
-                samples = _render_clip(spec, profile, domain, condition, rng)
                 name = f"section_00_{domain}_{split}_{condition}_{i:04d}.wav"
-                _write_pcm16(subdir / name, samples, spec.sample_rate)
+                key = [seed, m_idx, _SPLIT_CODE[split], _DOMAIN_CODE[domain],
+                       _COND_CODE[condition], i]
+                jobs.append(_Job(key, profile, domain, condition, None,
+                                 out / machine / split / name))
                 records.append(ClipRecord(
                     machine_type=machine, section="00", domain=domain,
                     split=split, condition=condition,
                     path=str(Path(machine) / split / name)))
         # supplementary clips alternate clean machine sound and noise-only
-        supdir = out / machine / "supplementary"
         if c.supplementary:
-            supdir.mkdir(parents=True, exist_ok=True)
+            make_dir(out / machine / "supplementary")
         for i in range(c.supplementary):
             kind = "clean" if i % 2 == 0 else "noise"
-            rng = np.random.default_rng(
-                [seed, m_idx, _SPLIT_CODE["supplementary"], 1, _COND_CODE[kind], i])
             if kind == "clean":
-                samples = _tone(spec, profile, "source", rng)
                 name = f"section_00_source_supplementary_normal_{i:04d}_aux_clean.wav"
                 condition = "normal"
             else:
-                samples = 0.05 * _pink_noise(
-                    int(round(spec.clip_seconds * spec.sample_rate)),
-                    spec.sample_rate, rng)
                 name = f"section_00_source_supplementary_{i:04d}_aux_noise.wav"
                 condition = "unknown"
-            peak = np.max(np.abs(samples))
-            if peak > 0.98:
-                samples = samples * (0.98 / peak)
-            _write_pcm16(supdir / name, samples, spec.sample_rate)
+            key = [seed, m_idx, _SPLIT_CODE["supplementary"], 1, _COND_CODE[kind], i]
+            jobs.append(_Job(key, profile, "source", condition, kind,
+                             out / machine / "supplementary" / name))
             records.append(ClipRecord(
                 machine_type=machine, section="00", domain="source",
                 split="supplementary", condition=condition,
                 path=str(Path(machine) / "supplementary" / name),
                 attributes={"aux": kind}))
+    _render_all(spec, jobs)
     records.sort(key=lambda r: r.path)
     manifest = DatasetManifest(records=records, role="development")
     save_manifest(manifest, out / MANIFEST_FILENAME)

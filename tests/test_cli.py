@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import shutil
 import struct
 import warnings
@@ -11,7 +12,7 @@ import pytest
 import yaml
 from scipy.io import wavfile
 
-from asdkit import cli
+from asdkit import cli, synth
 from asdkit.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH,
                         EXIT_OK, main)
 from asdkit.dataset import load_manifest
@@ -115,6 +116,41 @@ def test_synth_out_that_is_a_file_exits_config(tmp_path, capsys):
     out.write_text("")
     assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
     assert "cannot create output directory" in capsys.readouterr().err
+
+
+def smoke_spec_path() -> Path:
+    return Path(__file__).parents[1] / "configs" / "synth_smoke.yaml"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_synth_split_dir_under_a_file_exits_config(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(synth, "_worker_count", lambda: workers)
+    out = tmp_path / "data"
+    out.mkdir()
+    (out / "pumpette").write_text("")  # the smoke spec's machine
+    assert main(["synth", "--spec", str(smoke_spec_path()), "--out", str(out)]) == EXIT_CONFIG
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_synth_unwritable_wav_exits_config(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(synth, "_worker_count", lambda: workers)
+    out = tmp_path / "data"
+    blocked = out / "pumpette" / "test" / "section_00_target_test_normal_0002.wav"
+    blocked.mkdir(parents=True)  # a directory where a WAV goes: unwritable even as root
+    assert main(["synth", "--spec", str(smoke_spec_path()), "--out", str(out)]) == EXIT_CONFIG
+    assert f"cannot write {blocked}" in capsys.readouterr().err
+    assert not (out / "manifest.csv").exists()
+    assert not list(out.rglob("*.tmp"))
+    assert multiprocessing.active_children() == []
+
+
+def test_synth_command_leaves_no_worker_processes(tmp_path, monkeypatch):
+    monkeypatch.setattr(synth, "_worker_count", lambda: 2)
+    assert main(["synth", "--spec", str(smoke_spec_path()),
+                 "--out", str(tmp_path / "d")]) == EXIT_OK
+    assert multiprocessing.active_children() == []
 
 
 def test_synth_command_deterministic(tmp_path):

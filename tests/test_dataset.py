@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from asdkit.dataset import (ClipRecord, DatasetManifest,
                             parse_clip_name, save_manifest, scan_dataset)
 from asdkit.dsp import read_wav
 from asdkit.errors import ConfigError, DatasetError
+from asdkit import synth
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 
@@ -269,6 +271,29 @@ def test_synth_deterministic_trees(tmp_path):
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
     synth_generate(spec, tmp_path / "c", seed=8)
     assert tree_digest(tmp_path / "a") != tree_digest(tmp_path / "c")
+
+
+def tree_files(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_synth_tree_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
+    spec = SynthSpec(clip_seconds=0.5, machines=["m1", "m2"],
+                     counts=SynthCounts(source_train=4, target_train=2,
+                                        test_normal_source=2, test_normal_target=1,
+                                        test_anomaly_source=2, test_anomaly_target=1,
+                                        supplementary=3))
+    synth_generate(spec, tmp_path / "default", seed=7)
+    trees = {"default": tree_files(tmp_path / "default")}
+    for workers in (1, 3):
+        monkeypatch.setattr(synth, "_worker_count", lambda: workers)
+        synth_generate(spec, tmp_path / str(workers), seed=7)
+        trees[workers] = tree_files(tmp_path / str(workers))
+    assert "manifest.csv" in trees["default"]
+    assert len(trees["default"]) == 2 * (4 + 2 + 2 + 1 + 2 + 1 + 3) + 1
+    assert trees[1] == trees["default"] == trees[3]
+    assert multiprocessing.active_children() == []
 
 
 def test_synth_counts_match_spec(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import struct
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from asdkit.errors import ConfigError, InsufficientDataError, ModelFileError
 from asdkit.model import init_model
-from asdkit.scoring import (DEFAULT_RIDGE, DomainCovariances, Threshold, decide,
+from asdkit.scoring import (COV_MAGIC, COV_VERSION, DEFAULT_RIDGE, DomainCovariances, Threshold, decide,
                             fit_threshold, identity_covariances, load_covariances,
                             load_thresholds, mahalanobis_frame_scores,
                             read_score_csv, save_covariances, save_thresholds,
@@ -351,6 +352,19 @@ def test_covariance_file_roundtrip(tmp_path, rng):
     assert np.array_equal(loaded.inv_sigma_target, cov.inv_sigma_target)
     assert loaded.ridge == cov.ridge
     assert (loaded.n_source, loaded.n_target) == (40, 10)
+
+
+def test_covariance_file_is_header_then_both_matrices(tmp_path, rng):
+    # a non-symmetric Fortran-ordered matrix: the file holds its C-order bytes
+    inv_s = random_spd(rng, 5)
+    inv_t = np.asfortranarray(rng.standard_normal((5, 5)))
+    cov = DomainCovariances(inv_sigma_source=inv_s, inv_sigma_target=inv_t,
+                            ridge=2.5e-3, n_source=30, n_target=7)
+    path = tmp_path / "c.cov"
+    save_covariances(cov, path)
+    header = (COV_MAGIC + struct.pack("<III", COV_VERSION, 5, 0)
+              + struct.pack("<dQQ", 2.5e-3, 30, 7))
+    assert path.read_bytes() == header + inv_s.tobytes() + inv_t.tobytes()
 
 
 def test_covariance_file_corruption(tmp_path, rng):
