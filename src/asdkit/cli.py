@@ -15,14 +15,17 @@ output path that cannot be written is a configuration problem (exit 2).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _pool
 from ._io import atomic_write, make_dir, write_yaml
 from .config import RunConfig, normalize_mode, read_yaml
 from .dataset import (DatasetManifest, MANIFEST_FILENAME, load_manifest,
@@ -102,12 +105,14 @@ def _feature_store(config: RunConfig, root: Path, records):
     M is the total frame count of the clips. The array is allocated once at
     its final size, counted from each clip's WAV headers, and holds each frame
     once: a stacked (context_frames * n_mels) vector is built from it only
-    when needed. Returns the frames, the first frame row of every stacked
-    vector (the rows train() takes), and per clip (offset, T, domain) of its
-    frame rows.
+    when needed. Clips are read on the fork pool, whose workers write their
+    rows into the array in place (then held in shared memory). Returns the
+    frames, the first frame row of every stacked vector (the rows train()
+    takes), per clip (offset, T, domain) of its frame rows, and the worker
+    count the clips' audio gives.
     """
     f = config.features
-    counts = []
+    counts, samples = [], 0
     for rec in records:
         n = wav_num_samples(root / rec.path)
         if f.vector_count(n) == 0:
@@ -115,15 +120,35 @@ def _feature_store(config: RunConfig, root: Path, records):
                 f"training clip {rec.path} has {n} samples, fewer than "
                 f"{f.context_frames} frames of {f.n_fft} samples at hop {f.hop_length}")
         counts.append(frame_count(n, f.n_fft, f.hop_length))
-    frames = np.empty((sum(counts), f.n_mels), dtype=np.float32)
-    rows, clips = [], []
-    offset = 0
-    for rec, t in zip(records, counts):
-        frames[offset:offset + t] = log_mel(read_wav(root / rec.path), f).T
-        rows.append(np.arange(offset, offset + t - f.context_frames + 1))
-        clips.append((offset, t, rec.domain))
-        offset += t
-    return frames, np.concatenate(rows), clips
+        samples += n
+    workers = _pool.worker_count(len(records), samples / f.sample_rate_hz)
+    offsets = list(itertools.accumulate(counts, initial=0))  # clip i: rows offsets[i:i+2]
+    shape = (offsets[-1], f.n_mels)
+    frames = (_pool.shared_empty(shape, np.float32) if workers > 1
+              else np.empty(shape, dtype=np.float32))
+
+    def fill(i):
+        clip = read_wav(root / records[i].path)
+        frames[offsets[i]:offsets[i + 1]] = log_mel(clip, f).T
+
+    _pool.run(fill, range(len(records)), workers)
+    rows = np.concatenate([np.arange(o, o + t - f.context_frames + 1)
+                           for o, t in zip(offsets, counts)])
+    clips = [(o, t, rec.domain) for o, t, rec in zip(offsets, counts, records)]
+    return frames, rows, clips, workers
+
+
+def _pcm_seconds(root: Path, records, features) -> float:
+    """Audio seconds of the clips as 16-bit PCM at the configured rate.
+
+    Taken from file sizes, which costs a stat per clip rather than a header
+    read; it only sizes the worker pool. A missing file counts 0.
+    """
+    size = 0
+    for rec in records:
+        with contextlib.suppress(OSError):
+            size += os.path.getsize(root / rec.path)
+    return size / (2 * features.sample_rate_hz)
 
 
 def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
@@ -133,7 +158,10 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     covariances, and fits one threshold per scoring mode on the training
     scores. The only full-size array is the float32 frame store: training
     stacks each batch from it, and residual statistics and threshold scores
-    stack and stream it clip by clip. Returns the artifact paths.
+    stack and stream it clip by clip. Frame extraction and the Mahalanobis
+    threshold scores run on the fork pool; the residual pass stays
+    in-process, since its merge order defines the covariance bytes. Returns
+    the artifact paths.
     """
     model0 = init_model(config.layer_dims, seed=config.seed)  # bad dims fail before any I/O
     manifest = _resolve_manifest(data_root)
@@ -145,7 +173,7 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     if not train_records:
         raise DatasetError(f"no training clips for machine {machine!r}")
     make_dir(out_dir)
-    frames, rows, clips = _feature_store(config, Path(data_root), train_records)
+    frames, rows, clips, workers = _feature_store(config, Path(data_root), train_records)
     model, history = train(model0, frames, config.train, rows)
 
     paths = _artifact_paths(out_dir)
@@ -169,7 +197,9 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     thresholds = {"mse": fit_threshold(mse_scores, config.threshold_percentile,
                                        split="train", mode="mse")}
     if cov is not None:
-        mah_scores = [score_mahalanobis(model, vectors(o, t), cov) for o, t, _ in clips]
+        mah_scores = _pool.run(
+            lambda clip: score_mahalanobis(model, vectors(clip[0], clip[1]), cov),
+            clips, workers)
         thresholds["mahalanobis"] = fit_threshold(
             mah_scores, config.threshold_percentile, split="train", mode="mahalanobis")
     save_thresholds(thresholds, paths["thresholds"])
@@ -204,19 +234,24 @@ def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
     if not records:
         raise DatasetError(f"no test clips for machine {machine!r}")
     root = Path(data_root)
-    rows = []
-    row_errors = []
-    for rec in records:
+
+    def score_clip(rec):
+        """(score, None), or (None, reason) for a clip that cannot be scored."""
         try:
             feats = extract_features(read_wav(root / rec.path), config.features)
             if mode == "mse":
-                score = score_mse(model, feats)
-            else:
-                score = score_mahalanobis(model, feats, cov)
+                return score_mse(model, feats), None
+            return score_mahalanobis(model, feats, cov), None
         except (WavFormatError, TooShortError, ConfigError) as exc:
-            row_errors.append((rec.path, str(exc)))
-            continue
-        rows.append((rec.path, score, decide(score, threshold)))
+            return None, str(exc)
+
+    workers = _pool.worker_count(len(records), _pcm_seconds(root, records, config.features))
+    rows, row_errors = [], []
+    for rec, (score, error) in zip(records, _pool.run(score_clip, records, workers)):
+        if error is None:
+            rows.append((rec.path, score, decide(score, threshold)))
+        else:
+            row_errors.append((rec.path, error))
     if row_errors:
         with atomic_write(str(out_csv) + ".errors.csv", newline="") as fh:
             writer = csv.writer(fh)

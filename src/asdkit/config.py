@@ -128,6 +128,8 @@ class RunConfig:
         seed = _checked("seed", data.get("seed", 0), 0)
         if seed_override is not None:
             seed = seed_override
+        if seed < 0:  # numpy seeds take no negative value
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         layer_dims = _section(data, "model").get("layer_dims")
         if layer_dims is not None:
             layer_dims = _checked("model.layer_dims", layer_dims, [0])

@@ -10,16 +10,14 @@ waveform (spiky derivative) and in log-mel space (broadband transients).
 Generation is fully deterministic: every clip draws from its own RNG stream
 keyed by (seed, machine, split, domain, condition, index), so the same seed
 reproduces a byte-identical tree no matter the generation order. Clips render
-in forked worker processes, one per CPU this process may run on (in-process
-when that is one), and the tree is identical for any worker count.
+on the shared fork pool (``asdkit._pool``), one worker per CPU when the spec
+holds enough audio, else in-process, and the tree is identical for any
+worker count.
 """
 
 from __future__ import annotations
 
 import functools
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import NamedTuple
@@ -27,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.io import wavfile
 
+from . import _pool
 from ._io import atomic_write, make_dir
 from .config import from_mapping, read_yaml
 from .dataset import ClipRecord, DatasetManifest, save_manifest, MANIFEST_FILENAME
@@ -206,11 +205,7 @@ class _Job(NamedTuple):
 
 
 def _render_job(spec: SynthSpec, job: _Job) -> None:
-    """Render one clip and write it as 16-bit PCM.
-
-    Runs in a worker process, so it calls only private helpers: no public
-    asdkit function runs outside the calling process.
-    """
+    """Render one clip and write it as 16-bit PCM (in a pool worker or in-process)."""
     rng = np.random.default_rng(job.rng_key)
     if job.aux is None:
         samples = _render_clip(spec, job.profile, job.domain, job.condition, rng)
@@ -221,41 +216,16 @@ def _render_job(spec: SynthSpec, job: _Job) -> None:
         wavfile.write(fh, spec.sample_rate, data)
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else 1
-
-
-def _render_all(spec: SynthSpec, jobs: list[_Job]) -> None:
-    """Run every job, on forked worker processes when more than one CPU is free.
-
-    Fork, not spawn or forkserver: those re-import the caller's __main__ (a
-    script that calls synth_generate at top level breaks the pool) and pay
-    the numpy/scipy import in every worker. The workers run only this
-    module's numpy code. The first failing job (in job order) cancels the
-    jobs not yet started and its error is raised here.
-    """
-    workers = min(_worker_count(), len(jobs))
-    if workers <= 1:
-        for job in jobs:
-            _render_job(spec, job)
-        return
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        for _ in pool.map(functools.partial(_render_job, spec), jobs):
-            pass
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
     """Render the dataset tree under out_dir and write its manifest.csv.
 
     Deterministic per seed: repeated runs produce byte-identical trees,
-    whatever the number of worker processes.
+    whatever the number of worker processes. A negative seed is a ConfigError,
+    raised before out_dir is created.
     """
     spec.validate()
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir)
     make_dir(out)
     jobs: list[_Job] = []
@@ -303,7 +273,9 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
                 split="supplementary", condition=condition,
                 path=str(Path(machine) / "supplementary" / name),
                 attributes={"aux": kind}))
-    _render_all(spec, jobs)
+    audio_s = len(jobs) * spec.clip_seconds
+    _pool.run(functools.partial(_render_job, spec), jobs,
+              _pool.worker_count(len(jobs), audio_s))
     records.sort(key=lambda r: r.path)
     manifest = DatasetManifest(records=records, role="development")
     save_manifest(manifest, out / MANIFEST_FILENAME)

@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from asdkit import _pool
 from asdkit.cli import train_machine
 from asdkit.config import RunConfig
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
@@ -59,3 +60,15 @@ def trained_artifacts(_small_dataset_session, tmp_path_factory):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def force_workers(monkeypatch):
+    """force_workers(n) runs every pool pass on n workers (1: in-process).
+
+    Test data is far below the audio a pool needs, so without this every
+    pass stays in-process.
+    """
+    def force(n: int) -> None:
+        monkeypatch.setattr(_pool, "worker_count", lambda items, audio_s: n)
+    return force

@@ -12,7 +12,7 @@ import pytest
 import yaml
 from scipy.io import wavfile
 
-from asdkit import cli, synth
+from asdkit import cli
 from asdkit.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH,
                         EXIT_OK, main)
 from asdkit.dataset import load_manifest
@@ -123,8 +123,8 @@ def smoke_spec_path() -> Path:
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_synth_split_dir_under_a_file_exits_config(tmp_path, capsys, monkeypatch, workers):
-    monkeypatch.setattr(synth, "_worker_count", lambda: workers)
+def test_synth_split_dir_under_a_file_exits_config(tmp_path, capsys, force_workers, workers):
+    force_workers(workers)
     out = tmp_path / "data"
     out.mkdir()
     (out / "pumpette").write_text("")  # the smoke spec's machine
@@ -134,8 +134,8 @@ def test_synth_split_dir_under_a_file_exits_config(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_synth_unwritable_wav_exits_config(tmp_path, capsys, monkeypatch, workers):
-    monkeypatch.setattr(synth, "_worker_count", lambda: workers)
+def test_synth_unwritable_wav_exits_config(tmp_path, capsys, force_workers, workers):
+    force_workers(workers)
     out = tmp_path / "data"
     blocked = out / "pumpette" / "test" / "section_00_target_test_normal_0002.wav"
     blocked.mkdir(parents=True)  # a directory where a WAV goes: unwritable even as root
@@ -146,11 +146,19 @@ def test_synth_unwritable_wav_exits_config(tmp_path, capsys, monkeypatch, worker
     assert multiprocessing.active_children() == []
 
 
-def test_synth_command_leaves_no_worker_processes(tmp_path, monkeypatch):
-    monkeypatch.setattr(synth, "_worker_count", lambda: 2)
+def test_synth_command_leaves_no_worker_processes(tmp_path, force_workers):
+    force_workers(2)
     assert main(["synth", "--spec", str(smoke_spec_path()),
                  "--out", str(tmp_path / "d")]) == EXIT_OK
     assert multiprocessing.active_children() == []
+
+
+def test_synth_negative_seed_exits_config_before_creating_out(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["synth", "--spec", str(smoke_spec_path()), "--out", str(out),
+                 "--seed", "-1"]) == EXIT_CONFIG
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_command_deterministic(tmp_path):
@@ -180,6 +188,22 @@ def test_train_command_writes_artifacts(small_dataset, tmp_path):
         assert (out / name).exists(), name
     echoed = yaml.safe_load((out / "config.yaml").read_text())
     assert echoed["run"]["machine"] == SMALL_MACHINE
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--seed", "-2"], "seed must be >= 0, got -2"),
+    ([], "train.seed must be >= 0, got -3"),  # pinned in the config file
+], ids=["seed-minus-1", "seed-minus-2", "train-seed-minus-3"])
+def test_train_negative_seed_exits_config_before_creating_out(small_dataset, tmp_path,
+                                                             capsys, args, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({} if args else {"train": {"seed": -3}}))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--data-root", str(small_dataset[0]),
+                 "--machine", SMALL_MACHINE, "--out", str(out), *args]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_command_unknown_machine(small_dataset, tmp_path):

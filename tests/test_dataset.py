@@ -15,7 +15,6 @@ from asdkit.dataset import (ClipRecord, DatasetManifest,
                             parse_clip_name, save_manifest, scan_dataset)
 from asdkit.dsp import read_wav
 from asdkit.errors import ConfigError, DatasetError
-from asdkit import synth
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 
@@ -278,7 +277,7 @@ def tree_files(root: Path) -> dict[str, bytes]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def test_synth_tree_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
+def test_synth_tree_is_the_same_for_any_worker_count(tmp_path, force_workers):
     spec = SynthSpec(clip_seconds=0.5, machines=["m1", "m2"],
                      counts=SynthCounts(source_train=4, target_train=2,
                                         test_normal_source=2, test_normal_target=1,
@@ -287,7 +286,7 @@ def test_synth_tree_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
     synth_generate(spec, tmp_path / "default", seed=7)
     trees = {"default": tree_files(tmp_path / "default")}
     for workers in (1, 3):
-        monkeypatch.setattr(synth, "_worker_count", lambda: workers)
+        force_workers(workers)
         synth_generate(spec, tmp_path / str(workers), seed=7)
         trees[workers] = tree_files(tmp_path / str(workers))
     assert "manifest.csv" in trees["default"]

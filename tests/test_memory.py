@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from asdkit import _pool
 from asdkit.cli import train_machine
 from asdkit.config import RunConfig
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
@@ -18,7 +19,8 @@ def traced_training(tmp_path_factory):
 
     10 s clips give K = 307 vectors of D = 64 * 5 = 320 per clip; with 66
     clips the per-clip and D x D transients stay well below the stacked
-    feature matrix itself.
+    feature matrix itself. The run is held in-process: tracemalloc sees
+    neither pool workers nor the shared-memory frame store a pool fills.
     """
     tmp_path = tmp_path_factory.mktemp("memory")
     spec = SynthSpec(clip_seconds=10.0, machines=["fan"],
@@ -35,7 +37,9 @@ def traced_training(tmp_path_factory):
 
     tracemalloc.start()
     try:
-        paths = train_machine(config, tmp_path / "data", "fan", tmp_path / "out")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_pool, "worker_count", lambda items, audio_s: 1)
+            paths = train_machine(config, tmp_path / "data", "fan", tmp_path / "out")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
