@@ -12,6 +12,10 @@ numpy/scipy import in every worker. Forked workers also inherit the pass's
 function, with the model, covariances and frame store it closes over, so
 only the items and the results are pickled, and a shared frame store
 (``shared_empty``) is written in place.
+
+Each worker keeps the memory it frees on its heap (glibc ``mallopt``), so a
+clip's temporaries reuse the previous clip's pages instead of being mapped,
+first-touched and unmapped again for every clip.
 """
 
 from __future__ import annotations
@@ -25,17 +29,21 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-# Audio seconds each worker must have before it pays off. A pool starts in
-# about 25-30 ms and costs 50-80 ms net in a 2 s-clip score pass, while a
-# clip's read, log-mel and score take about 1.1 ms per audio second on one
-# core (2-vCPU Xeon, OpenBLAS), so a second worker saves about 0.55 ms per
-# audio second: break-even near 90-145 s.
+# Audio seconds each worker must have before it pays off. On a 2-vCPU Xeon
+# (OpenBLAS), a pool starts and stops in about 20 ms, and a worker's first
+# clip costs 25-35 ms more than the next ones. A score pass over 10 s clips
+# takes 0.9-1.6 ms per audio second in-process (mse to Mahalanobis) and
+# 0.5-0.8 ms on two workers, plus 60-85 ms fixed: break-even near 110-150 s,
+# fitted over passes of 4 to 32 clips.
 AUDIO_S_PER_WORKER = 120.0
 
 # set-threads entry points of the OpenBLAS builds numpy ships or links:
 # numpy 2 wheels, numpy 1.x wheels (ILP64), and a plain system OpenBLAS
 _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+# glibc mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 _task = None  # the pass's function; set only in forked workers
 
@@ -53,6 +61,17 @@ def _blas_set_threads():
             fn.argtypes, fn.restype = [ctypes.c_int], None
             return fn
     return None
+
+
+@functools.cache
+def _mallopt():
+    """glibc's mallopt, or None where the C library has none."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return fn
 
 
 def _cpu_count() -> int:
@@ -90,6 +109,12 @@ def _start_worker(fn) -> None:
     set_threads = _blas_set_threads()
     if set_threads is not None:
         set_threads(1)
+    mallopt = _mallopt()
+    if mallopt is not None:
+        # allocations up to glibc's largest mmap threshold come from the heap,
+        # and freed heap memory stays with the worker while it lives
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def _run_task(item):

@@ -192,23 +192,29 @@ def scan_dataset(root_dir, role: str = "development") -> DatasetManifest:
 
 
 def load_attributes_csv(path) -> dict[str, dict[str, str]]:
-    """Read an attribute CSV: header row, then `filename,key,value[,key,value...]`."""
+    """Read an attribute CSV: header row, then `filename,key,value[,key,value...]`.
+
+    A file that cannot be read or parsed is a ConfigError naming the path.
+    """
     attrs: dict[str, dict[str, str]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return attrs
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            name = Path(row[0].strip()).name
-            pairs = {}
-            cells = [c.strip() for c in row[1:]]
-            for i in range(0, len(cells) - 1, 2):
-                if cells[i]:
-                    pairs[cells[i]] = cells[i + 1]
-            attrs[name] = pairs
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                return attrs
+            for row in reader:
+                if not row or not row[0].strip():
+                    continue
+                name = Path(row[0].strip()).name
+                pairs = {}
+                cells = [c.strip() for c in row[1:]]
+                for i in range(0, len(cells) - 1, 2):
+                    if cells[i]:
+                        pairs[cells[i]] = cells[i + 1]
+                attrs[name] = pairs
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read attribute CSV {path}: {exc}") from exc
     return attrs
 
 

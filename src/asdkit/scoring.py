@@ -4,12 +4,19 @@ Two operating modes share one trained autoencoder:
   * mse: score = mean squared reconstruction error over the clip's stacked
     vectors, i.e. (1 / (D*K)) * sum_k ||psi_k - r(psi_k)||^2.
   * mahalanobis: per frame, the smaller of two quadratic forms
-    e_k' inv_sigma_d e_k on the residual e_k, one per domain, averaged with
+    e_k' inv(Sigma_d) e_k on the residual e_k, one per domain, averaged with
     the same 1 / (D*K) normalization.
 
 Note the Mahalanobis form is the *squared* one (no square root): with identity
 covariances it then reduces exactly to the mse score, and the 1/(D*K)
 normalization stays dimensionally consistent across modes.
+
+Both forms come from one product per clip. The two ridged covariances are
+factored jointly into a D x D transform W and D target scales lam, with
+W W' = inv(Sigma_source) and W diag(lam) W' = inv(Sigma_target): Cholesky
+Sigma_source = C C', then eigh(inv(C) Sigma_target inv(C)') = U diag(mu) U',
+W = inv(C)' U and lam = 1 / mu. With z = e W, the source form is sum(z^2)
+and the target form is z^2 . lam. No inverse of a covariance is formed.
 
 Scoring always runs in float64 regardless of the model's parameter dtype.
 Residuals are taken against the features exactly as passed in: at train time
@@ -36,7 +43,7 @@ from .model import AeModel, forward
 
 MODES = ("mse", "mahalanobis")
 COV_MAGIC = b"ASDK-CV\x00"
-COV_VERSION = 1
+COV_VERSION = 2
 DEFAULT_RIDGE = 1e-3
 # keeps the ridge term positive even when the sample covariance is all zero
 RIDGE_TRACE_FLOOR = 1e-12
@@ -45,15 +52,20 @@ DEFAULT_PERCENTILE = 90.0
 
 @dataclass
 class DomainCovariances:
-    inv_sigma_source: np.ndarray
-    inv_sigma_target: np.ndarray
+    """Both domains' inverse covariances as one joint factorization.
+
+    whitening (D x D) is W and target_scale (D,) is lam, with
+    W W' = inv(Sigma_source) and W diag(lam) W' = inv(Sigma_target).
+    """
+    whitening: np.ndarray
+    target_scale: np.ndarray
     ridge: float
     n_source: int
     n_target: int
 
     @property
     def dim(self) -> int:
-        return self.inv_sigma_source.shape[0]
+        return self.whitening.shape[0]
 
 
 @dataclass
@@ -91,7 +103,11 @@ def score_mse(model: AeModel, features: np.ndarray) -> float:
 
 
 def mahalanobis_frame_scores(residuals: np.ndarray, inv_sigma: np.ndarray) -> np.ndarray:
-    """Quadratic form e' inv_sigma e for each residual row (squared form)."""
+    """Quadratic form e' inv_sigma e for each residual row (squared form).
+
+    The reference form: score_mahalanobis gets the same values from the
+    joint factorization, with one product per clip for both domains.
+    """
     e = np.asarray(residuals, dtype=np.float64)
     return np.sum((e @ inv_sigma) * e, axis=1)
 
@@ -102,10 +118,14 @@ def score_mahalanobis(model: AeModel, features: np.ndarray, cov: DomainCovarianc
     d = residuals.shape[1]
     if cov.dim != d:
         raise ConfigError(f"covariance dim {cov.dim} does not match feature dim {d}")
-    with np.errstate(invalid="ignore"):  # inf residuals give nan, rejected below
-        q_source = mahalanobis_frame_scores(residuals, cov.inv_sigma_source)
-        q_target = mahalanobis_frame_scores(residuals, cov.inv_sigma_target)
-    return _checked_score(float(np.sum(np.minimum(q_source, q_target)) / residuals.size))
+    # inf residuals give inf or nan forms, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = residuals @ cov.whitening
+        z *= z
+        q_source = z.sum(axis=1)
+        q_target = z @ cov.target_scale
+        np.minimum(q_source, q_target, out=q_source)
+    return _checked_score(float(np.sum(q_source) / residuals.size))
 
 
 class ResidualMoments:
@@ -142,20 +162,25 @@ class ResidualMoments:
         self.n = n
 
     def covariance(self) -> np.ndarray:
-        """Sample covariance, divisor n - 1."""
+        """Sample covariance, divisor n - 1, computed in place in M2.
+
+        The moments give up their M2 buffer to the result, so call this once,
+        after the last update.
+        """
         if self.n < 2:
             raise InsufficientDataError(
                 f"need at least 2 residual vectors per domain, got {self.n}")
-        return self.m2 / (self.n - 1)
+        sigma, self.m2 = self.m2, None
+        sigma /= self.n - 1
+        return sigma
 
 
-def _inverse_covariance(moments: ResidualMoments, ridge: float) -> np.ndarray:
+def _ridged_covariance(moments: ResidualMoments, ridge: float) -> np.ndarray:
+    """Sample covariance plus ridge * max(trace/D, floor) * I, in M2's buffer."""
     sigma = moments.covariance()
     mean_diag = float(np.trace(sigma)) / sigma.shape[0]
-    ridge_scale = ridge * max(mean_diag, RIDGE_TRACE_FLOOR)
-    sigma = sigma + ridge_scale * np.eye(sigma.shape[0])
-    inv = np.linalg.inv(sigma)
-    return (inv + inv.T) / 2.0  # enforce symmetry against round-off
+    sigma.flat[::sigma.shape[0] + 1] += ridge * max(mean_diag, RIDGE_TRACE_FLOOR)
+    return sigma
 
 
 def residual_statistics(model: AeModel, clips):
@@ -177,26 +202,58 @@ def residual_statistics(model: AeModel, clips):
     return scores, moments
 
 
+def joint_whitening(sigma_source: np.ndarray, sigma_target: np.ndarray):
+    """(W, lam) with W W' = inv(sigma_source) and W diag(lam) W' = inv(sigma_target).
+
+    Cholesky sigma_source = C C', then eigh(inv(C) sigma_target inv(C)') =
+    U diag(mu) U', W = inv(C)' U and lam = 1 / mu. Each argument is
+    dropped once used, which frees it when the caller passed the only
+    reference; after that at most inv(C), the middle matrix and U live at
+    once. A covariance that is not positive definite is a ConfigError.
+    """
+    try:
+        c = np.linalg.cholesky(sigma_source)
+        del sigma_source
+        c_inv = np.linalg.inv(c)
+        del c
+        middle = c_inv @ sigma_target
+        del sigma_target
+        middle = middle @ c_inv.T  # eigh reads its lower triangle only
+        mu, u = np.linalg.eigh(middle)
+        del middle
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(f"the ridged residual covariances cannot be factored ({exc}); "
+                          "raise scoring.ridge") from exc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = 1.0 / mu
+    if not (np.all(mu > 0) and np.all(np.isfinite(scale))):
+        raise ConfigError("the target residual covariance is not positive definite "
+                          "relative to the source even with the ridge (smallest "
+                          f"eigenvalue {mu.min():.3g}); raise scoring.ridge")
+    return c_inv.T @ u, scale
+
+
 def covariances_from_moments(source: ResidualMoments, target: ResidualMoments,
                              ridge: float = DEFAULT_RIDGE) -> DomainCovariances:
-    """Inverse residual covariances per domain from their moments.
+    """Joint factorization of the ridged residual covariances of both domains.
 
     Covariance = mean-centered sample covariance (divisor N-1) plus
-    ridge * max(trace/D, floor) * I, then inverted. The ridge keeps the target
-    matrix invertible even with very few target-domain clips.
+    ridge * max(trace/D, floor) * I. The ridge keeps the target matrix
+    invertible even with very few target-domain clips. Both are built in the
+    moments' M2 buffers, so the moments are spent afterwards.
     """
     if ridge <= 0:
         raise ConfigError(f"ridge must be > 0, got {ridge}")
-    return DomainCovariances(
-        inv_sigma_source=_inverse_covariance(source, ridge),
-        inv_sigma_target=_inverse_covariance(target, ridge),
-        ridge=ridge, n_source=source.n, n_target=target.n)
+    n_source, n_target = source.n, target.n
+    whitening, target_scale = joint_whitening(_ridged_covariance(source, ridge),
+                                              _ridged_covariance(target, ridge))
+    return DomainCovariances(whitening=whitening, target_scale=target_scale,
+                             ridge=ridge, n_source=n_source, n_target=n_target)
 
 
 def identity_covariances(dim: int) -> DomainCovariances:
     """Identity inverse covariances; makes the mahalanobis mode equal the mse mode."""
-    return DomainCovariances(inv_sigma_source=np.eye(dim),
-                             inv_sigma_target=np.eye(dim),
+    return DomainCovariances(whitening=np.eye(dim), target_scale=np.ones(dim),
                              ridge=0.0, n_source=0, n_target=0)
 
 
@@ -222,14 +279,15 @@ def decide(score: float, threshold: Threshold) -> str:
 
 def save_covariances(cov: DomainCovariances, path) -> None:
     d = cov.dim
-    if cov.inv_sigma_source.shape != (d, d) or cov.inv_sigma_target.shape != (d, d):
-        raise ModelFileError("covariance matrices must be square and same-sized")
+    if cov.whitening.shape != (d, d) or cov.target_scale.shape != (d,):
+        raise ModelFileError("covariance factors must be a square matrix and "
+                             "one scale per row")
     with atomic_write(path, "wb") as fh:
         fh.write(COV_MAGIC)
         fh.write(struct.pack("<III", COV_VERSION, d, 0))
         fh.write(struct.pack("<dQQ", cov.ridge, cov.n_source, cov.n_target))
-        for matrix in (cov.inv_sigma_source, cov.inv_sigma_target):
-            fh.write(np.ascontiguousarray(matrix, dtype=np.float64))  # no bytes copy
+        for array in (cov.whitening, cov.target_scale):
+            fh.write(np.ascontiguousarray(array, dtype=np.float64))  # no bytes copy
 
 
 def load_covariances(path) -> DomainCovariances:
@@ -245,18 +303,23 @@ def load_covariances(path) -> DomainCovariances:
         raise ModelFileError(f"{path}: not a covariance file (bad magic)")
     version, d, _ = struct.unpack_from("<III", blob, len(COV_MAGIC))
     if version != COV_VERSION:
-        raise ModelFileError(f"{path}: unsupported covariance version {version}")
+        raise ModelFileError(f"{path}: unsupported covariance version {version} "
+                             f"(this asdkit reads version {COV_VERSION}); retrain "
+                             "the model to write a current covariance file")
     ridge, n_source, n_target = struct.unpack_from("<dQQ", blob, len(COV_MAGIC) + 12)
-    matrix_bytes = d * d * 8
-    if len(blob) != header + 2 * matrix_bytes:
+    if len(blob) != header + 8 * (d * d + d):
         raise ModelFileError(f"{path}: covariance payload size mismatch")
-    inv_s = np.frombuffer(blob, dtype=np.float64, count=d * d,
-                          offset=header).reshape(d, d).copy()
-    inv_t = np.frombuffer(blob, dtype=np.float64, count=d * d,
-                          offset=header + matrix_bytes).reshape(d, d).copy()
-    if not (math.isfinite(ridge) and np.isfinite(inv_s).all() and np.isfinite(inv_t).all()):
+    whitening = np.frombuffer(blob, dtype=np.float64, count=d * d,
+                              offset=header).reshape(d, d).copy()
+    target_scale = np.frombuffer(blob, dtype=np.float64, count=d,
+                                 offset=header + 8 * d * d).copy()
+    if not (math.isfinite(ridge) and np.isfinite(whitening).all()
+            and np.isfinite(target_scale).all()):
         raise ModelFileError(f"{path}: non-finite covariance values")
-    return DomainCovariances(inv_sigma_source=inv_s, inv_sigma_target=inv_t,
+    if not np.all(target_scale > 0):
+        raise ModelFileError(f"{path}: target scales must be > 0, got minimum "
+                             f"{target_scale.min()}")
+    return DomainCovariances(whitening=whitening, target_scale=target_scale,
                              ridge=ridge, n_source=int(n_source), n_target=int(n_target))
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import re
 import shutil
 import struct
 import warnings
@@ -20,8 +21,8 @@ from asdkit.errors import (AsdkitError, ConfigError, DatasetError, InsufficientD
                            MismatchError, ModelFileError, TooShortError,
                            TrainingDivergedError, UndefinedMetricError, WavFormatError)
 from asdkit.model import DEFAULT_LAYER_DIMS, init_model, load_model, save_model
-from asdkit.scoring import (identity_covariances, read_score_csv, save_covariances,
-                            write_score_csv)
+from asdkit.scoring import (COV_MAGIC, identity_covariances, read_score_csv,
+                            save_covariances, write_score_csv)
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 from conftest import SMALL_MACHINE, fast_config
@@ -361,6 +362,33 @@ def test_score_command_missing_covariance(trained_artifacts, tmp_path):
         assert rc == EXIT_ARTIFACT
     finally:
         paths["cov"].write_bytes(cov_bytes)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("version-1", "version 1 .*retrain"), ("nan-whitening", "non-finite"),
+    ("negative-scale", "target scales must be > 0"), ("inf-scale", "non-finite")])
+def test_score_command_rejects_bad_covariance_file(trained_artifacts, tmp_path, capsys,
+                                                    case, message):
+    config, paths, root = trained_artifacts
+    model_dir = copy_artifacts(paths, tmp_path / "model", ("model", "thresholds", "config"))
+    dim = config.features.feature_dim
+    cov_path = model_dir / paths["cov"].name
+    if case == "version-1":  # header, then both inverse covariance matrices
+        cov_path.write_bytes(COV_MAGIC + struct.pack("<III", 1, dim, 0)
+                             + struct.pack("<dQQ", 1e-3, 20, 5) + np.eye(dim).tobytes() * 2)
+    else:
+        cov = identity_covariances(dim)
+        if case == "nan-whitening":
+            cov.whitening[3, 1] = np.nan
+        else:
+            cov.target_scale[2] = -1.0 if case == "negative-scale" else np.inf
+        save_covariances(cov, cov_path)
+    out_csv = tmp_path / "s.csv"
+    rc = main(["score", "--model", str(model_dir), "--data-root", str(root),
+               "--machine", SMALL_MACHINE, "--mode", "mahala", "--out", str(out_csv)])
+    assert rc == EXIT_ARTIFACT
+    assert re.search(message, capsys.readouterr().err)
+    assert not out_csv.exists()
 
 
 def test_score_command_dimension_mismatch_fails_fast(trained_artifacts, tmp_path,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import multiprocessing
 from pathlib import Path
@@ -182,6 +183,19 @@ def test_attributes_unknown_clip_warns(tmp_path, small_dataset):
     csv_path.write_text("file_name,k,v\nghost_clip.wav,spd,28V\n")
     warnings = apply_attributes(manifest, load_attributes_csv(csv_path))
     assert len(warnings) == 1
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "field-too-long"])
+def test_unreadable_attribute_csv_is_config_error_naming_the_path(tmp_path, case):
+    path = tmp_path / "attributes_00.csv"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"file_name,k,v\nclip\xff.wav,spd,28V\n")
+    elif case == "field-too-long":  # csv.Error: beyond the csv module's field limit
+        path.write_text("file_name,k,v\nclip.wav,spd," + "9" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ConfigError, match="cannot read attribute CSV .*attributes_00.csv"):
+        load_attributes_csv(path)
 
 
 # ---------------------------------------------------------------------------

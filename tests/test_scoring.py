@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from asdkit.errors import ConfigError, InsufficientDataError, ModelFileError
-from asdkit.model import init_model
+from asdkit.model import forward, init_model
 from asdkit.scoring import (COV_MAGIC, COV_VERSION, DEFAULT_RIDGE, DomainCovariances, Threshold, decide,
-                            fit_threshold, identity_covariances, load_covariances,
-                            load_thresholds, mahalanobis_frame_scores,
+                            fit_threshold, identity_covariances, joint_whitening,
+                            load_covariances, load_thresholds, mahalanobis_frame_scores,
                             read_score_csv, save_covariances, save_thresholds,
                             score_mahalanobis, score_mse, write_score_csv,
                             RIDGE_TRACE_FLOOR, ResidualMoments,
@@ -55,7 +55,6 @@ def test_mse_hand_case():
 def test_mse_matches_elementwise_oracle(rng):
     model = init_model([6, 4, 6], seed=1, dtype=np.float64)
     feats = rng.standard_normal((9, 6))
-    from asdkit.model import forward
     recon = forward(model, feats)
     total = 0.0
     for k in range(feats.shape[0]):
@@ -111,13 +110,33 @@ def fit_covariances(model, source_features, target_features, ridge=DEFAULT_RIDGE
     return covariances_from_moments(moments["source"], moments["target"], ridge)
 
 
+def inverses(cov):
+    """The inverse covariances a factorization stands for: W W' and W diag(lam) W'."""
+    w = cov.whitening
+    return w @ w.T, (w * cov.target_scale) @ w.T
+
+
+def from_inverses(inv_source, inv_target):
+    """Factor the covariances whose inverses are given, as the pipeline factors."""
+    whitening, target_scale = joint_whitening(np.linalg.inv(inv_source),
+                                              np.linalg.inv(inv_target))
+    return DomainCovariances(whitening=whitening, target_scale=target_scale,
+                             ridge=0.0, n_source=0, n_target=0)
+
+
+def ridged(x, ridge):
+    sigma = np.cov(x, rowvar=False, ddof=1)
+    return sigma + ridge * max(np.trace(sigma) / len(sigma), RIDGE_TRACE_FLOOR) * np.eye(len(sigma))
+
+
 def test_covariance_hand_case():
     residuals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     ridge = 1e-9
     cov = fit_covariances(zero_model(2), residuals, residuals, ridge=ridge)
     # sample covariance (divisor N-1) of the residuals is diag(2/3, 2/3)
-    sigma = np.linalg.inv(cov.inv_sigma_source)
-    assert np.allclose(sigma, np.diag([2 / 3, 2 / 3]), rtol=1e-6, atol=1e-9)
+    for inv in inverses(cov):
+        sigma = np.linalg.inv(inv)
+        assert np.allclose(sigma, np.diag([2 / 3, 2 / 3]), rtol=1e-6, atol=1e-9)
     assert cov.n_source == 4 and cov.n_target == 4
 
 
@@ -126,11 +145,49 @@ def test_covariance_inverse_contract(rng):
     src = rng.standard_normal((40, 5))
     tgt = rng.standard_normal((25, 5))
     cov = fit_covariances(model, src, tgt, ridge=1e-3)
-    for inv in (cov.inv_sigma_source, cov.inv_sigma_target):
+    for inv in inverses(cov):
         sigma = np.linalg.inv(inv)
         assert np.allclose(sigma @ inv, np.eye(5), atol=1e-6)
         assert np.allclose(inv, inv.T, atol=1e-8)
         assert np.all(np.linalg.eigvalsh(inv) > 0)
+    assert cov.whitening.shape == (5, 5) and cov.target_scale.shape == (5,)
+    assert np.all(cov.target_scale > 0)
+
+
+@pytest.mark.parametrize("dim, n_source, n_target", [
+    (6, 40, 25), (12, 50, 5), (24, 30, 3)],  # targets of fewer rows than D: rank-deficient
+    ids=["full-rank", "target-5-of-12", "target-3-of-24"])
+def test_joint_factors_equal_ridged_inverses(dim, n_source, n_target):
+    # the factors' error grows with the product of both condition numbers, so
+    # the source is kept well conditioned and the target carries the ridge
+    rng = np.random.default_rng(dim)
+    src = rng.standard_normal((n_source, dim)) * rng.uniform(0.5, 2.0, dim) + 3.0
+    tgt = rng.standard_normal((n_target, dim)) * rng.uniform(0.1, 5.0, dim) - 1.0
+    cov = fit_covariances(zero_model(dim), src, tgt, ridge=1e-3)
+    assert (cov.n_source, cov.n_target) == (n_source, n_target)
+    for got, x in zip(inverses(cov), (src, tgt)):
+        expected = np.linalg.inv(ridged(x, 1e-3))
+        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_joint_whitening_of_random_spd_pairs(rng):
+    for _ in range(10):
+        dim = int(rng.integers(1, 9))
+        sigma_s, sigma_t = random_spd(rng, dim), random_spd(rng, dim)
+        whitening, target_scale = joint_whitening(sigma_s, sigma_t)
+        cov = DomainCovariances(whitening, target_scale, 0.0, 0, 0)
+        for got, sigma in zip(inverses(cov), (sigma_s, sigma_t)):
+            expected = np.linalg.inv(sigma)
+            assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("sigma_source, sigma_target", [
+    (-np.eye(3), np.eye(3)), (np.eye(3), -np.eye(3)),
+    (np.eye(3), np.diag([1.0, 0.0, 1.0])), (np.eye(3), np.full((3, 3), np.nan))],
+    ids=["source-negative", "target-negative", "target-singular", "target-nan"])
+def test_joint_whitening_rejects_non_positive_definite(sigma_source, sigma_target):
+    with pytest.raises(ConfigError, match="scoring.ridge"):
+        joint_whitening(sigma_source, sigma_target)
 
 
 def test_covariance_degenerate_equal_residuals():
@@ -138,9 +195,10 @@ def test_covariance_degenerate_equal_residuals():
     ridge = 1e-3
     cov = fit_covariances(zero_model(3), feats, feats, ridge=ridge)
     expected_diag = 1.0 / (ridge * RIDGE_TRACE_FLOOR)
-    assert np.allclose(np.diag(cov.inv_sigma_source), expected_diag, rtol=1e-6)
-    off = cov.inv_sigma_source - np.diag(np.diag(cov.inv_sigma_source))
-    assert np.allclose(off, 0.0, atol=abs(expected_diag) * 1e-9)
+    for inv in inverses(cov):
+        assert np.allclose(np.diag(inv), expected_diag, rtol=1e-6)
+        off = inv - np.diag(np.diag(inv))
+        assert np.allclose(off, 0.0, atol=abs(expected_diag) * 1e-9)
 
 
 def moments_of(x, sizes):
@@ -189,9 +247,16 @@ def test_covariances_from_streamed_clips_equal_batch_fit(rng):
         model, np.vstack([f for f, d in clips if d == "source"]),
         np.vstack([f for f, d in clips if d == "target"]))
     assert (streamed.n_source, streamed.n_target) == (22, 6)
-    for a, b in ((streamed.inv_sigma_source, batch.inv_sigma_source),
-                 (streamed.inv_sigma_target, batch.inv_sigma_target)):
+    for a, b in zip(inverses(streamed), inverses(batch)):
         assert np.allclose(a, b, rtol=1e-9, atol=0)
+    assert np.allclose(streamed.target_scale, batch.target_scale, rtol=1e-9, atol=0)
+
+
+def test_covariances_spend_the_moments():
+    moments = moments_of(np.random.default_rng(2).standard_normal((9, 3)), [9])
+    covariance = moments.covariance()
+    assert moments.m2 is None  # its buffer became the covariance
+    assert covariance.shape == (3, 3)
 
 
 def test_covariance_insufficient_data():
@@ -218,9 +283,11 @@ def test_mahalanobis_identity_equals_mse(rng):
 def test_mahalanobis_min_picks_smaller_form(rng):
     model = init_model([4, 3, 4], seed=4, dtype=np.float64)
     feats = rng.standard_normal((8, 4))
-    cov = DomainCovariances(inv_sigma_source=2.0 * np.eye(4),
-                            inv_sigma_target=np.eye(4),
-                            ridge=0.0, n_source=0, n_target=0)
+    cov = from_inverses(2.0 * np.eye(4), np.eye(4))
+    assert score_mahalanobis(model, feats, cov) == \
+        pytest.approx(score_mse(model, feats), rel=1e-12)
+    # the same with the domains swapped: the target form is the larger one
+    cov = from_inverses(np.eye(4), 2.0 * np.eye(4))
     assert score_mahalanobis(model, feats, cov) == \
         pytest.approx(score_mse(model, feats), rel=1e-12)
 
@@ -235,9 +302,7 @@ def test_mahalanobis_matches_quadratic_form_oracle(rng):
     feats = rng.standard_normal((4, 3))
     inv_s = random_spd(rng, 3)
     inv_t = random_spd(rng, 3)
-    cov = DomainCovariances(inv_sigma_source=inv_s, inv_sigma_target=inv_t,
-                            ridge=0.0, n_source=0, n_target=0)
-    from asdkit.model import forward
+    cov = from_inverses(inv_s, inv_t)
     residuals = feats - forward(model, feats)
     total = 0.0
     for k in range(4):
@@ -249,14 +314,30 @@ def test_mahalanobis_matches_quadratic_form_oracle(rng):
     assert score_mahalanobis(model, feats, cov) == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("dim", [5, 40])
+def test_mahalanobis_equals_reference_forms(dim):
+    # a fitted factorization: score_mahalanobis against mahalanobis_frame_scores
+    # on the inverses the factors stand for
+    rng = np.random.default_rng(dim)
+    model = init_model([dim, 4, dim], seed=7, dtype=np.float64)
+    cov = fit_covariances(model, rng.standard_normal((3 * dim, dim)) * rng.uniform(0.5, 2, dim),
+                          rng.standard_normal((dim // 2, dim)))
+    inv_s, inv_t = inverses(cov)
+    for _ in range(5):
+        feats = rng.standard_normal((int(rng.integers(1, 30)), dim))
+        residuals = feats - forward(model, feats)
+        expected = np.sum(np.minimum(mahalanobis_frame_scores(residuals, inv_s),
+                                     mahalanobis_frame_scores(residuals, inv_t)))
+        expected /= residuals.size
+        assert score_mahalanobis(model, feats, cov) == pytest.approx(expected, rel=1e-12)
+
+
 def test_mahalanobis_not_above_single_domain_scores(rng):
     model = init_model([5, 3, 5], seed=6, dtype=np.float64)
     feats = rng.standard_normal((10, 5))
     inv_s = random_spd(rng, 5)
     inv_t = random_spd(rng, 5)
-    cov = DomainCovariances(inv_sigma_source=inv_s, inv_sigma_target=inv_t,
-                            ridge=0.0, n_source=0, n_target=0)
-    from asdkit.model import forward
+    cov = from_inverses(inv_s, inv_t)
     residuals = (feats - forward(model, feats)).astype(np.float64)
     q_s = mahalanobis_frame_scores(residuals, inv_s)
     q_t = mahalanobis_frame_scores(residuals, inv_t)
@@ -269,11 +350,13 @@ def test_mahalanobis_not_above_single_domain_scores(rng):
 
 
 def test_mahalanobis_rejects_negative_score(rng):
+    # the factoring never gives a negative scale (see the rejection tests above),
+    # and the score check still catches one made by hand
     feats = rng.standard_normal((4, 3))
-    indefinite = DomainCovariances(inv_sigma_source=-np.eye(3), inv_sigma_target=-np.eye(3),
-                                   ridge=0.0, n_source=0, n_target=0)
+    negative = DomainCovariances(whitening=np.eye(3), target_scale=-np.ones(3),
+                                 ridge=0.0, n_source=0, n_target=0)
     with pytest.raises(ConfigError, match=">= 0"):
-        score_mahalanobis(zero_model(3), feats, indefinite)
+        score_mahalanobis(zero_model(3), feats, negative)
 
 
 def test_mahalanobis_dim_mismatch():
@@ -287,9 +370,7 @@ def test_scores_are_nonnegative(rng):
         dim = int(rng.integers(2, 6))
         model = init_model([dim, 2, dim], seed=int(rng.integers(100)), dtype=np.float64)
         feats = rng.standard_normal((6, dim))
-        cov = DomainCovariances(inv_sigma_source=random_spd(rng, dim),
-                                inv_sigma_target=random_spd(rng, dim),
-                                ridge=0.0, n_source=0, n_target=0)
+        cov = from_inverses(random_spd(rng, dim), random_spd(rng, dim))
         assert score_mse(model, feats) >= 0.0
         assert score_mahalanobis(model, feats, cov) >= 0.0
 
@@ -342,36 +423,35 @@ def test_decide_invariant_under_increasing_transform(rng):
 # artifact round trips
 
 def test_covariance_file_roundtrip(tmp_path, rng):
-    cov = DomainCovariances(inv_sigma_source=random_spd(rng, 6),
-                            inv_sigma_target=random_spd(rng, 6),
-                            ridge=1e-3, n_source=40, n_target=10)
+    cov = from_inverses(random_spd(rng, 6), random_spd(rng, 6))
+    cov.ridge, cov.n_source, cov.n_target = 1e-3, 40, 10
     path = tmp_path / "c.cov"
     save_covariances(cov, path)
     loaded = load_covariances(path)
-    assert np.array_equal(loaded.inv_sigma_source, cov.inv_sigma_source)
-    assert np.array_equal(loaded.inv_sigma_target, cov.inv_sigma_target)
+    assert np.array_equal(loaded.whitening, cov.whitening)
+    assert np.array_equal(loaded.target_scale, cov.target_scale)
     assert loaded.ridge == cov.ridge
     assert (loaded.n_source, loaded.n_target) == (40, 10)
 
 
-def test_covariance_file_is_header_then_both_matrices(tmp_path, rng):
+def test_covariance_file_is_header_then_whitening_then_scales(tmp_path, rng):
     # a non-symmetric Fortran-ordered matrix: the file holds its C-order bytes
-    inv_s = random_spd(rng, 5)
-    inv_t = np.asfortranarray(rng.standard_normal((5, 5)))
-    cov = DomainCovariances(inv_sigma_source=inv_s, inv_sigma_target=inv_t,
+    whitening = np.asfortranarray(rng.standard_normal((5, 5)))
+    target_scale = rng.uniform(0.5, 2.0, 5)
+    cov = DomainCovariances(whitening=whitening, target_scale=target_scale,
                             ridge=2.5e-3, n_source=30, n_target=7)
     path = tmp_path / "c.cov"
     save_covariances(cov, path)
-    header = (COV_MAGIC + struct.pack("<III", COV_VERSION, 5, 0)
+    header = (COV_MAGIC + struct.pack("<III", 2, 5, 0)
               + struct.pack("<dQQ", 2.5e-3, 30, 7))
-    assert path.read_bytes() == header + inv_s.tobytes() + inv_t.tobytes()
+    assert COV_VERSION == 2
+    assert path.read_bytes() == header + whitening.tobytes(order="C") + target_scale.tobytes()
+    assert len(path.read_bytes()) == len(header) + 8 * (5 * 5 + 5)
 
 
 def test_covariance_file_corruption(tmp_path, rng):
-    cov = DomainCovariances(inv_sigma_source=np.eye(3), inv_sigma_target=np.eye(3),
-                            ridge=1e-3, n_source=2, n_target=2)
     path = tmp_path / "c.cov"
-    save_covariances(cov, path)
+    save_covariances(identity_covariances(3), path)
     blob = path.read_bytes()
     (tmp_path / "t.cov").write_bytes(blob[:-8])
     with pytest.raises(ModelFileError):
@@ -381,18 +461,37 @@ def test_covariance_file_corruption(tmp_path, rng):
         load_covariances(tmp_path / "m.cov")
 
 
-@pytest.mark.parametrize("field, value", [("inv_sigma_source", np.nan),
-                                          ("inv_sigma_target", np.inf),
+def test_version_1_covariance_file_asks_for_retraining(tmp_path):
+    # version 1 held both inverse matrices: 2 * D^2 floats after the header
+    path = tmp_path / "c.cov"
+    path.write_bytes(COV_MAGIC + struct.pack("<III", 1, 3, 0)
+                     + struct.pack("<dQQ", 1e-3, 2, 2) + np.eye(3).tobytes() * 2)
+    with pytest.raises(ModelFileError, match="version 1.*retrain"):
+        load_covariances(path)
+
+
+@pytest.mark.parametrize("field, value", [("whitening", np.nan),
+                                          ("whitening", np.inf),
+                                          ("target_scale", np.inf),
+                                          ("target_scale", np.nan),
                                           ("ridge", np.nan)])
 def test_non_finite_covariance_file_is_model_file_error(tmp_path, field, value):
-    cov = DomainCovariances(inv_sigma_source=np.eye(3), inv_sigma_target=np.eye(3),
-                            ridge=1e-3, n_source=2, n_target=2)
+    cov = identity_covariances(3)
     if field == "ridge":
         cov.ridge = value
     else:
-        getattr(cov, field)[1, 1] = value
+        getattr(cov, field)[1] = value
     save_covariances(cov, tmp_path / "c.cov")
     with pytest.raises(ModelFileError, match="non-finite"):
+        load_covariances(tmp_path / "c.cov")
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0])
+def test_non_positive_target_scale_in_file_is_model_file_error(tmp_path, value):
+    cov = identity_covariances(3)
+    cov.target_scale[2] = value
+    save_covariances(cov, tmp_path / "c.cov")
+    with pytest.raises(ModelFileError, match="target scales must be > 0"):
         load_covariances(tmp_path / "c.cov")
 
 
