@@ -8,7 +8,7 @@ for any worker count.
 
 Fork, not spawn or forkserver: those re-import the caller's __main__ (a
 script that calls asdkit at top level breaks the pool) and pay the
-numpy/scipy import in every worker. Forked workers also inherit the pass's
+numpy import in every worker. Forked workers also inherit the pass's
 function, with the model, covariances and frame store it closes over, so
 only the items and the results are pickled, and a shared frame store
 (``shared_empty``) is written in place.

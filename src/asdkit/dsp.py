@@ -1,4 +1,4 @@
-"""Audio front-end: WAV loading, STFT, mel filterbank, log-mel features, frame stacking.
+"""Audio front-end: WAV I/O, STFT, mel filterbank, log-mel features, frame stacking.
 
 Conventions (deliberate choices; FeatureConfig sets the sizes, not the rules):
   * STFT: periodic Hann window, no centering/padding, power = |DFT bin|^2,
@@ -15,11 +15,13 @@ different clips.
 from __future__ import annotations
 
 import functools
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
+from ._io import atomic_write
 from .errors import (
     ChannelCountError,
     ConfigError,
@@ -93,42 +95,126 @@ class FeatureConfig:
         return max(frame_count(n_samples, self.n_fft, self.hop_length) - self.context_frames + 1, 0)
 
 
-def read_wav(path) -> AudioClip:
-    """Read a mono 16-bit PCM or IEEE-float WAV as float64 samples.
+# fmt tags; an EXTENSIBLE header names its tag in the sub-format GUID instead
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# the bytes after the tag in every sub-format GUID {tag-0000-0010-8000-00AA00389B71}
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_SAMPLE_TYPES = {(_PCM, 16): np.dtype("<i2"), (_IEEE_FLOAT, 32): np.dtype("<f4"),
+                 (_IEEE_FLOAT, 64): np.dtype("<f8")}
 
-    16-bit samples divide by 32768, so full-scale -32768 maps to exactly -1.0.
-    Float samples are taken as stored. Raises WavFormatError (a missing file
-    too) / ChannelCountError / EmptyAudioError; never downmixes.
+
+def _open_data(fh, path) -> tuple[int, np.dtype, int]:
+    """Walk a WAV's chunks to its data: (sample rate, sample type, sample count).
+
+    Leaves fh at the first sample. Only the chunk headers and the fmt chunk
+    are read; a data chunk longer than the rest of the file is rejected here,
+    so a header-only reader and a full reader give the same verdict.
+    """
+    def bad(reason):
+        return WavFormatError(f"not a readable WAV file: {path} ({reason})")
+
+    riff = fh.read(12)
+    if riff[:4] in (b"RIFX", b"RF64"):
+        raise bad(f"{riff[:4].decode()} files are not supported")
+    if riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
+        raise bad("no RIFF/WAVE header")
+    fmt = None
+    while True:
+        head = fh.read(8)
+        if len(head) < 8:
+            raise bad("no fmt chunk" if fmt is None else "no data chunk")
+        chunk, size = head[:4], int.from_bytes(head[4:], "little")
+        if chunk == b"data":
+            break
+        skip = size + (size & 1)  # a chunk of odd size is followed by a pad byte
+        if chunk == b"fmt ":
+            fmt = fh.read(min(size, 40))
+            if size < 16:
+                raise bad(f"fmt chunk of {size} bytes, fewer than 16")
+            if len(fmt) < min(size, 40):
+                raise bad("fmt chunk cut short")
+            skip -= len(fmt)
+        fh.seek(skip, 1)
+    if fmt is None:
+        raise bad("data chunk before the fmt chunk")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _EXTENSIBLE and len(fmt) == 40 and fmt[28:] == _GUID_TAIL:
+        tag = int.from_bytes(fmt[24:28], "little")
+    if channels != 1:
+        raise ChannelCountError(f"{path}: {channels} channels, expected mono")
+    dtype = _SAMPLE_TYPES.get((tag, bits))
+    if dtype is None or block_align != dtype.itemsize:
+        raise WavFormatError(f"{path}: unsupported sample encoding (format tag {tag:#06x}, "
+                             f"{bits} bits, {block_align}-byte blocks); "
+                             "expected 16-bit PCM or IEEE float")
+    if rate == 0:
+        raise bad("sample rate 0")
+    present = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > present:
+        raise bad(f"data chunk declares {size} bytes, {present} present")
+    if size % dtype.itemsize:
+        raise bad(f"data chunk of {size} bytes is not whole {dtype.itemsize}-byte samples")
+    if size == 0:
+        raise EmptyAudioError(f"{path}: zero samples")
+    return rate, dtype, size // dtype.itemsize
+
+
+def read_wav(path) -> AudioClip:
+    """Read a mono 16-bit PCM or IEEE-float (32 or 64-bit) WAV as float64 samples.
+
+    16-bit samples are scaled by 2^-15, so full-scale -32768 maps to exactly
+    -1.0. Float samples are taken as stored. Takes fmt tags 1 (PCM), 3
+    (float) and WAVE_FORMAT_EXTENSIBLE with either sub-format, and skips
+    chunks it does not use. Raises WavFormatError (a missing file, a cut or
+    malformed header, a data chunk longer than the file too) /
+    ChannelCountError / EmptyAudioError; never downmixes.
     """
     try:
-        rate, data = wavfile.read(path)
-    except Exception as exc:
+        with open(path, "rb") as fh:
+            rate, dtype, n = _open_data(fh, path)
+            data = np.empty(n, dtype=dtype)
+            got = fh.readinto(data)
+    except OSError as exc:
         raise WavFormatError(f"not a readable WAV file: {path} ({exc})") from exc
-    if data.ndim > 1:
-        raise ChannelCountError(f"{path}: {data.shape[1]} channels, expected mono")
-    if data.size == 0:
-        raise EmptyAudioError(f"{path}: zero samples")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
+    if got != data.nbytes:  # the file shrank while it was read
+        raise WavFormatError(f"not a readable WAV file: {path} "
+                             f"(data chunk declares {data.nbytes} bytes, {got} read)")
+    if dtype.kind == "i":
+        samples = np.multiply(data, 2.0**-15)  # exact, one pass to float64
     else:
-        raise WavFormatError(f"{path}: unsupported sample encoding {data.dtype}; "
-                             "expected 16-bit PCM or IEEE float")
-    return AudioClip(samples=samples, sample_rate_hz=int(rate), source_path=str(path))
+        samples = data.astype(np.float64, copy=False)
+    return AudioClip(samples=samples, sample_rate_hz=rate, source_path=str(path))
 
 
 def wav_num_samples(path) -> int:
     """Sample count of a WAV file, read from its header.
 
-    The data chunk is memory-mapped, not read, so this is cheap next to
-    read_wav. Raises WavFormatError for a file read_wav cannot parse either.
+    Only the chunk headers are read, so this is cheap next to read_wav. Raises
+    what read_wav raises for the file, except for non-finite samples.
     """
     try:
-        _, data = wavfile.read(path, mmap=True)
-    except Exception as exc:
+        with open(path, "rb") as fh:
+            return _open_data(fh, path)[2]
+    except OSError as exc:
         raise WavFormatError(f"not a readable WAV file: {path} ({exc})") from exc
-    return int(data.shape[0])
+
+
+def write_wav(path, data: np.ndarray, sample_rate_hz: int) -> None:
+    """Write mono int16 samples as a 16-bit PCM WAV, atomically.
+
+    The file is the canonical 44-byte header (RIFF, a 16-byte fmt chunk and
+    the data chunk's header) followed by the samples.
+    """
+    data = np.asarray(data)
+    if data.dtype != np.int16 or data.ndim != 1:
+        raise ValueError(f"write_wav takes mono int16 samples, got {data.dtype} "
+                         f"of shape {data.shape}")
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + data.nbytes, b"WAVE",
+                         b"fmt ", 16, _PCM, 1, sample_rate_hz, 2 * sample_rate_hz, 2, 16,
+                         b"data", data.nbytes)
+    with atomic_write(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(data, dtype="<i2"))
 
 
 def frame_count(n_samples: int, n_fft: int, hop_length: int) -> int:

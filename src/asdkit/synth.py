@@ -23,12 +23,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.io import wavfile
 
 from . import _pool
-from ._io import atomic_write, make_dir
+from ._io import make_dir
 from .config import from_mapping, read_yaml
 from .dataset import ClipRecord, DatasetManifest, save_manifest, MANIFEST_FILENAME
+from .dsp import write_wav
 from .errors import ConfigError
 
 _SPLIT_CODE = {"train": 1, "test": 2, "supplementary": 3}
@@ -212,8 +212,7 @@ def _render_job(spec: SynthSpec, job: _Job) -> None:
     else:
         samples = _render_supplementary(spec, job.profile, job.aux, rng)
     data = np.clip(np.round(samples * 32767.0), -32768, 32767).astype(np.int16)
-    with atomic_write(job.path, "wb") as fh:
-        wavfile.write(fh, spec.sample_rate, data)
+    write_wav(job.path, data, spec.sample_rate)
 
 
 def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:

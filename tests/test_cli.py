@@ -435,6 +435,36 @@ def test_score_command_unreadable_wav_is_row_level(trained_artifacts, tmp_path,
         victim.write_bytes(original)
 
 
+def test_cut_clip_is_a_score_row_error_and_a_train_data_error(trained_artifacts, tmp_path,
+                                                              capsys):
+    # a data chunk cut short: the header declares more bytes than the file holds
+    config, paths, small_root = trained_artifacts
+    root = tmp_path / "data"
+    shutil.copytree(small_root, root)
+    manifest = load_manifest(root / "manifest.csv")
+    test_clip = sorted(r.path for r in manifest.select(machine=SMALL_MACHINE, split="test"))[0]
+    train_clip = manifest.select(machine=SMALL_MACHINE, split="train")[0].path
+    for victim in (test_clip, train_clip):
+        (root / victim).write_bytes((root / victim).read_bytes()[:-1000])
+    out_csv = tmp_path / "scores.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["score", "--model", str(paths["model"].parent), "--data-root", str(root),
+                     "--machine", SMALL_MACHINE, "--mode", "mse",
+                     "--out", str(out_csv)]) == EXIT_OK
+        assert len(read_score_csv(out_csv)) == 17
+        errors = Path(f"{out_csv}.errors.csv").read_text().splitlines()
+        assert len(errors) == 2 and errors[1].startswith(test_clip + ",")
+        assert "data chunk declares 32000 bytes, 31000 present" in errors[1]
+        assert main(["train", "--config", str(write_run_config(tmp_path / "cfg.yaml")),
+                     "--data-root", str(root), "--machine", SMALL_MACHINE,
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert train_clip in err and "31000 present" in err
+    assert "Warning" not in err
+
+
 def test_score_overflowing_wav_is_row_level(trained_artifacts, tmp_path, capsys):
     config, paths, root = trained_artifacts
     victim = sorted(r.path for r in load_manifest(root / "manifest.csv").select(
