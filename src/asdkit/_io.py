@@ -34,6 +34,16 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
             os.remove(tmp)
 
 
+def remove_stale(path) -> None:
+    """Remove a previous run's output at path, if any; an OSError is a ConfigError."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise ConfigError(f"cannot remove stale {path}: {exc}") from exc
+
+
 def make_dir(path) -> None:
     """mkdir -p, with an OSError (say, path is a file) as a ConfigError."""
     try:

@@ -23,9 +23,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import mmap
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -129,6 +127,8 @@ def run(fn, items, workers: int) -> list:
     """
     if workers <= 1:
         return [fn(item) for item in items]
+    import multiprocessing  # only pooled passes pay for these imports
+    from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_start_worker, initargs=(fn,))
     try:

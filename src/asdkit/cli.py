@@ -21,12 +21,13 @@ import itertools
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, _pool
-from ._io import atomic_write, make_dir, write_yaml
+from ._io import atomic_write, make_dir, remove_stale, write_yaml
 from .config import RunConfig, normalize_mode, read_yaml
 from .dataset import (DatasetManifest, MANIFEST_FILENAME, load_manifest,
                       scan_dataset)
@@ -191,6 +192,7 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
                                        ridge=config.ridge)
         save_covariances(cov, paths["cov"])
     else:
+        remove_stale(paths["cov"])
         print("warning: missing a training domain; covariance file not written, "
               "mahalanobis mode will be unavailable", file=sys.stderr)
 
@@ -257,6 +259,8 @@ def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
             writer = csv.writer(fh)
             writer.writerow(["clip_path", "error"])
             writer.writerows(row_errors)
+    else:
+        remove_stale(str(out_csv) + ".errors.csv")
     if not rows:
         path, error = row_errors[0]
         raise DatasetError(f"no test clip of {machine!r} could be scored (see "
@@ -266,6 +270,10 @@ def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
                 extra={"command": "score", "machine": machine, "mode": mode,
                        "data_root": str(data_root), "model": str(paths["model"])})
     return rows, row_errors
+
+
+def _first_ten(paths) -> str:
+    return ", ".join(paths[:10]) + ("..." if len(paths) > 10 else "")
 
 
 def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
@@ -280,14 +288,16 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
     score_rows = read_score_csv(scores_path)
     if not score_rows:
         raise MismatchError(f"{scores_path}: no score rows")
+    repeated = [path for path, n in Counter(row[0] for row in score_rows).items() if n > 1]
+    if repeated:
+        raise MismatchError(f"{len(repeated)} clips scored more than once in "
+                            f"{scores_path}: {_first_ten(repeated)}")
     manifest = load_manifest(truth_path)
     by_path = {r.path: r for r in manifest.records}
     unmatched = [path for path, _, _ in score_rows if path not in by_path]
     if unmatched:
-        raise MismatchError(
-            f"{len(unmatched)} scored clips missing from truth manifest: "
-            + ", ".join(unmatched[:10])
-            + ("..." if len(unmatched) > 10 else ""))
+        raise MismatchError(f"{len(unmatched)} scored clips missing from truth "
+                            f"manifest: {_first_ten(unmatched)}")
     clips = []
     skipped = []
     for path, value, _decision in score_rows:

@@ -7,6 +7,7 @@ Conventions (deliberate choices; FeatureConfig sets the sizes, not the rules):
     0 Hz .. Nyquist, plain triangles (peak 1, no area normalization).
   * log-mel uses the natural log with a fixed LOG_FLOOR = 1e-12 on mel power,
     so no entry is -inf; a spectrogram with a non-finite entry is rejected.
+    Its values are rounded once to float32, the model's input dtype.
 Clips shorter than one FFT frame are rejected rather than padded. Everything
 here is a pure function of its inputs, safe to call concurrently on
 different clips.
@@ -279,9 +280,11 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int) -> np.ndarray:
 
 
 def log_mel(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
-    """log(max(mel_fb @ power_spectrogram, floor)), shape (n_mels, T).
+    """log(max(mel_fb @ power_spectrogram, floor)), shape (n_mels, T), float32.
 
-    ConfigError, not a numpy warning, if an entry is not finite (huge samples overflow)."""
+    Computed in float64 and rounded once to float32, the model's input dtype:
+    training and scoring both take their inputs from here. ConfigError, not a
+    numpy warning, if an entry is not finite (huge samples overflow)."""
     if clip.sample_rate_hz != config.sample_rate_hz:
         raise ConfigError(
             f"clip rate {clip.sample_rate_hz} Hz != configured {config.sample_rate_hz} Hz "
@@ -293,7 +296,7 @@ def log_mel(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"log-mel spectrogram contains non-finite entries "
                           f"({clip.source_path})")
-    return values
+    return values.astype(np.float32)
 
 
 def stack_frames(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:

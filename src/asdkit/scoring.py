@@ -18,12 +18,7 @@ Sigma_source = C C', then eigh(inv(C) Sigma_target inv(C)') = U diag(mu) U',
 W = inv(C)' U and lam = 1 / mu. With z = e W, the source form is sum(z^2)
 and the target form is z^2 . lam. No inverse of a covariance is formed.
 
-Scoring always runs in float64 regardless of the model's parameter dtype.
-Residuals are taken against the features exactly as passed in: at train time
-those are vectors stacked from the float32 frame store, so train-time
-residuals (and the thresholds and covariances fitted on them) are taken
-against the float32 model input, while test clips are scored against their
-float64 features.
+Residuals and scores are float64 regardless of the model's parameter dtype.
 Scoring functions are pure; concurrent calls on different clips are safe.
 """
 
@@ -77,14 +72,14 @@ class Threshold:
 
 
 def _residuals(model: AeModel, features: np.ndarray) -> np.ndarray:
-    feats = np.asarray(features, dtype=np.float64)
+    feats = np.asarray(features)
     if feats.ndim == 1:
         feats = feats[None, :]
     if feats.shape[0] < 1:
         raise ConfigError("need at least one feature vector")
     # an overflowing model gives inf/nan; the score check rejects it, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        return feats - np.asarray(forward(model, feats), dtype=np.float64)
+        return np.subtract(feats, forward(model, feats), dtype=np.float64)
 
 
 def _checked_score(value: float) -> float:

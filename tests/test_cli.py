@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import multiprocessing
 import re
 import shutil
@@ -17,12 +18,14 @@ from asdkit import cli
 from asdkit.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH,
                         EXIT_OK, main)
 from asdkit.dataset import load_manifest
+from asdkit.dsp import extract_features, read_wav
 from asdkit.errors import (AsdkitError, ConfigError, DatasetError, InsufficientDataError,
                            MismatchError, ModelFileError, TooShortError,
                            TrainingDivergedError, UndefinedMetricError, WavFormatError)
 from asdkit.model import DEFAULT_LAYER_DIMS, init_model, load_model, save_model
-from asdkit.scoring import (COV_MAGIC, identity_covariances, read_score_csv,
-                            save_covariances, write_score_csv)
+from asdkit.scoring import (COV_MAGIC, identity_covariances, load_covariances,
+                            load_thresholds, read_score_csv, save_covariances,
+                            score_mahalanobis, score_mse, write_score_csv)
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 from conftest import SMALL_MACHINE, fast_config
@@ -224,6 +227,42 @@ def test_train_command_rerun_is_byte_identical(small_dataset, tmp_path):
                      "--machine", SMALL_MACHINE, "--out", str(out)]) == EXIT_OK
         blobs.append((out / "model.aem").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_train_without_a_target_domain_removes_a_stale_covariance_file(
+        small_dataset, tmp_path, capsys):
+    cfg = write_run_config(tmp_path / "cfg.yaml")
+    out = tmp_path / "out"
+    source_only = tmp_path / "source_only"
+    synth_generate(SynthSpec(clip_seconds=1.0, machines=[SMALL_MACHINE],
+                             counts=SynthCounts(12, 0, 1, 1, 1, 1, 0)), source_only, seed=2)
+    for root in (small_dataset[0], source_only):
+        assert main(["train", "--config", str(cfg), "--data-root", str(root),
+                     "--machine", SMALL_MACHINE, "--out", str(out)]) == EXIT_OK
+        if root == small_dataset[0]:
+            assert (out / "covariances.cov").exists()
+    assert "covariance file not written" in capsys.readouterr().err
+    assert not (out / "covariances.cov").exists()
+    assert set(json.loads((out / "thresholds.json").read_text())) == {"mse"}
+    assert main(["score", "--model", str(out), "--data-root", str(source_only),
+                 "--machine", SMALL_MACHINE, "--mode", "mahalanobis",
+                 "--out", str(tmp_path / "s.csv")]) == EXIT_ARTIFACT
+
+
+def test_training_clips_scored_like_test_clips_give_the_stored_thresholds(
+        trained_artifacts):
+    # one feature path: read_wav -> extract_features is what training fitted phi on
+    config, paths, root = trained_artifacts
+    model, cov = load_model(paths["model"]), load_covariances(paths["cov"])
+    thresholds = load_thresholds(paths["thresholds"])
+    clips = [extract_features(read_wav(root / rec.path), config.features)
+             for rec in load_manifest(root / "manifest.csv").select(
+                 machine=SMALL_MACHINE, split="train")]
+    scores = {"mse": [score_mse(model, feats) for feats in clips],
+              "mahalanobis": [score_mahalanobis(model, feats, cov) for feats in clips]}
+    for mode, values in scores.items():
+        threshold = thresholds[mode]
+        assert float(np.percentile(values, threshold.percentile)) == threshold.phi, mode
 
 
 def test_train_without_config_matches_empty_config(small_dataset, tmp_path):
@@ -433,6 +472,27 @@ def test_score_command_unreadable_wav_is_row_level(trained_artifacts, tmp_path,
         assert manifest.select(machine=SMALL_MACHINE, split="test")[0].path in errors
     finally:
         victim.write_bytes(original)
+
+
+def test_clean_rescore_removes_a_stale_errors_file(trained_artifacts, tmp_path, capsys):
+    _, paths, small_root = trained_artifacts
+    root = tmp_path / "data"
+    shutil.copytree(small_root, root)
+    victim = root / load_manifest(root / "manifest.csv").select(
+        machine=SMALL_MACHINE, split="test")[0].path
+    original = victim.read_bytes()
+    out_csv = tmp_path / "scores.csv"
+    errors = Path(f"{out_csv}.errors.csv")
+    cmd = ["score", "--model", str(paths["model"].parent), "--data-root", str(root),
+           "--machine", SMALL_MACHINE, "--mode", "mse", "--out", str(out_csv)]
+    victim.write_bytes(b"ruined")
+    assert main(cmd) == EXIT_OK
+    assert errors.exists()
+    victim.write_bytes(original)
+    assert main(cmd) == EXIT_OK
+    assert "scored 18 clips" in capsys.readouterr().out
+    assert len(read_score_csv(out_csv)) == 18
+    assert not errors.exists()
 
 
 def test_cut_clip_is_a_score_row_error_and_a_train_data_error(trained_artifacts, tmp_path,
@@ -648,6 +708,21 @@ def test_evaluate_missing_truth_row(small_dataset, tmp_path):
                "--manifest", str(root / "manifest.csv"),
                "--out", str(tmp_path / "report")])
     assert rc == EXIT_MISMATCH
+
+
+def test_evaluate_duplicate_score_rows_exit_mismatch(small_dataset, tmp_path, capsys):
+    root, manifest = small_dataset
+    rows = separated_scores(manifest, SMALL_MACHINE)
+    twice, thrice = rows[0], rows[3]
+    scores_csv = tmp_path / "scores.csv"
+    write_score_csv(rows + [thrice, twice, thrice], scores_csv)
+    rc = main(["evaluate", "--scores", str(scores_csv),
+               "--manifest", str(root / "manifest.csv"),
+               "--out", str(tmp_path / "report")])
+    assert rc == EXIT_MISMATCH
+    assert (f"2 clips scored more than once in {scores_csv}: {twice[0]}, {thrice[0]}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [scores_csv]
 
 
 def test_evaluate_missing_scores_file(small_dataset, tmp_path):

@@ -244,7 +244,8 @@ def test_mel_requires_at_least_one_band():
 def test_log_mel_zero_clip_hits_floor():
     cfg = FeatureConfig()
     spec = log_mel(clip_of(np.zeros(4096)), cfg)
-    assert np.all(spec == np.log(LOG_FLOOR))
+    assert spec.dtype == np.float32
+    assert np.all(spec == np.float32(np.log(LOG_FLOOR)))
 
 
 def test_log_mel_ten_second_shape():

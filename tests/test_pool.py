@@ -18,6 +18,7 @@ from asdkit import _pool
 from asdkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from asdkit.config import RunConfig
 from asdkit.dataset import load_manifest
+from asdkit.dsp import AudioClip, FeatureConfig, extract_features
 from asdkit.model import init_model, save_model
 from asdkit.scoring import Threshold, save_thresholds
 
@@ -25,6 +26,12 @@ from conftest import SMALL_MACHINE, fast_config
 
 SRC = Path(__file__).parents[1] / "src"
 ARTIFACTS = ("model.aem", "covariances.cov", "thresholds.json", "loss_history.csv")
+
+
+def _env_with_src() -> dict:
+    """This environment, with the package source first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.mark.parametrize("cpus, items, audio_s, expected", [
@@ -55,6 +62,32 @@ def _blas_threads(_item) -> int:
     return get()
 
 
+def test_features_are_the_same_bytes_at_one_and_two_blas_threads():
+    set_threads = _pool._blas_set_threads()
+    if set_threads is None:
+        pytest.skip("numpy's BLAS has no set-threads entry point")
+    rng = np.random.default_rng(8)
+    clips = [AudioClip(0.1 * rng.standard_normal(160000), 16000) for _ in range(3)]
+    before = _blas_threads(None)
+    features = {}
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            features[threads] = [extract_features(clip, FeatureConfig()).tobytes()
+                                 for clip in clips]
+    finally:
+        set_threads(before)
+    assert features[1] == features[2]
+
+
+def test_importing_the_cli_leaves_the_pool_machinery_unloaded():
+    script = ("import sys, asdkit.cli\n"
+              "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_env_with_src(), check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"
+
+
 def test_workers_run_blas_on_one_thread():
     if _pool._blas_set_threads() is None:
         pytest.skip("numpy's BLAS has no set-threads entry point")
@@ -83,22 +116,14 @@ def score(paths, root, mode, out) -> bytes:
 @pytest.mark.parametrize("mode", ["mse", "mahalanobis"])
 def test_pooled_scores_equal_for_any_worker_count_and_one_blas_thread(
         trained_artifacts, tmp_path, force_workers, mode):
+    # pooled workers run BLAS on one thread, the in-process run (1) at the default
     _, paths, root = trained_artifacts
-    pooled = {}
-    for workers in (2, 3):
+    scores = {}
+    for workers in (1, 2, 3):
         force_workers(workers)
-        pooled[workers] = score(paths, root, mode, tmp_path / f"w{workers}.csv")
+        scores[workers] = score(paths, root, mode, tmp_path / f"w{workers}.csv")
     assert multiprocessing.active_children() == []
-    # the test clips hold far too little audio for a pool: in-process
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
-                                                       os.environ.get("PYTHONPATH")]))}
-    reference = tmp_path / "inprocess.csv"
-    subprocess.run([sys.executable, "-m", "asdkit.cli", "score",
-                    "--model", str(paths["model"].parent), "--data-root", str(root),
-                    "--machine", SMALL_MACHINE, "--mode", mode, "--out", str(reference)],
-                   env=env, check=True, capture_output=True, timeout=120)
-    assert pooled[2] == pooled[3] == reference.read_bytes()
+    assert scores[1] == scores[2] == scores[3]
 
 
 def test_row_errors_from_workers_are_listed_in_clip_order(trained_artifacts, tmp_path,
@@ -211,12 +236,10 @@ def test_pool_workers_reuse_their_heap_across_clips(tmp_path):
               "from asdkit.cli import main\n"
               "assert main(sys.argv[1:]) == 0\n"
               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)\n")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
-                                                       os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script, "score", "--model", str(model_dir),
                            "--data-root", str(tmp_path / "data"), "--machine", "valve",
                            "--mode", "mse", "--out", str(tmp_path / "scores.csv")],
-                          env=env, check=True, capture_output=True, text=True, timeout=120)
+                          env=_env_with_src(), check=True, capture_output=True, text=True,
+                          timeout=120)
     faults = int(done.stdout.split()[-1])
     assert faults / FAULT_CLIPS < MINOR_FAULTS_PER_CLIP, faults
