@@ -3,7 +3,8 @@
 Exit codes are stable for scripting:
     0  success
     2  configuration problem (bad flags, config or synth spec, unreadable table)
-    3  data problem (empty manifest, unknown machine, no train clips)
+    3  data problem (empty manifest, unknown machine, no train clips,
+       residual covariances that cannot be factored)
     4  artifact problem (missing/corrupt/non-finite model, covariance, thresholds)
     5  scores and ground truth do not match up
 
@@ -62,7 +63,12 @@ def _resolve_manifest(data_root) -> DatasetManifest:
     manifest_path = root / MANIFEST_FILENAME
     if manifest_path.exists():
         return load_manifest(manifest_path)
-    return scan_dataset(root)
+    manifest = scan_dataset(root)
+    if manifest.skipped:
+        path, reason = manifest.skipped[0]
+        print(f"warning: skipped {len(manifest.skipped)} .wav file(s) under {root} "
+              f"that name no clip; first: {path}: {reason}", file=sys.stderr)
+    return manifest
 
 
 def _load_run_config(config_path, seed_override: int | None = None) -> RunConfig:
@@ -188,22 +194,20 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
         model, ((vectors(o, t), domain) for o, t, domain in clips))
     cov = None
     if moments["source"].n and moments["target"].n:
-        cov = covariances_from_moments(moments["source"], moments["target"],
-                                       ridge=config.ridge)
+        cov = covariances_from_moments(moments["source"], moments["target"])
         save_covariances(cov, paths["cov"])
     else:
         remove_stale(paths["cov"])
         print("warning: missing a training domain; covariance file not written, "
               "mahalanobis mode will be unavailable", file=sys.stderr)
 
-    thresholds = {"mse": fit_threshold(mse_scores, config.threshold_percentile,
-                                       split="train", mode="mse")}
+    thresholds = {"mse": fit_threshold(mse_scores, split="train", mode="mse")}
     if cov is not None:
         mah_scores = _pool.run(
             lambda clip: score_mahalanobis(model, vectors(clip[0], clip[1]), cov),
             clips, workers)
-        thresholds["mahalanobis"] = fit_threshold(
-            mah_scores, config.threshold_percentile, split="train", mode="mahalanobis")
+        thresholds["mahalanobis"] = fit_threshold(mah_scores, split="train",
+                                                  mode="mahalanobis")
     save_thresholds(thresholds, paths["thresholds"])
     config.echo(paths["config"], extra={"command": "train", "machine": machine,
                                         "data_root": str(data_root)})
@@ -215,11 +219,12 @@ def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
     """Score every test clip of a machine; returns (rows, row_errors)."""
     mode = normalize_mode(mode)
     model = load_model(paths["model"])
-    cov = load_covariances(paths["cov"]) if mode == "mahalanobis" else None
     thresholds = load_thresholds(paths["thresholds"])
     if mode not in thresholds:
-        raise ModelFileError(f"no {mode!r} threshold in {paths['thresholds']}")
+        raise ModelFileError(f"no {mode!r} threshold in {paths['thresholds']}; a model "
+                             "trained without a source or a target domain has only 'mse'")
     threshold = thresholds[mode]
+    cov = load_covariances(paths["cov"]) if mode == "mahalanobis" else None
     feature_dim = config.features.feature_dim
     if feature_dim != model.input_dim:
         raise ConfigError(
@@ -277,10 +282,9 @@ def _first_ten(paths) -> str:
 
 
 def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
-                    macs: int | None = None, p: float = 0.1):
-    """Join scores with ground truth, compute the report, write CSV + table."""
-    if not 0 < p <= 1:
-        raise ConfigError(f"--pauc-p must be in (0, 1], got {p}")
+                    macs: int | None = None):
+    """Join scores with ground truth, compute the report (pAUC at the paper's
+    p = 0.1), write CSV + table."""
     if macs is not None and macs < 0:
         raise ConfigError(f"--macs must be >= 0, got {macs}")
     scores_path = Path(scores_csv)
@@ -309,15 +313,14 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
                                 section=rec.section, domain=rec.domain,
                                 condition=rec.condition, score=value))
     reference = load_reference_csv(reference_csv) if reference_csv else None
-    report = build_report(ScoredTestSet(clips), model_macs=macs,
-                          reference=reference, p=p)
+    report = build_report(ScoredTestSet(clips), model_macs=macs, reference=reference)
     out_base = str(out_base)
     write_report_csv(report, out_base + ".csv")
     with atomic_write(out_base + ".txt") as fh:
         fh.write(render_report(report))
     write_yaml(out_base + ".config.yaml",
                {"command": "evaluate", "scores": str(scores_path),
-                "manifest": str(truth_path), "pauc_p": p,
+                "manifest": str(truth_path), "pauc_p": report.pauc_p,
                 "reference": None if reference_csv is None else str(reference_csv),
                 "macs_per_vector": macs})
     return report, skipped
@@ -357,7 +360,7 @@ def _cmd_score(args) -> int:
 def _cmd_evaluate(args) -> int:
     report, skipped = evaluate_scores(args.scores, args.manifest, args.out,
                                       reference_csv=args.reference,
-                                      macs=args.macs, p=args.pauc_p)
+                                      macs=args.macs)
     if skipped:
         print(f"warning: {len(skipped)} scored clips were not labeled test clips "
               "and were excluded", file=sys.stderr)
@@ -424,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default=None,
                    help="reference table CSV (machine,auc_source,auc_target,pauc in percent)")
     p.add_argument("--macs", type=int, default=None, help="MACs figure to include")
-    p.add_argument("--pauc-p", type=float, default=0.1)
     p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("macs", help="report model complexity")

@@ -16,7 +16,7 @@ from ._io import write_yaml
 from .dsp import FeatureConfig
 from .errors import ConfigError
 from .model import TrainConfig, default_layer_dims
-from .scoring import DEFAULT_PERCENTILE, DEFAULT_RIDGE, MODES
+from .scoring import MODES
 
 MODE_ALIASES = {"mse": "mse", "mahala": "mahalanobis", "mahalanobis": "mahalanobis"}
 
@@ -29,8 +29,7 @@ def _defaults(cls) -> dict:
 
 # YAML section -> its keys, in echo order; model and scoring keys are RunConfig fields
 _SECTIONS = {"features": tuple(_defaults(FeatureConfig)), "model": ("layer_dims",),
-             "train": tuple(_defaults(TrainConfig)),
-             "scoring": ("mode", "ridge", "threshold_percentile")}
+             "train": tuple(_defaults(TrainConfig)), "scoring": ("mode",)}
 
 
 def _checked(name: str, value, default):
@@ -99,8 +98,6 @@ class RunConfig:
     layer_dims: list[int] | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     mode: str = "mse"
-    ridge: float = DEFAULT_RIDGE
-    threshold_percentile: float = DEFAULT_PERCENTILE
     seed: int = 0
 
     def __post_init__(self):
@@ -108,11 +105,8 @@ class RunConfig:
         self.layer_dims = list(default_layer_dims(d) if self.layer_dims is None
                                else self.layer_dims)
         self.mode = normalize_mode(self.mode)
-        if not self.ridge > 0:
-            raise ConfigError(f"scoring.ridge must be > 0, got {self.ridge}")
-        if not 0 < self.threshold_percentile <= 100:
-            raise ConfigError("scoring.threshold_percentile must be in (0, 100], "
-                              f"got {self.threshold_percentile}")
+        if self.seed < 0:  # numpy seeds take no negative value
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if len(self.layer_dims) < 2 or self.layer_dims[0] != d or self.layer_dims[-1] != d:
             raise ConfigError(
                 f"model layer_dims {self.layer_dims} must start and end with "
@@ -128,13 +122,10 @@ class RunConfig:
         seed = _checked("seed", data.get("seed", 0), 0)
         if seed_override is not None:
             seed = seed_override
-        if seed < 0:  # numpy seeds take no negative value
-            raise ConfigError(f"seed must be >= 0, got {seed}")
         layer_dims = _section(data, "model").get("layer_dims")
         if layer_dims is not None:
             layer_dims = _checked("model.layer_dims", layer_dims, [0])
-        # shuffle stream follows the master seed unless pinned explicitly
-        train = from_mapping(TrainConfig, {"seed": seed + 1, **_section(data, "train")}, "train")
+        train = from_mapping(TrainConfig, _section(data, "train"), "train")
         features = from_mapping(FeatureConfig, _section(data, "features"), "features")
         scoring = {key: _checked(f"scoring.{key}", value, getattr(cls, key))
                    for key, value in _section(data, "scoring").items()}

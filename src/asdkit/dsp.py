@@ -48,8 +48,6 @@ class AudioClip:
             raise ChannelCountError(f"expected mono samples, got shape {self.samples.shape}")
         if self.samples.size == 0:
             raise EmptyAudioError(f"zero-length audio ({self.source_path})")
-        if not np.all(np.isfinite(self.samples)):
-            raise WavFormatError(f"non-finite samples in {self.source_path}")
         if self.sample_rate_hz <= 0:
             raise WavFormatError(f"sample rate must be positive, got {self.sample_rate_hz}")
 
@@ -167,7 +165,8 @@ def read_wav(path) -> AudioClip:
     -1.0. Float samples are taken as stored. Takes fmt tags 1 (PCM), 3
     (float) and WAVE_FORMAT_EXTENSIBLE with either sub-format, and skips
     chunks it does not use. Raises WavFormatError (a missing file, a cut or
-    malformed header, a data chunk longer than the file too) /
+    malformed header, a data chunk longer than the file, non-finite float
+    samples too) /
     ChannelCountError / EmptyAudioError; never downmixes.
     """
     try:
@@ -181,9 +180,11 @@ def read_wav(path) -> AudioClip:
         raise WavFormatError(f"not a readable WAV file: {path} "
                              f"(data chunk declares {data.nbytes} bytes, {got} read)")
     if dtype.kind == "i":
-        samples = np.multiply(data, 2.0**-15)  # exact, one pass to float64
+        samples = np.multiply(data, 2.0**-15)  # exact and always finite
     else:
         samples = data.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(samples)):
+            raise WavFormatError(f"non-finite samples in {path}")
     return AudioClip(samples=samples, sample_rate_hz=rate, source_path=str(path))
 
 

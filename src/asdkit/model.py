@@ -3,9 +3,9 @@
 The network is a plain fully-connected stack: rectifier on hidden layers,
 identity output, no batch-norm (keeps repeated runs bitwise identical).
 Training uses Adam (fixed ADAM_* constants) with per-epoch uniform shuffling
-from a seeded stream, so (seed, data, config) fully determine the trained
-parameters. Parameters live in float32 by default; gradient tests run the same
-code in float64.
+from a stream seeded by the init seed plus 1, so (seed, data, config) fully
+determine the trained parameters. Parameters live in float32 by default;
+gradient tests run the same code in float64.
 
 Model file layout (little-endian):
     8 bytes  magic  b"ASDK-AE\\0"
@@ -99,7 +99,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 256
     learning_rate: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -108,8 +107,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
 
 
 def init_model(layer_dims, seed: int = 0, dtype=np.float32) -> AeModel:
@@ -211,8 +208,8 @@ def train(model: AeModel, features: np.ndarray, config: TrainConfig, rows=None):
     are gathered from it as needed, so no (N, D) stacked copy is built.
 
     The input model is not modified. Shuffling comes from a stream seeded by
-    config.seed, so results are reproducible. Aborts with
-    TrainingDivergedError as soon as a batch loss is non-finite.
+    model.rng_seed + 1 (the init seed plus 1), so results are reproducible.
+    Aborts with TrainingDivergedError as soon as a batch loss is non-finite.
     """
     feats = np.asarray(features, dtype=model.dtype)
     if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
@@ -230,7 +227,7 @@ def train(model: AeModel, features: np.ndarray, config: TrainConfig, rows=None):
     if not np.all(np.isfinite(feats)):
         raise ConfigError("training features contain non-finite values")
     model = model.copy()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(model.rng_seed + 1)
     m = np.zeros_like(model.params)
     v = np.zeros_like(model.params)
     scratch = (np.empty_like(m), np.empty_like(m), np.empty(m.shape, dtype=bool))

@@ -204,7 +204,8 @@ def joint_whitening(sigma_source: np.ndarray, sigma_target: np.ndarray):
     U diag(mu) U', W = inv(C)' U and lam = 1 / mu. Each argument is
     dropped once used, which frees it when the caller passed the only
     reference; after that at most inv(C), the middle matrix and U live at
-    once. A covariance that is not positive definite is a ConfigError.
+    once. A covariance that is not positive definite is an
+    InsufficientDataError: the residuals cannot support the fit.
     """
     try:
         c = np.linalg.cholesky(sigma_source)
@@ -217,14 +218,14 @@ def joint_whitening(sigma_source: np.ndarray, sigma_target: np.ndarray):
         mu, u = np.linalg.eigh(middle)
         del middle
     except np.linalg.LinAlgError as exc:
-        raise ConfigError(f"the ridged residual covariances cannot be factored ({exc}); "
-                          "raise scoring.ridge") from exc
+        raise InsufficientDataError(
+            f"the ridged residual covariances cannot be factored ({exc})") from exc
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = 1.0 / mu
     if not (np.all(mu > 0) and np.all(np.isfinite(scale))):
-        raise ConfigError("the target residual covariance is not positive definite "
-                          "relative to the source even with the ridge (smallest "
-                          f"eigenvalue {mu.min():.3g}); raise scoring.ridge")
+        raise InsufficientDataError(
+            "the target residual covariance is not positive definite relative to "
+            f"the source even with the ridge (smallest eigenvalue {mu.min():.3g})")
     return c_inv.T @ u, scale
 
 

@@ -197,7 +197,7 @@ def test_train_command_writes_artifacts(small_dataset, tmp_path):
 @pytest.mark.parametrize("args, message", [
     (["--seed", "-1"], "seed must be >= 0, got -1"),
     (["--seed", "-2"], "seed must be >= 0, got -2"),
-    ([], "train.seed must be >= 0, got -3"),  # pinned in the config file
+    ([], "unknown train keys: ['seed']"),  # the shuffle seed is the run seed + 1
 ], ids=["seed-minus-1", "seed-minus-2", "train-seed-minus-3"])
 def test_train_negative_seed_exits_config_before_creating_out(small_dataset, tmp_path,
                                                              capsys, args, message):
@@ -230,7 +230,7 @@ def test_train_command_rerun_is_byte_identical(small_dataset, tmp_path):
 
 
 def test_train_without_a_target_domain_removes_a_stale_covariance_file(
-        small_dataset, tmp_path, capsys):
+        small_dataset, tmp_path, capsys, monkeypatch):
     cfg = write_run_config(tmp_path / "cfg.yaml")
     out = tmp_path / "out"
     source_only = tmp_path / "source_only"
@@ -244,9 +244,18 @@ def test_train_without_a_target_domain_removes_a_stale_covariance_file(
     assert "covariance file not written" in capsys.readouterr().err
     assert not (out / "covariances.cov").exists()
     assert set(json.loads((out / "thresholds.json").read_text())) == {"mse"}
+
+    def no_clip_reads(path, *args):
+        raise AssertionError(f"read {path} before checking the thresholds")
+    monkeypatch.setattr(cli, "read_wav", no_clip_reads)
+    out_csv = tmp_path / "s.csv"
     assert main(["score", "--model", str(out), "--data-root", str(source_only),
                  "--machine", SMALL_MACHINE, "--mode", "mahalanobis",
-                 "--out", str(tmp_path / "s.csv")]) == EXIT_ARTIFACT
+                 "--out", str(out_csv)]) == EXIT_ARTIFACT
+    err = capsys.readouterr().err
+    assert "no 'mahalanobis' threshold" in err and "without a source or a target domain" in err
+    assert "covariance" not in err
+    assert not list(tmp_path.glob("s.csv*"))
 
 
 def test_training_clips_scored_like_test_clips_give_the_stored_thresholds(
@@ -318,8 +327,9 @@ def test_bad_training_clip_exits_data_naming_it(small_dataset, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("settings, message", [
-    ({"scoring": {"threshold_percentile": 150}}, "scoring.threshold_percentile"),
-    ({"scoring": {"ridge": 0}}, "scoring.ridge"),
+    # fixed constants now, so any value is an unknown key
+    ({"scoring": {"threshold_percentile": 150}}, "unknown scoring keys: ['threshold_percentile']"),
+    ({"scoring": {"ridge": 0}}, "unknown scoring keys: ['ridge']"),
     ({"model": {"layer_dims": [160, 0, 160]}}, "each >= 1"),
     ({"features": {"hop_length": 0}}, "hop_length must be in"),
     ({"features": {"sample_rate_hz": 0}}, "sample_rate_hz must be > 0"),
@@ -569,6 +579,23 @@ def test_score_that_scores_nothing_exits_data(trained_artifacts, tmp_path, capsy
     assert not out_csv.exists()
 
 
+def test_scanned_tree_reports_its_skipped_files(trained_artifacts, tmp_path, capsys):
+    config, paths, root = trained_artifacts
+    data = tmp_path / "data"
+    shutil.copytree(root, data)
+    (data / "manifest.csv").unlink()  # score falls back to scanning the tree
+    garbage = Path(SMALL_MACHINE) / "test" / "garbage_name.wav"
+    shutil.copy(next((data / SMALL_MACHINE / "test").glob("*.wav")), data / garbage)
+    out_csv = tmp_path / "scores.csv"
+    assert main(["score", "--model", str(paths["model"].parent), "--data-root", str(data),
+                 "--machine", SMALL_MACHINE, "--out", str(out_csv)]) == EXIT_OK
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "skipped" in line]
+    assert len(warnings) == 1
+    assert "skipped 1 .wav file(s)" in warnings[0] and str(garbage) in warnings[0]
+    assert len(read_score_csv(out_csv)) == len(load_manifest(root / "manifest.csv").select(
+        machine=SMALL_MACHINE, split="test"))
+
+
 @pytest.mark.parametrize("source", ["echo", "--config"])
 def test_score_mode_defaults_to_config_mode(trained_artifacts, tmp_path, source):
     config, paths, root = trained_artifacts
@@ -590,15 +617,25 @@ def test_score_mode_defaults_to_config_mode(trained_artifacts, tmp_path, source)
 def test_echo_with_removed_key_exits_config(trained_artifacts, tmp_path, capsys):
     config, paths, root = trained_artifacts
     model_dir = copy_artifacts(paths, tmp_path / "model")
-    echo = yaml.safe_load((model_dir / "config.yaml").read_text())
-    echo["train"]["beta1"] = 0.9  # a key echoes written before it was fixed still hold
-    (model_dir / "config.yaml").write_text(yaml.safe_dump(echo))
+    fresh = yaml.safe_load((model_dir / "config.yaml").read_text())
     out_csv = tmp_path / "s.csv"
-    rc = main(["score", "--model", str(model_dir), "--data-root", str(root),
-               "--machine", SMALL_MACHINE, "--out", str(out_csv)])
-    assert rc == EXIT_CONFIG
-    assert "beta1" in capsys.readouterr().err
-    assert not out_csv.exists()
+    # keys that echoes written before they became constants still hold
+    for section, key, value in [("train", "beta1", 0.9), ("train", "seed", 6),
+                                ("scoring", "ridge", 1e-3),
+                                ("scoring", "threshold_percentile", 90.0)]:
+        echo = yaml.safe_load(yaml.safe_dump(fresh))
+        echo[section][key] = value
+        (model_dir / "config.yaml").write_text(yaml.safe_dump(echo))
+        rc = main(["score", "--model", str(model_dir), "--data-root", str(root),
+                   "--machine", SMALL_MACHINE, "--out", str(out_csv)])
+        assert rc == EXIT_CONFIG, key
+        assert f"unknown {section} keys: ['{key}']" in capsys.readouterr().err
+        assert not out_csv.exists()
+    # --config still scores such a run directory
+    cfg = write_run_config(tmp_path / "cfg.yaml")
+    assert main(["score", "--model", str(model_dir), "--config", str(cfg),
+                 "--data-root", str(root), "--machine", SMALL_MACHINE,
+                 "--out", str(out_csv)]) == EXIT_OK
 
 
 def test_score_out_into_missing_directory(trained_artifacts, tmp_path, capsys):
@@ -679,6 +716,7 @@ def test_evaluate_perfect_separation(small_dataset, tmp_path, capsys):
     assert "official score: 1.000000" in out
     assert (tmp_path / "report.csv").exists()
     assert (tmp_path / "report.txt").exists()
+    assert yaml.safe_load((tmp_path / "report.config.yaml").read_text())["pauc_p"] == 0.1
 
 
 def test_evaluate_constant_scores_flagged_zero(small_dataset, tmp_path, capsys):
@@ -765,14 +803,17 @@ def test_evaluate_negative_macs_exits_config(small_dataset, tmp_path, capsys):
 
 @pytest.mark.parametrize("p", ["0", "1.5", "-0.1", "nan", "inf"])
 def test_evaluate_pauc_p_out_of_range_exits_config(small_dataset, tmp_path, capsys, p):
+    # p is fixed at the paper's 0.1 and --pauc-p is gone: a script that still
+    # passes it, at any value, exits 2 rather than getting a report at 0.1
     root, manifest = small_dataset
     scores_csv = tmp_path / "scores.csv"
     write_score_csv(separated_scores(manifest, SMALL_MACHINE), scores_csv)
-    rc = main(["evaluate", "--scores", str(scores_csv), "--manifest",
-               str(root / "manifest.csv"), "--out", str(tmp_path / "report"),
-               "--pauc-p", p])
-    assert rc == EXIT_CONFIG
-    assert "--pauc-p" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evaluate", "--scores", str(scores_csv), "--manifest",
+              str(root / "manifest.csv"), "--out", str(tmp_path / "report"),
+              "--pauc-p", p])
+    assert excinfo.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --pauc-p" in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
 
 

@@ -10,6 +10,7 @@ import asdkit
 from asdkit.cli import EXIT_CONFIG, main
 from asdkit.config import RunConfig
 from asdkit.errors import ConfigError
+from asdkit.synth import SynthSpec
 
 
 @pytest.mark.parametrize("data, key, expected", [
@@ -37,15 +38,15 @@ def test_float_keys_take_ints_and_numeric_strings(data, key, expected):
     ({"train": {"learning_rate": "nan"}}, "train.learning_rate"),
     ({"train": {"learning_rate": float("inf")}}, "train.learning_rate"),
     ({"train": {"epochs": [3]}}, "train.epochs"),
-    ({"scoring": {"ridge": None}}, "scoring.ridge"),
+    # a fixed constant now (1e-3), no longer a config key
+    pytest.param({"scoring": {"ridge": 1e-3}}, r"unknown scoring keys: \['ridge'\]",
+                 id="unknown-ridge"),
     ({"scoring": {"mode": ["mse"]}}, "scoring.mode"),
     ({"seed": "seven"}, "seed"),
     ({"seed": False}, "seed"),
     ({"model": {"layer_dims": [640, "wide", 640]}}, r"model.layer_dims\[1\]"),
     ({"model": {"layer_dims": 640}}, "model.layer_dims"),
     ({"train": [1, 2]}, "'train'"),
-    ({"scoring": {"ridge": -1e-3}}, "scoring.ridge must be"),
-    ({"scoring": {"threshold_percentile": 0}}, "scoring.threshold_percentile must be"),
 ])
 def test_bad_config_value_names_key(data, name):
     with pytest.raises(ConfigError, match=name):
@@ -83,6 +84,21 @@ def test_yaml_is_parsed_only_in_config():
     loads = {path.name: n for path in sorted(src.glob("*.py"))
              if (n := _yaml_loads(path.read_text()))}
     assert loads == {"config.py": 1}
+
+
+def test_every_committed_config_loads():
+    # the benchmark's configs are read here, so removing a key they set fails a test
+    repo = Path(__file__).parents[1]
+    paths = [*(repo / "configs").glob("*.yaml"), *(repo / "bench" / "configs").glob("*.yaml")]
+    specs = [p for p in paths if p.name.startswith("synth_")]
+    run_configs = [p for p in paths if p not in specs]
+    for path in specs:
+        SynthSpec.from_yaml(path)
+    for path in run_configs:
+        RunConfig.from_dict(yaml.safe_load(path.read_text()))
+    assert sorted(p.name for p in run_configs) == ["default.yaml", "desk.yaml",
+                                                   "fullclip.yaml", "score_stream.yaml"]
+    assert len(specs) == 5
 
 
 def test_default_yaml_is_the_code_defaults():

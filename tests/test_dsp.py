@@ -283,6 +283,19 @@ def test_log_mel_rejects_overflowing_power(tmp_path):
             log_mel(clip, FeatureConfig())
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_samples_are_rejected(tmp_path, value):
+    samples = np.zeros(4096)
+    samples[100] = value
+    wavfile.write(tmp_path / "bad.wav", SR, samples)
+    with pytest.raises(WavFormatError, match="non-finite samples"):
+        read_wav(tmp_path / "bad.wav")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(ConfigError, match="non-finite"):
+            log_mel(clip_of(samples), FeatureConfig())  # a directly built clip
+
+
 def test_log_mel_deterministic():
     samples = np.random.default_rng(9).standard_normal(8192) * 0.2
     a = log_mel(clip_of(samples.copy()), FeatureConfig())

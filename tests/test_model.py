@@ -207,8 +207,7 @@ def test_train_constant_dataset_converges():
     model = make_model([6, 4, 6], seed=0, dtype=np.float64)
     features = np.tile(np.array([0.3, -1.2, 0.8, 0.0, 2.0, -0.5]), (32, 1))
     trained, history = train(model, features,
-                             TrainConfig(epochs=200, batch_size=16,
-                                         learning_rate=1e-2, seed=1))
+                             TrainConfig(epochs=200, batch_size=16, learning_rate=1e-2))
     assert len(history) == 200
     assert history[-1] < 1e-3 * history[0]
 
@@ -218,7 +217,7 @@ def test_train_loss_decreases_on_structured_data(rng):
     features = base + 0.1 * rng.standard_normal((200, 12))
     model = make_model([12, 6, 3, 6, 12], seed=5)
     _, history = train(model, features,
-                       TrainConfig(epochs=30, batch_size=32, seed=2))
+                       TrainConfig(epochs=30, batch_size=32))
     assert history[-1] < history[0]
 
 
@@ -227,7 +226,7 @@ def test_train_deterministic_and_nonmutating():
     features = rng.standard_normal((50, 8)).astype(np.float32)
     model = make_model([8, 4, 8], seed=1, dtype=np.float32)
     before = [w.copy() for w in model.weights]
-    cfg = TrainConfig(epochs=5, batch_size=16, seed=9)
+    cfg = TrainConfig(epochs=5, batch_size=16)
     trained_a, hist_a = train(model, features, cfg)
     trained_b, hist_b = train(model, features, cfg)
     assert hist_a == hist_b
@@ -244,7 +243,7 @@ def reference_adam_train(model, features, config):
     feats = np.asarray(features, dtype=model.dtype)
     model = model.copy()
     weights, biases = list(model.weights), list(model.biases)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(model.rng_seed + 1)
     m_w = [np.zeros_like(w) for w in model.weights]
     v_w = [np.zeros_like(w) for w in model.weights]
     m_b = [np.zeros_like(b) for b in model.biases]
@@ -279,7 +278,7 @@ def test_flat_adam_matches_per_layer_reference():
     rng = np.random.default_rng(6)
     features = rng.standard_normal((50, 8)).astype(np.float32)
     model = make_model([8, 5, 3, 5, 8], seed=2, dtype=np.float32)
-    cfg = TrainConfig(epochs=3, batch_size=16, seed=4)
+    cfg = TrainConfig(epochs=3, batch_size=16)
     trained, _ = train(model, features, cfg)
     assert np.array_equal(trained.params, reference_adam_train(model, features, cfg).params)
 
@@ -293,7 +292,7 @@ def test_train_on_frames_matches_train_on_stacked_vectors():
                            for o, t in ((0, 9), (9, 6), (15, 11))])
     stacked = np.stack([frames[r:r + context].reshape(-1) for r in rows])
     model = make_model([12, 6, 3, 6, 12], seed=3, dtype=np.float32)
-    cfg = TrainConfig(epochs=4, batch_size=5, seed=2)
+    cfg = TrainConfig(epochs=4, batch_size=5)
     from_frames, hist_frames = train(model, frames, cfg, rows)
     from_matrix, hist_matrix = train(model, stacked, cfg)
     assert from_frames.params.tobytes() == from_matrix.params.tobytes()
@@ -354,8 +353,7 @@ def test_train_divergence_aborts_with_diagnostics():
     features = (1e3 * rng.standard_normal((64, 6))).astype(np.float32)
     model = make_model([6, 4, 6], seed=0, dtype=np.float32)
     with pytest.raises(TrainingDivergedError) as excinfo:
-        train(model, features, TrainConfig(epochs=50, batch_size=16,
-                                           learning_rate=1e30, seed=0))
+        train(model, features, TrainConfig(epochs=50, batch_size=16, learning_rate=1e30))
     err = excinfo.value
     assert err.epoch >= 0 and err.batch >= 0
     assert err.param_norm > 0

@@ -186,7 +186,7 @@ def test_joint_whitening_of_random_spd_pairs(rng):
     (np.eye(3), np.diag([1.0, 0.0, 1.0])), (np.eye(3), np.full((3, 3), np.nan))],
     ids=["source-negative", "target-negative", "target-singular", "target-nan"])
 def test_joint_whitening_rejects_non_positive_definite(sigma_source, sigma_target):
-    with pytest.raises(ConfigError, match="scoring.ridge"):
+    with pytest.raises(InsufficientDataError, match="not positive definite|cannot be factored"):
         joint_whitening(sigma_source, sigma_target)
 
 
