@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, _pool
 from ._io import atomic_write, make_dir, remove_stale, write_yaml
-from .config import RunConfig, normalize_mode, read_yaml
+from .config import MODE_ALIASES, RunConfig, normalize_mode, read_yaml
 from .dataset import (DatasetManifest, MANIFEST_FILENAME, load_manifest,
                       scan_dataset)
 from .dsp import (extract_features, frame_count, log_mel, read_wav, stack_frames,
@@ -69,6 +69,18 @@ def _resolve_manifest(data_root) -> DatasetManifest:
         print(f"warning: skipped {len(manifest.skipped)} .wav file(s) under {root} "
               f"that name no clip; first: {path}: {reason}", file=sys.stderr)
     return manifest
+
+
+def _machine_clips(data_root, machine: str, split: str):
+    """The machine's clips of split in the dataset, sorted by path; DatasetError if none."""
+    manifest = _resolve_manifest(data_root)
+    if machine not in manifest.machines():
+        raise DatasetError(
+            f"machine {machine!r} not in manifest (have: {manifest.machines()})")
+    records = sorted(manifest.select(machine=machine, split=split), key=lambda r: r.path)
+    if not records:
+        raise DatasetError(f"no {split} clips for machine {machine!r}")
+    return records
 
 
 def _load_run_config(config_path, seed_override: int | None = None) -> RunConfig:
@@ -171,14 +183,7 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     the artifact paths.
     """
     model0 = init_model(config.layer_dims, seed=config.seed)  # bad dims fail before any I/O
-    manifest = _resolve_manifest(data_root)
-    if machine not in manifest.machines():
-        raise DatasetError(
-            f"machine {machine!r} not in manifest (have: {manifest.machines()})")
-    train_records = sorted(manifest.select(machine=machine, split="train"),
-                           key=lambda r: r.path)
-    if not train_records:
-        raise DatasetError(f"no training clips for machine {machine!r}")
+    train_records = _machine_clips(data_root, machine, "train")
     make_dir(out_dir)
     frames, rows, clips, workers = _feature_store(config, Path(data_root), train_records)
     model, history = train(model0, frames, config.train, rows)
@@ -235,11 +240,7 @@ def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
             f"config feature dim {feature_dim} does not match covariance dim "
             f"{cov.dim} of {paths['cov']}")
 
-    manifest = _resolve_manifest(data_root)
-    records = sorted(manifest.select(machine=machine, split="test"),
-                     key=lambda r: r.path)
-    if not records:
-        raise DatasetError(f"no test clips for machine {machine!r}")
+    records = _machine_clips(data_root, machine, "test")
     root = Path(data_root)
 
     def score_clip(rec):
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run config YAML (default: echo stored beside the model)")
     p.add_argument("--data-root", required=True)
     p.add_argument("--machine", required=True)
-    p.add_argument("--mode", default=None, choices=["mse", "mahala", "mahalanobis"],
+    p.add_argument("--mode", default=None, choices=list(MODE_ALIASES),
                    help="scoring mode (default: scoring.mode of the run config)")
     p.add_argument("--out", required=True, help="output scores CSV")
     p.set_defaults(fn=_cmd_score)

@@ -37,16 +37,14 @@ def _checked(name: str, value, default):
 
     Ints reject bools. Floats must be finite and also accept ints and numeric
     strings, because YAML reads 1e-3 (no dot) as a string. A dataclass default
-    takes a mapping (see from_mapping). A list or tuple default takes a list or
-    tuple whose items are typed like its first item; a tuple keeps its length.
+    takes a mapping (see from_mapping). A list default takes a list or tuple
+    whose items are typed like its first item.
     """
     kind = type(default)
     if is_dataclass(default):
         return from_mapping(kind, value, name)
-    if (kind in (list, tuple) and type(value) in (list, tuple)
-            and (kind is list or len(value) == len(default))):
-        return kind(_checked(f"{name}[{i}]", item, default[0])
-                    for i, item in enumerate(value))
+    if kind is list and type(value) in (list, tuple):
+        return [_checked(f"{name}[{i}]", item, default[0]) for i, item in enumerate(value)]
     if kind is float and type(value) in (int, str):
         try:
             value = float(value)
@@ -54,8 +52,7 @@ def _checked(name: str, value, default):
             pass
     if type(value) is kind and (kind is not float or -math.inf < value < math.inf):
         return value
-    expected = f"a list of {len(default)}" if kind is tuple else kind.__name__
-    raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+    raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
 
 
 def from_mapping(cls, data, name: str):

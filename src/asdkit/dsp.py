@@ -32,6 +32,7 @@ from .errors import (
 )
 
 LOG_FLOOR = 1e-12
+SAMPLE_RATE_HZ = 16000  # the default feature rate and the rate synth renders at
 
 
 @dataclass
@@ -68,7 +69,7 @@ class FeatureConfig:
     into one model input; feature dimension = context_frames * n_mels.
     """
 
-    sample_rate_hz: int = 16000
+    sample_rate_hz: int = SAMPLE_RATE_HZ
     n_fft: int = 1024
     hop_length: int = 512
     n_mels: int = 128

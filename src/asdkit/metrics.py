@@ -195,8 +195,7 @@ def load_reference_csv(path) -> dict[str, dict[str, float]]:
             reader = csv.DictReader(fh)
             needed = {"machine", "auc_source", "auc_target", "pauc"}
             if not needed <= set(reader.fieldnames or []):
-                raise UndefinedMetricError(
-                    f"{path}: reference CSV needs columns {sorted(needed)}")
+                raise ConfigError(f"{path}: reference CSV needs columns {sorted(needed)}")
             for row in reader:
                 reference[row["machine"]] = {
                     key: _checked(f"{path} line {reader.line_num}: {key}", row[key], 0.0)

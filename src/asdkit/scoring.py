@@ -367,10 +367,12 @@ def read_score_csv(path) -> list[tuple[str, float, str]]:
             for row in reader:
                 try:
                     score = float(row["score"])
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError):
+                    score = math.nan
+                if not -math.inf < score < math.inf:
                     raise ConfigError(f"{path} line {reader.line_num}: score "
                                       f"{row['score']!r} of {row['clip_path']!r} "
-                                      "is not a number") from exc
+                                      "is not a finite number")
                 out.append((row["clip_path"], score, row.get("decision", "")))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read scores file {path}: {exc}") from exc

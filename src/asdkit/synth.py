@@ -6,6 +6,8 @@ bed. The target domain shifts the machine's pitch by a few percent and raises
 the noise level. Anomalous clips always carry a train of transient clicks and
 sometimes an additional detuned harmonic, so they are detectable both in the
 waveform (spiky derivative) and in log-mel space (broadband transients).
+The sound model is fixed; a spec chooses only the clip length, the machine
+names and the clip counts.
 
 Generation is fully deterministic: every clip draws from its own RNG stream
 keyed by (seed, machine, split, domain, condition, index), so the same seed
@@ -28,12 +30,25 @@ from . import _pool
 from ._io import make_dir
 from .config import from_mapping, read_yaml
 from .dataset import ClipRecord, DatasetManifest, save_manifest, MANIFEST_FILENAME
-from .dsp import write_wav
+from .dsp import SAMPLE_RATE_HZ, write_wav
 from .errors import ConfigError
 
 _SPLIT_CODE = {"train": 1, "test": 2, "supplementary": 3}
 _DOMAIN_CODE = {"source": 1, "target": 2}
 _COND_CODE = {"normal": 1, "anomaly": 2, "clean": 3, "noise": 4}
+
+# the fixed sound model
+_F0_RANGE_HZ = (80.0, 220.0)
+_HARMONICS_RANGE = (3, 5)  # partials, inclusive
+_AM_RATE_RANGE_HZ = (2.0, 8.0)
+_AM_DEPTH_RANGE = (0.2, 0.5)
+_SNR_DB = {"source": 24.0, "target": 18.0}  # the target domain is 6 dB noisier
+_TARGET_F0_SHIFT = 0.03  # target-domain pitch shift, up or down per machine
+_CLICKS_PER_SECOND = 4.0
+_CLICK_AMP = 0.9
+_DETUNE_PROBABILITY = 0.5
+_DETUNE = 0.08  # relative pitch error of a detuned partial
+_PEAK = 0.98  # clips louder than this are scaled down to it
 
 
 @dataclass
@@ -49,26 +64,12 @@ class SynthCounts:
 
 @dataclass
 class SynthSpec:
-    sample_rate: int = 16000
     clip_seconds: float = 2.0
     machines: list[str] = field(default_factory=lambda: ["widget"])
     counts: SynthCounts = field(default_factory=SynthCounts)
-    f0_range_hz: tuple[float, float] = (80.0, 220.0)
-    harmonics_range: tuple[int, int] = (3, 5)
-    am_rate_range_hz: tuple[float, float] = (2.0, 8.0)
-    am_depth_range: tuple[float, float] = (0.2, 0.5)
-    source_snr_db: float = 24.0
-    target_snr_delta_db: float = -6.0
-    target_f0_shift_pct: float = 3.0
-    clicks_per_second: float = 4.0
-    click_amp: float = 0.9
-    detune_probability: float = 0.5
-    detune_pct: float = 8.0
 
     def validate(self) -> None:
         c = self.counts
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.clip_seconds <= 0:
             raise ConfigError(f"clip_seconds must be positive, got {self.clip_seconds}")
         if not self.machines:
@@ -80,9 +81,6 @@ class SynthSpec:
             raise ConfigError(f"negative clip counts: {c}")
         if sum(counts) == 0:
             raise ConfigError("spec produces zero clips")
-        if not (self.harmonics_range[0] >= 1
-                and self.harmonics_range[0] <= self.harmonics_range[1]):
-            raise ConfigError(f"bad harmonics_range {self.harmonics_range}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthSpec":
@@ -107,23 +105,23 @@ class _MachineProfile:
     target_f0_factor: float
 
 
-def _machine_profile(spec: SynthSpec, seed: int, machine_index: int) -> _MachineProfile:
+def _machine_profile(seed: int, machine_index: int) -> _MachineProfile:
     rng = np.random.default_rng([seed, machine_index])
-    f0 = rng.uniform(*spec.f0_range_hz)
-    n_harm = int(rng.integers(spec.harmonics_range[0], spec.harmonics_range[1] + 1))
+    f0 = rng.uniform(*_F0_RANGE_HZ)
+    n_harm = int(rng.integers(_HARMONICS_RANGE[0], _HARMONICS_RANGE[1] + 1))
     amps = 0.2 / np.arange(1, n_harm + 1) * rng.uniform(0.8, 1.2, size=n_harm)
-    am_rate = rng.uniform(*spec.am_rate_range_hz)
-    am_depth = rng.uniform(*spec.am_depth_range)
-    shift = 1.0 + np.sign(rng.standard_normal()) * spec.target_f0_shift_pct / 100.0
+    am_rate = rng.uniform(*_AM_RATE_RANGE_HZ)
+    am_depth = rng.uniform(*_AM_DEPTH_RANGE)
+    shift = 1.0 + np.sign(rng.standard_normal()) * _TARGET_F0_SHIFT
     return _MachineProfile(f0_hz=f0, harmonic_amps=amps, am_rate_hz=am_rate,
                            am_depth=am_depth, target_f0_factor=shift)
 
 
-def _pink_noise(n: int, sample_rate: int, rng: np.random.Generator) -> np.ndarray:
+def _pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-RMS noise with a 1/sqrt(f) spectral tilt above 20 Hz."""
     white = rng.standard_normal(n)
     spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(n, 1.0 / SAMPLE_RATE_HZ)
     spectrum *= 1.0 / np.sqrt(np.maximum(freqs, 20.0))
     noise = np.fft.irfft(spectrum, n)
     return noise / max(np.sqrt(np.mean(noise**2)), 1e-12)
@@ -131,15 +129,15 @@ def _pink_noise(n: int, sample_rate: int, rng: np.random.Generator) -> np.ndarra
 
 def _tone(spec: SynthSpec, profile: _MachineProfile, domain: str,
           rng: np.random.Generator, detuned_harmonic: int | None = None) -> np.ndarray:
-    n = int(round(spec.clip_seconds * spec.sample_rate))
-    t = np.arange(n) / spec.sample_rate
+    n = int(round(spec.clip_seconds * SAMPLE_RATE_HZ))
+    t = np.arange(n) / SAMPLE_RATE_HZ
     f0 = profile.f0_hz * (profile.target_f0_factor if domain == "target" else 1.0)
     f0 *= 1.0 + rng.uniform(-0.005, 0.005)  # per-clip pitch jitter
     x = np.zeros(n)
     for h, amp in enumerate(profile.harmonic_amps, start=1):
         mult = float(h)
         if detuned_harmonic is not None and h == detuned_harmonic:
-            mult *= 1.0 + spec.detune_pct / 100.0
+            mult *= 1.0 + _DETUNE
         x += amp * np.sin(2.0 * np.pi * f0 * mult * t + rng.uniform(0, 2 * np.pi))
     envelope = 1.0 + profile.am_depth * np.sin(
         2.0 * np.pi * profile.am_rate_hz * t + rng.uniform(0, 2 * np.pi))
@@ -148,49 +146,42 @@ def _tone(spec: SynthSpec, profile: _MachineProfile, domain: str,
 
 def _add_clicks(x: np.ndarray, spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     n = x.size
-    n_clicks = 1 + rng.poisson(spec.clicks_per_second * spec.clip_seconds)
+    n_clicks = 1 + rng.poisson(_CLICKS_PER_SECOND * spec.clip_seconds)
     out = x.copy()
     for _ in range(n_clicks):
         pos = int(rng.uniform(0.02, 0.95) * n)
-        tau = rng.uniform(0.5e-3, 2.0e-3) * spec.sample_rate
+        tau = rng.uniform(0.5e-3, 2.0e-3) * SAMPLE_RATE_HZ
         length = min(int(8 * tau), n - pos)
-        amp = spec.click_amp * rng.uniform(0.75, 1.25) * (1 if rng.random() < 0.5 else -1)
+        amp = _CLICK_AMP * rng.uniform(0.75, 1.25) * (1 if rng.random() < 0.5 else -1)
         out[pos:pos + length] += amp * np.exp(-np.arange(length) / tau)
     return out
 
 
-def _snr_db(spec: SynthSpec, domain: str) -> float:
-    return spec.source_snr_db + (spec.target_snr_delta_db if domain == "target" else 0.0)
+def _clamp_peak(x: np.ndarray) -> np.ndarray:
+    peak = np.max(np.abs(x))
+    return x * (_PEAK / peak) if peak > _PEAK else x
 
 
 def _render_clip(spec: SynthSpec, profile: _MachineProfile, domain: str,
                  condition: str, rng: np.random.Generator) -> np.ndarray:
     detune = None
-    if condition == "anomaly" and rng.random() < spec.detune_probability:
+    if condition == "anomaly" and rng.random() < _DETUNE_PROBABILITY:
         detune = int(rng.integers(2, len(profile.harmonic_amps) + 1))
     tone = _tone(spec, profile, domain, rng, detuned_harmonic=detune)
     tone_rms = np.sqrt(np.mean(tone**2))
-    noise = _pink_noise(tone.size, spec.sample_rate, rng)
-    x = tone + noise * tone_rms * 10.0 ** (-_snr_db(spec, domain) / 20.0)
+    noise = _pink_noise(tone.size, rng)
+    x = tone + noise * tone_rms * 10.0 ** (-_SNR_DB[domain] / 20.0)
     if condition == "anomaly":
         x = _add_clicks(x, spec, rng)
-    peak = np.max(np.abs(x))
-    if peak > 0.98:
-        x = x * (0.98 / peak)
-    return x
+    return _clamp_peak(x)
 
 
 def _render_supplementary(spec: SynthSpec, profile: _MachineProfile, kind: str,
                           rng: np.random.Generator) -> np.ndarray:
     if kind == "clean":
-        samples = _tone(spec, profile, "source", rng)
-    else:
-        samples = 0.05 * _pink_noise(
-            int(round(spec.clip_seconds * spec.sample_rate)), spec.sample_rate, rng)
-    peak = np.max(np.abs(samples))
-    if peak > 0.98:
-        samples = samples * (0.98 / peak)
-    return samples
+        return _clamp_peak(_tone(spec, profile, "source", rng))
+    return _clamp_peak(
+        0.05 * _pink_noise(int(round(spec.clip_seconds * SAMPLE_RATE_HZ)), rng))
 
 
 class _Job(NamedTuple):
@@ -212,7 +203,7 @@ def _render_job(spec: SynthSpec, job: _Job) -> None:
     else:
         samples = _render_supplementary(spec, job.profile, job.aux, rng)
     data = np.clip(np.round(samples * 32767.0), -32768, 32767).astype(np.int16)
-    write_wav(job.path, data, spec.sample_rate)
+    write_wav(job.path, data, SAMPLE_RATE_HZ)
 
 
 def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
@@ -231,7 +222,7 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
     records: list[ClipRecord] = []
     c = spec.counts
     for m_idx, machine in enumerate(spec.machines):
-        profile = _machine_profile(spec, seed, m_idx)
+        profile = _machine_profile(seed, m_idx)
         plan = [
             ("train", "source", "normal", c.source_train),
             ("train", "target", "normal", c.target_train),

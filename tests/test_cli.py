@@ -18,7 +18,7 @@ from asdkit import cli
 from asdkit.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH,
                         EXIT_OK, main)
 from asdkit.dataset import load_manifest
-from asdkit.dsp import extract_features, read_wav
+from asdkit.dsp import extract_features, read_wav, write_wav
 from asdkit.errors import (AsdkitError, ConfigError, DatasetError, InsufficientDataError,
                            MismatchError, ModelFileError, TooShortError,
                            TrainingDivergedError, UndefinedMetricError, WavFormatError)
@@ -91,8 +91,8 @@ def test_synth_command_invalid_spec(tmp_path):
 @pytest.mark.parametrize("text, name", [
     ("clip_seconds: abc\n", "spec.clip_seconds"),
     ("counts: 5\n", "spec.counts"),
-    ("f0_range_hz: 5\n", "spec.f0_range_hz"),
-    ("f0_range_hz: [1, 2, 3]\n", "spec.f0_range_hz"),
+    ("f0_range_hz: [80.0, 220.0]\n", "unknown spec keys: ['f0_range_hz']"),
+    ("harmonics_range: [3, 5]\n", "unknown spec keys: ['harmonics_range']"),
     ("counts: {source_train: 1.5}\n", "spec.counts.source_train"),
     ("machines: [unclosed\n", "spec.yaml"),
     (None, "spec.yaml"),
@@ -109,6 +109,24 @@ def test_bad_synth_spec_exits_config(tmp_path, capsys, text, name):
     out = tmp_path / "d"
     assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the sound-model keys a spec once set, at the values the synth still renders with
+REMOVED_SYNTH_KEYS = {
+    "sample_rate": 16000, "f0_range_hz": [80.0, 220.0], "harmonics_range": [3, 5],
+    "am_rate_range_hz": [2.0, 8.0], "am_depth_range": [0.2, 0.5], "source_snr_db": 24.0,
+    "target_snr_delta_db": -6.0, "target_f0_shift_pct": 3.0, "clicks_per_second": 4.0,
+    "click_amp": 0.9, "detune_probability": 0.5, "detune_pct": 8.0}
+
+
+@pytest.mark.parametrize("key", REMOVED_SYNTH_KEYS)
+def test_removed_synth_key_exits_config(tmp_path, capsys, key):
+    spec_path = tmp_path / "spec.yaml"
+    spec_path.write_text(yaml.safe_dump({"clip_seconds": 0.5, key: REMOVED_SYNTH_KEYS[key]}))
+    out = tmp_path / "d"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"unknown spec keys: [{key!r}]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -215,6 +233,19 @@ def test_train_command_unknown_machine(small_dataset, tmp_path):
     rc = main(["train", "--data-root", str(root), "--machine", "ghost",
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_DATA
+
+
+def test_score_command_unknown_machine(trained_artifacts, tmp_path, capsys):
+    _, paths, root = trained_artifacts
+    errors = []
+    for command in (["train", "--out", str(tmp_path / "o")],
+                    ["score", "--model", str(paths["model"].parent),
+                     "--out", str(tmp_path / "s.csv")]):
+        assert main([*command, "--data-root", str(root), "--machine", "ghost"]) == EXIT_DATA
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]  # train and score select clips the same way
+    assert "machine 'ghost' not in manifest (have: [" in errors[1]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_command_rerun_is_byte_identical(small_dataset, tmp_path):
@@ -563,11 +594,17 @@ def test_score_overflowing_wav_is_row_level(trained_artifacts, tmp_path, capsys)
 
 def test_score_that_scores_nothing_exits_data(trained_artifacts, tmp_path, capsys):
     config, paths, root = trained_artifacts
-    data = tmp_path / "data8k"  # the model was trained at 16 kHz
-    manifest = synth_generate(
-        SynthSpec(sample_rate=8000, clip_seconds=0.5, machines=[SMALL_MACHINE],
-                  counts=SynthCounts(0, 0, 2, 1, 1, 1, 0)), data, seed=3)
-    first = sorted(r.path for r in manifest.records)[0]
+    data = tmp_path / "data8k"  # the model was trained at 16 kHz; no manifest: scanned
+    (data / SMALL_MACHINE / "test").mkdir(parents=True)
+    names = [f"section_00_{domain}_test_{condition}_{i:04d}.wav"
+             for domain, condition, count in [("source", "normal", 2), ("target", "normal", 1),
+                                              ("source", "anomaly", 1), ("target", "anomaly", 1)]
+             for i in range(count)]
+    rng = np.random.default_rng(3)
+    for name in names:
+        write_wav(data / SMALL_MACHINE / "test" / name,
+                  rng.integers(-3000, 3000, 4000).astype(np.int16), 8000)
+    first = str(Path(SMALL_MACHINE) / "test" / sorted(names)[0])
     out_csv = tmp_path / "scores.csv"
     rc = main(["score", "--model", str(paths["model"].parent), "--data-root", str(data),
                "--machine", SMALL_MACHINE, "--mode", "mse", "--out", str(out_csv)])
@@ -575,7 +612,7 @@ def test_score_that_scores_nothing_exits_data(trained_artifacts, tmp_path, capsy
     err = capsys.readouterr().err
     assert "could be scored" in err and first in err and "clip rate 8000 Hz" in err
     errors = (tmp_path / "scores.csv.errors.csv").read_text().splitlines()
-    assert len(errors) == 1 + len(manifest.records)
+    assert len(errors) == 1 + len(names)
     assert not out_csv.exists()
 
 
@@ -772,20 +809,31 @@ def test_evaluate_missing_scores_file(small_dataset, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["manifest-directory", "missing-reference",
-                                  "non-numeric-reference"])
-def test_evaluate_unreadable_table_exits_config(small_dataset, tmp_path, case):
+                                  "non-numeric-reference", "reference-without-columns",
+                                  "nan-score"])
+def test_evaluate_unreadable_table_exits_config(small_dataset, tmp_path, capsys, case):
     root, manifest = small_dataset
     scores_csv = tmp_path / "scores.csv"
-    write_score_csv(separated_scores(manifest, SMALL_MACHINE), scores_csv)
+    rows = separated_scores(manifest, SMALL_MACHINE)
+    if case == "nan-score":
+        rows[1] = (rows[1][0], float("nan"), rows[1][2])
+    write_score_csv(rows, scores_csv)
     truth = tmp_path if case == "manifest-directory" else root / "manifest.csv"
     cmd = ["evaluate", "--scores", str(scores_csv), "--manifest", str(truth),
            "--out", str(tmp_path / "report")]
     reference = tmp_path / "reference.csv"
     if case == "non-numeric-reference":
         reference.write_text(f"machine,auc_source,auc_target,pauc\n{SMALL_MACHINE},x,90,80\n")
-    if case != "manifest-directory":
+    if case == "reference-without-columns":
+        reference.write_text(f"machine,auc\n{SMALL_MACHINE},90\n")
+    if case in ("missing-reference", "non-numeric-reference", "reference-without-columns"):
         cmd += ["--reference", str(reference)]
     assert main(cmd) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    if case == "reference-without-columns":
+        assert "reference CSV needs columns" in err
+    if case == "nan-score":
+        assert f"line 3: score 'nan' of {rows[1][0]!r}" in err
     assert not (tmp_path / "report.csv").exists()
 
 

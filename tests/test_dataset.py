@@ -372,7 +372,6 @@ def test_synth_invalid_specs():
 
 def test_synth_spec_dict_round_trip():
     spec = SynthSpec(clip_seconds=1.5, machines=["a", "b"],
-                     counts=SynthCounts(source_train=7, supplementary=0),
-                     f0_range_hz=(90.0, 150.0), harmonics_range=(2, 4))
+                     counts=SynthCounts(source_train=7, supplementary=0))
     assert SynthSpec.from_dict(spec.to_dict()) == spec
     assert SynthSpec.from_dict(yaml.safe_load(yaml.safe_dump(spec.to_dict()))) == spec

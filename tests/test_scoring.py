@@ -543,7 +543,7 @@ def test_threshold_file_of_exact_fields_loads(tmp_path):
     assert load_thresholds(path)["mse"].phi == 1
 
 
-@pytest.mark.parametrize("value", ["abc", ""])
+@pytest.mark.parametrize("value", ["abc", "", "nan", "inf", "-inf"])
 def test_non_numeric_score_names_its_row(tmp_path, value):
     path = tmp_path / "scores.csv"
     path.write_text("clip_path,score,decision\n"
