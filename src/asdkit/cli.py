@@ -5,7 +5,8 @@ Exit codes are stable for scripting:
     2  configuration problem (bad flags, config or synth spec, unreadable table)
     3  data problem (empty manifest, unknown machine, no train clips,
        residual covariances that cannot be factored)
-    4  artifact problem (missing/corrupt/non-finite model, covariance, thresholds)
+    4  artifact problem (missing/corrupt/non-finite model, covariance, thresholds
+       or config echo, or an echo or covariance that does not fit the model)
     5  scores and ground truth do not match up
 
 Every command echoes its resolved configuration next to its outputs. Every
@@ -32,13 +33,13 @@ from ._io import atomic_write, make_dir, remove_stale, write_yaml
 from .config import MODE_ALIASES, RunConfig, normalize_mode, read_yaml
 from .dataset import (DatasetManifest, MANIFEST_FILENAME, load_manifest,
                       scan_dataset)
-from .dsp import (extract_features, frame_count, log_mel, read_wav, stack_frames,
-                  wav_num_samples)
+from .dsp import (HOP_LENGTH, N_FFT, SAMPLE_RATE_HZ, extract_features, frame_count,
+                  log_mel, read_wav, stack_frames, wav_num_samples)
 from .errors import (AsdkitError, ConfigError, DatasetError, MismatchError,
                      ModelFileError, TooShortError, WavFormatError)
 from .metrics import (ScoredClip, ScoredTestSet, build_report,
                       load_reference_csv, render_report, write_report_csv)
-from .model import count_macs, init_model, load_model, save_model, train
+from .model import count_macs, default_layer_dims, init_model, load_model, save_model, train
 from .scoring import (covariances_from_moments, fit_threshold, load_covariances,
                       load_thresholds, read_score_csv, residual_statistics,
                       save_covariances, save_thresholds, score_mahalanobis,
@@ -83,11 +84,6 @@ def _machine_clips(data_root, machine: str, split: str):
     return records
 
 
-def _load_run_config(config_path, seed_override: int | None = None) -> RunConfig:
-    data = {} if config_path is None else read_yaml(config_path, "config")
-    return RunConfig.from_dict(data, seed_override=seed_override)
-
-
 def _artifact_paths(out_dir) -> dict[str, Path]:
     """The files a training run writes into its output directory."""
     out = Path(out_dir)
@@ -96,18 +92,25 @@ def _artifact_paths(out_dir) -> dict[str, Path]:
             "loss": out / LOSS_FILENAME, "config": out / CONFIG_ECHO_FILENAME}
 
 
-def _model_paths(model_arg) -> dict[str, Path]:
-    """Accept either the model file or its training output directory."""
-    p = Path(model_arg)
-    if p.is_file():
-        return {**_artifact_paths(p.parent), "model": p}
-    return _artifact_paths(p)
+def _load_run(run_dir):
+    """(config, model, artifact paths) of a training run directory, checked to agree.
 
-
-def _config_for_model(paths: dict[str, Path], config_arg) -> RunConfig:
-    if config_arg is None and paths["config"].exists():
-        config_arg = paths["config"]
-    return _load_run_config(config_arg)
+    The config.yaml echo is the only config that describes a run, so any
+    problem with it is an artifact problem (ModelFileError) naming the file.
+    """
+    paths = _artifact_paths(run_dir)
+    try:
+        config = RunConfig.from_dict(read_yaml(paths["config"], "config echo"))
+    except ConfigError as exc:
+        raise ModelFileError(f"{paths['config']}: {exc}; retrain the model, or delete "
+                             "the keys named here if they hold the old defaults") from exc
+    model = load_model(paths["model"])
+    feature_dim = config.features.feature_dim
+    if feature_dim != model.input_dim:
+        raise ModelFileError(
+            f"{paths['config']}: feature dim {feature_dim} (context_frames * n_mels) "
+            f"does not match input dim {model.input_dim} of {paths['model']}")
+    return config, model, paths
 
 
 def _write_loss_history(history, path) -> None:
@@ -137,10 +140,10 @@ def _feature_store(config: RunConfig, root: Path, records):
         if f.vector_count(n) == 0:
             raise TooShortError(
                 f"training clip {rec.path} has {n} samples, fewer than "
-                f"{f.context_frames} frames of {f.n_fft} samples at hop {f.hop_length}")
-        counts.append(frame_count(n, f.n_fft, f.hop_length))
+                f"{f.context_frames} frames of {N_FFT} samples at hop {HOP_LENGTH}")
+        counts.append(frame_count(n))
         samples += n
-    workers = _pool.worker_count(len(records), samples / f.sample_rate_hz)
+    workers = _pool.worker_count(len(records), samples / SAMPLE_RATE_HZ)
     offsets = list(itertools.accumulate(counts, initial=0))  # clip i: rows offsets[i:i+2]
     shape = (offsets[-1], f.n_mels)
     frames = (_pool.shared_empty(shape, np.float32) if workers > 1
@@ -157,8 +160,8 @@ def _feature_store(config: RunConfig, root: Path, records):
     return frames, rows, clips, workers
 
 
-def _pcm_seconds(root: Path, records, features) -> float:
-    """Audio seconds of the clips as 16-bit PCM at the configured rate.
+def _pcm_seconds(root: Path, records) -> float:
+    """Audio seconds of the clips as 16-bit PCM at SAMPLE_RATE_HZ.
 
     Taken from file sizes, which costs a stat per clip rather than a header
     read; it only sizes the worker pool. A missing file counts 0.
@@ -167,7 +170,7 @@ def _pcm_seconds(root: Path, records, features) -> float:
     for rec in records:
         with contextlib.suppress(OSError):
             size += os.path.getsize(root / rec.path)
-    return size / (2 * features.sample_rate_hz)
+    return size / (2 * SAMPLE_RATE_HZ)
 
 
 def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
@@ -182,7 +185,7 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     in-process, since its merge order defines the covariance bytes. Returns
     the artifact paths.
     """
-    model0 = init_model(config.layer_dims, seed=config.seed)  # bad dims fail before any I/O
+    model0 = init_model(default_layer_dims(config.features.feature_dim), seed=config.seed)
     train_records = _machine_clips(data_root, machine, "train")
     make_dir(out_dir)
     frames, rows, clips, workers = _feature_store(config, Path(data_root), train_records)
@@ -219,26 +222,20 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     return paths
 
 
-def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
-                  machine: str, mode: str, out_csv):
-    """Score every test clip of a machine; returns (rows, row_errors)."""
-    mode = normalize_mode(mode)
-    model = load_model(paths["model"])
+def score_machine(run_dir, data_root, machine: str, mode: str | None, out_csv):
+    """Score every test clip of a machine with the model trained into run_dir,
+    in mode (None: the echo's scoring.mode); returns (rows, row_errors)."""
+    config, model, paths = _load_run(run_dir)
+    mode = normalize_mode(mode or config.mode)
     thresholds = load_thresholds(paths["thresholds"])
     if mode not in thresholds:
         raise ModelFileError(f"no {mode!r} threshold in {paths['thresholds']}; a model "
                              "trained without a source or a target domain has only 'mse'")
     threshold = thresholds[mode]
     cov = load_covariances(paths["cov"]) if mode == "mahalanobis" else None
-    feature_dim = config.features.feature_dim
-    if feature_dim != model.input_dim:
-        raise ConfigError(
-            f"config feature dim {feature_dim} (context_frames * n_mels) does not "
-            f"match model input dim {model.input_dim} of {paths['model']}")
-    if cov is not None and cov.dim != feature_dim:
-        raise ConfigError(
-            f"config feature dim {feature_dim} does not match covariance dim "
-            f"{cov.dim} of {paths['cov']}")
+    if cov is not None and cov.dim != model.input_dim:
+        raise ModelFileError(f"{paths['cov']}: covariance dim {cov.dim} does not match "
+                             f"input dim {model.input_dim} of {paths['model']}")
 
     records = _machine_clips(data_root, machine, "test")
     root = Path(data_root)
@@ -253,7 +250,7 @@ def score_machine(config: RunConfig, paths: dict[str, Path], data_root,
         except (WavFormatError, TooShortError, ConfigError) as exc:
             return None, str(exc)
 
-    workers = _pool.worker_count(len(records), _pcm_seconds(root, records, config.features))
+    workers = _pool.worker_count(len(records), _pcm_seconds(root, records))
     rows, row_errors = [], []
     for rec, (score, error) in zip(records, _pool.run(score_clip, records, workers)):
         if error is None:
@@ -341,17 +338,16 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _load_run_config(args.config, seed_override=args.seed)
+    data = {} if args.config is None else read_yaml(args.config, "config")
+    config = RunConfig.from_dict(data, seed_override=args.seed)
     paths = train_machine(config, args.data_root, args.machine, args.out)
     print(f"trained model for {args.machine!r}: {paths['model']}")
     return EXIT_OK
 
 
 def _cmd_score(args) -> int:
-    paths = _model_paths(args.model)
-    config = _config_for_model(paths, args.config)
-    rows, row_errors = score_machine(config, paths, args.data_root, args.machine,
-                                     args.mode or config.mode, args.out)
+    rows, row_errors = score_machine(args.model, args.data_root, args.machine,
+                                     args.mode, args.out)
     print(f"scored {len(rows)} clips -> {args.out}"
           + (f" ({len(row_errors)} warnings, see {args.out}.errors.csv)"
              if row_errors else ""))
@@ -370,21 +366,19 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_macs(args) -> int:
-    paths = _model_paths(args.model)
-    model = load_model(paths["model"])
-    config = _config_for_model(paths, args.config)
+    config, model, _ = _load_run(args.model)
     per_vector = count_macs(model)
     f = config.features
-    n = round(args.seconds * f.sample_rate_hz) if 0 < args.seconds < math.inf else 0
+    n = round(args.seconds * SAMPLE_RATE_HZ) if 0 < args.seconds < math.inf else 0
     k = f.vector_count(n)
     if k == 0:
         raise ConfigError(f"--seconds {args.seconds} gives no {f.context_frames}-frame "
-                          f"vector (n_fft={f.n_fft}, hop={f.hop_length})")
+                          f"vector (n_fft={N_FFT}, hop={HOP_LENGTH})")
     print(f"layer dims: {model.layer_dims}")
     print(f"MACs per input vector: {per_vector}")
-    print(f"clip of {args.seconds:g} s at {f.sample_rate_hz} Hz "
-          f"(n_fft={f.n_fft}, hop={f.hop_length}, stack={f.context_frames}): "
-          f"T={frame_count(n, f.n_fft, f.hop_length)} frames, K={k} vectors")
+    print(f"clip of {args.seconds:g} s at {SAMPLE_RATE_HZ} Hz "
+          f"(n_fft={N_FFT}, hop={HOP_LENGTH}, stack={f.context_frames}): "
+          f"T={frame_count(n)} frames, K={k} vectors")
     print(f"MACs per clip: {per_vector * k}")
     return EXIT_OK
 
@@ -411,13 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("score", help="score the test clips of one machine")
-    p.add_argument("--model", required=True, help="model file or training out dir")
-    p.add_argument("--config", default=None,
-                   help="run config YAML (default: echo stored beside the model)")
+    p.add_argument("--model", required=True, help="training output directory")
     p.add_argument("--data-root", required=True)
     p.add_argument("--machine", required=True)
     p.add_argument("--mode", default=None, choices=list(MODE_ALIASES),
-                   help="scoring mode (default: scoring.mode of the run config)")
+                   help="scoring mode (default: scoring.mode of the training run)")
     p.add_argument("--out", required=True, help="output scores CSV")
     p.set_defaults(fn=_cmd_score)
 
@@ -431,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("macs", help="report model complexity")
-    p.add_argument("--model", required=True, help="model file or training out dir")
-    p.add_argument("--config", default=None)
+    p.add_argument("--model", required=True, help="training output directory")
     p.add_argument("--seconds", type=float, default=10.0,
                    help="clip length for the per-clip figure")
     p.set_defaults(fn=_cmd_macs)

@@ -1,4 +1,4 @@
-"""Run configuration: one YAML file drives features, model, training, scoring.
+"""Run configuration: one YAML file drives features, training and scoring.
 
 Every command echoes its resolved configuration into its output directory, so
 artifacts are self-describing and runs can be reproduced from the outputs
@@ -15,7 +15,7 @@ import yaml
 from ._io import write_yaml
 from .dsp import FeatureConfig
 from .errors import ConfigError
-from .model import TrainConfig, default_layer_dims
+from .model import TrainConfig
 from .scoring import MODES
 
 MODE_ALIASES = {"mse": "mse", "mahala": "mahalanobis", "mahalanobis": "mahalanobis"}
@@ -27,8 +27,8 @@ def _defaults(cls) -> dict:
             for f in fields(cls)}
 
 
-# YAML section -> its keys, in echo order; model and scoring keys are RunConfig fields
-_SECTIONS = {"features": tuple(_defaults(FeatureConfig)), "model": ("layer_dims",),
+# YAML section -> its keys, in echo order; scoring keys are RunConfig fields
+_SECTIONS = {"features": tuple(_defaults(FeatureConfig)),
              "train": tuple(_defaults(TrainConfig)), "scoring": ("mode",)}
 
 
@@ -79,58 +79,56 @@ def read_yaml(path, what: str) -> dict:
     return data or {}
 
 
+def _unknown_keys(data: dict) -> list[str]:
+    """Dotted names of the keys no section has ("run" is the echo's provenance)."""
+    unknown = []
+    for name, raw in data.items():
+        if name in ("seed", "run"):
+            continue
+        known = _SECTIONS.get(name, ())
+        if isinstance(raw, dict) and (raw or known):
+            unknown += [f"{name}.{key}" for key in raw if key not in known]
+        elif not known:
+            unknown.append(name)
+    return sorted(unknown)
+
+
 def _section(data: dict, name: str) -> dict:
     raw = data.get(name) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {name!r} must be a mapping, got {raw!r}")
-    bad = set(raw) - set(_SECTIONS[name])
-    if bad:
-        raise ConfigError(f"unknown {name} keys: {sorted(bad)}")
     return raw
 
 
 @dataclass
 class RunConfig:
     features: FeatureConfig = field(default_factory=FeatureConfig)
-    layer_dims: list[int] | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     mode: str = "mse"
     seed: int = 0
 
     def __post_init__(self):
-        d = self.features.feature_dim
-        self.layer_dims = list(default_layer_dims(d) if self.layer_dims is None
-                               else self.layer_dims)
         self.mode = normalize_mode(self.mode)
         if self.seed < 0:  # numpy seeds take no negative value
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if len(self.layer_dims) < 2 or self.layer_dims[0] != d or self.layer_dims[-1] != d:
-            raise ConfigError(
-                f"model layer_dims {self.layer_dims} must start and end with "
-                f"context_frames * n_mels = {d}")
 
     @classmethod
     def from_dict(cls, data: dict, seed_override: int | None = None) -> "RunConfig":
         data = dict(data or {})
-        # "run" is provenance metadata written by the config echo; ignore it
-        unknown = set(data) - {*_SECTIONS, "seed", "run"}
+        unknown = _unknown_keys(data)
         if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {unknown}")
         seed = _checked("seed", data.get("seed", 0), 0)
         if seed_override is not None:
             seed = seed_override
-        layer_dims = _section(data, "model").get("layer_dims")
-        if layer_dims is not None:
-            layer_dims = _checked("model.layer_dims", layer_dims, [0])
         train = from_mapping(TrainConfig, _section(data, "train"), "train")
         features = from_mapping(FeatureConfig, _section(data, "features"), "features")
         scoring = {key: _checked(f"scoring.{key}", value, getattr(cls, key))
                    for key, value in _section(data, "scoring").items()}
-        return cls(features=features, layer_dims=layer_dims, train=train, seed=seed, **scoring)
+        return cls(features=features, train=train, seed=seed, **scoring)
 
     def to_dict(self) -> dict:
-        owners = {"features": self.features, "model": self, "train": self.train,
-                  "scoring": self}
+        owners = {"features": self.features, "train": self.train, "scoring": self}
         return {"seed": self.seed,
                 **{name: {key: getattr(owners[name], key) for key in keys}
                    for name, keys in _SECTIONS.items()}}

@@ -1,14 +1,15 @@
 """Audio front-end: WAV I/O, STFT, mel filterbank, log-mel features, frame stacking.
 
-Conventions (deliberate choices; FeatureConfig sets the sizes, not the rules):
-  * STFT: periodic Hann window, no centering/padding, power = |DFT bin|^2,
-    frame count T = 1 + floor((L - n_fft) / hop).
+Conventions (deliberate choices; FeatureConfig sets only the mel bands and stack):
+  * STFT of SAMPLE_RATE_HZ audio: periodic Hann frames of N_FFT samples every
+    HOP_LENGTH, no centering/padding, power = |DFT bin|^2, frame count
+    T = 1 + floor((L - N_FFT) / HOP_LENGTH). Other rates are not resampled.
   * Mel scale: HTK formula mel(f) = 2595 * log10(1 + f / 700), filters laid
     0 Hz .. Nyquist, plain triangles (peak 1, no area normalization).
   * log-mel uses the natural log with a fixed LOG_FLOOR = 1e-12 on mel power,
     so no entry is -inf; a spectrogram with a non-finite entry is rejected.
     Its values are rounded once to float32, the model's input dtype.
-Clips shorter than one FFT frame are rejected rather than padded. Everything
+Clips shorter than one STFT frame are rejected rather than padded. Everything
 here is a pure function of its inputs, safe to call concurrently on
 different clips.
 """
@@ -32,7 +33,9 @@ from .errors import (
 )
 
 LOG_FLOOR = 1e-12
-SAMPLE_RATE_HZ = 16000  # the default feature rate and the rate synth renders at
+SAMPLE_RATE_HZ = 16000  # the feature rate and the rate synth renders at
+N_FFT = 1024
+HOP_LENGTH = 512
 
 
 @dataclass
@@ -69,22 +72,13 @@ class FeatureConfig:
     into one model input; feature dimension = context_frames * n_mels.
     """
 
-    sample_rate_hz: int = SAMPLE_RATE_HZ
-    n_fft: int = 1024
-    hop_length: int = 512
     n_mels: int = 128
     context_frames: int = 5
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ConfigError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-        if self.n_fft <= 0 or (self.n_fft & (self.n_fft - 1)) != 0:
-            raise ConfigError(f"n_fft must be a power of two, got {self.n_fft}")
-        if not 1 <= self.hop_length <= self.n_fft:
-            raise ConfigError(f"hop_length must be in [1, n_fft], got {self.hop_length}")
         if self.context_frames < 1:
             raise ConfigError(f"context_frames must be >= 1, got {self.context_frames}")
-        mel_filterbank(self.n_mels, self.n_fft, self.sample_rate_hz)  # every filter covers a bin
+        mel_filterbank(self.n_mels)  # every filter covers a bin
 
     @property
     def feature_dim(self) -> int:
@@ -92,7 +86,7 @@ class FeatureConfig:
 
     def vector_count(self, n_samples: int) -> int:
         """Stacked vectors K = T - context_frames + 1 in n_samples, 0 if none."""
-        return max(frame_count(n_samples, self.n_fft, self.hop_length) - self.context_frames + 1, 0)
+        return max(frame_count(n_samples) - self.context_frames + 1, 0)
 
 
 # fmt tags; an EXTENSIBLE header names its tag in the sub-format GUID instead
@@ -220,9 +214,9 @@ def write_wav(path, data: np.ndarray, sample_rate_hz: int) -> None:
         fh.write(np.ascontiguousarray(data, dtype="<i2"))
 
 
-def frame_count(n_samples: int, n_fft: int, hop_length: int) -> int:
-    """Whole STFT frames in n_samples: T = 1 + (L - n_fft)//hop, 0 when L < n_fft."""
-    return 1 + (n_samples - n_fft) // hop_length if n_samples >= n_fft else 0
+def frame_count(n_samples: int) -> int:
+    """Whole STFT frames in n_samples: T = 1 + (L - N_FFT)//HOP_LENGTH, 0 when L < N_FFT."""
+    return 1 + (n_samples - N_FFT) // HOP_LENGTH if n_samples >= N_FFT else 0
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -230,19 +224,18 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft_power(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
-    """Power spectrogram, shape (n_fft//2 + 1, T) with T = frame_count(L, n_fft, hop).
+def stft_power(clip: AudioClip) -> np.ndarray:
+    """Power spectrogram, shape (N_FFT//2 + 1, T) with T = frame_count(L).
 
     Frames are windowed with a periodic Hann window; entries are |DFT bin|^2.
     No padding: a clip shorter than one frame raises TooShortError.
     """
-    n_fft, hop_length = config.n_fft, config.hop_length
     x = clip.samples
-    if x.size < n_fft:
+    if x.size < N_FFT:
         raise TooShortError(
-            f"clip has {x.size} samples, shorter than one {n_fft}-sample frame")
-    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop_length]
-    spectrum = np.fft.rfft(frames * hann_window(n_fft)[None, :], axis=1)
+            f"clip has {x.size} samples, shorter than one {N_FFT}-sample frame")
+    frames = np.lib.stride_tricks.sliding_window_view(x, N_FFT)[::HOP_LENGTH]
+    spectrum = np.fft.rfft(frames * hann_window(N_FFT)[None, :], axis=1)
     return (spectrum.real**2 + spectrum.imag**2).T
 
 
@@ -255,19 +248,19 @@ def mel_to_hz(m):
 
 
 @functools.cache
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, n_fft//2 + 1), read-only.
+def mel_filterbank(n_mels: int) -> np.ndarray:
+    """Triangular mel filterbank, shape (n_mels, N_FFT//2 + 1), read-only.
 
     Filter centers are equally spaced on the HTK mel scale
     (2595 * log10(1 + f/700)) between 0 Hz and Nyquist. Raises ConfigError when
     n_mels is too large for the FFT resolution (some filter would not cover
-    any bin). Cached per argument triple, hence read-only.
+    any bin). Cached per n_mels, hence read-only.
     """
     if n_mels < 1:
         raise ConfigError(f"n_mels must be >= 1, got {n_mels}")
-    nyquist = sample_rate_hz / 2.0
+    nyquist = SAMPLE_RATE_HZ / 2.0
     edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(nyquist), n_mels + 2))
-    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate_hz / n_fft)
+    bin_hz = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE_HZ / N_FFT)
     lower, center, upper = edges_hz[:-2], edges_hz[1:-1], edges_hz[2:]
     up = (bin_hz[None, :] - lower[:, None]) / (center - lower)[:, None]
     down = (upper[:, None] - bin_hz[None, :]) / (upper - center)[:, None]
@@ -276,7 +269,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int) -> np.ndarray:
     if dead.any():
         raise ConfigError(
             f"{int(dead.sum())} mel filters cover no FFT bin "
-            f"(n_mels={n_mels} too large for n_fft={n_fft} at {sample_rate_hz} Hz)")
+            f"(n_mels={n_mels} too large for n_fft={N_FFT} at {SAMPLE_RATE_HZ} Hz)")
     fb.flags.writeable = False
     return fb
 
@@ -287,13 +280,13 @@ def log_mel(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     Computed in float64 and rounded once to float32, the model's input dtype:
     training and scoring both take their inputs from here. ConfigError, not a
     numpy warning, if an entry is not finite (huge samples overflow)."""
-    if clip.sample_rate_hz != config.sample_rate_hz:
+    if clip.sample_rate_hz != SAMPLE_RATE_HZ:
         raise ConfigError(
-            f"clip rate {clip.sample_rate_hz} Hz != configured {config.sample_rate_hz} Hz "
+            f"clip rate {clip.sample_rate_hz} Hz != {SAMPLE_RATE_HZ} Hz "
             f"({clip.source_path}); resampling is out of scope")
     with np.errstate(over="ignore", invalid="ignore"):
-        power = stft_power(clip, config)
-        mel_power = mel_filterbank(config.n_mels, config.n_fft, config.sample_rate_hz) @ power
+        power = stft_power(clip)
+        mel_power = mel_filterbank(config.n_mels) @ power
         values = np.log(np.maximum(mel_power, LOG_FLOOR))
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"log-mel spectrogram contains non-finite entries "

@@ -197,9 +197,15 @@ def load_reference_csv(path) -> dict[str, dict[str, float]]:
             if not needed <= set(reader.fieldnames or []):
                 raise ConfigError(f"{path}: reference CSV needs columns {sorted(needed)}")
             for row in reader:
+                where = f"{path} line {reader.line_num}"
+                if row["machine"] in reference:
+                    raise ConfigError(f"{where}: machine {row['machine']!r} listed twice")
                 reference[row["machine"]] = {
-                    key: _checked(f"{path} line {reader.line_num}: {key}", row[key], 0.0)
+                    key: _checked(f"{where}: {key}", row[key], 0.0)
                     for key in ("auc_source", "auc_target", "pauc")}
+                for key, value in reference[row["machine"]].items():
+                    if not 0.0 <= value <= 100.0:
+                        raise ConfigError(f"{where}: {key} {value} is not a percent in [0, 100]")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read reference table {path}: {exc}") from exc
     return reference

@@ -35,7 +35,7 @@ MODEL_MAGIC = b"ASDK-AE\x00"
 MODEL_VERSION = 1
 _HEADER = struct.Struct("<8sIIIQ")  # magic, version, dtype code, number of dims, seed
 _DTYPE_CODES = {1: np.float32, 2: np.float64}
-ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ADAM_LR, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8
 
 
 def default_layer_dims(feature_dim: int) -> list[int]:
@@ -98,15 +98,12 @@ class AeModel:
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 256
-    learning_rate: float = 1e-3
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 def init_model(layer_dims, seed: int = 0, dtype=np.float32) -> AeModel:
@@ -165,7 +162,7 @@ def gradient(model: AeModel, batch: np.ndarray):
     return loss, grad
 
 
-def _adam_step(params, g, m, v, step: int, learning_rate: float, scratch) -> None:
+def _adam_step(params, g, m, v, step: int, scratch) -> None:
     """One Adam update of params, m and v in place, for gradient g at 1-based step.
 
     scratch is (float buffer, float buffer, bool buffer), each shaped like
@@ -188,12 +185,12 @@ def _adam_step(params, g, m, v, step: int, learning_rate: float, scratch) -> Non
     smallest = np.finfo(params.dtype).tiny
     m *= np.greater_equal(np.abs(m, out=tmp), smallest, out=keep)
     v *= np.greater_equal(v, smallest, out=keep)
-    # params -= learning_rate * (m / bc1) / (sqrt(v / bc2) + eps)
+    # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
     np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     np.divide(m, bc1, out=tmp)
-    tmp *= learning_rate
+    tmp *= ADAM_LR
     tmp /= denom
     params -= tmp
 
@@ -250,7 +247,7 @@ def train(model: AeModel, features: np.ndarray, config: TrainConfig, rows=None):
             epoch_sq_sum += loss * batch.size
             step += 1
             # in place: weights and biases are views into params
-            _adam_step(model.params, g, m, v, step, config.learning_rate, scratch)
+            _adam_step(model.params, g, m, v, step, scratch)
         history.append(epoch_sq_sum / (n * model.input_dim))
     return model, history
 

@@ -74,6 +74,11 @@ class SynthSpec:
             raise ConfigError(f"clip_seconds must be positive, got {self.clip_seconds}")
         if not self.machines:
             raise ConfigError("spec declares no machines")
+        for i, name in enumerate(self.machines):  # each names a directory under --out
+            if (name in ("", ".", "..", *self.machines[:i]) or Path(name).name != name
+                    or "\0" in name):
+                raise ConfigError(f"spec.machines[{i}]: {name!r} must be one path component, "
+                                  "not '.' or '..', and name no other machine")
         counts = [c.source_train, c.target_train, c.test_normal_source,
                   c.test_normal_target, c.test_anomaly_source,
                   c.test_anomaly_target, c.supplementary]

@@ -29,7 +29,6 @@ def fast_config(seed: int = 5) -> RunConfig:
     return RunConfig.from_dict({
         "seed": seed,
         "features": {"n_mels": 32, "context_frames": 5},
-        "model": {"layer_dims": [160, 64, 8, 64, 160]},
         "train": {"epochs": 8, "batch_size": 128},
     })
 

@@ -17,6 +17,7 @@ from scipy.io import wavfile
 from asdkit import cli
 from asdkit.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH,
                         EXIT_OK, main)
+from asdkit.config import RunConfig
 from asdkit.dataset import load_manifest
 from asdkit.dsp import extract_features, read_wav, write_wav
 from asdkit.errors import (AsdkitError, ConfigError, DatasetError, InsufficientDataError,
@@ -53,7 +54,7 @@ def tree_digest(root: Path) -> str:
 
 
 def copy_artifacts(paths, dest: Path, keys=("model", "cov", "thresholds", "config")) -> Path:
-    dest.mkdir()
+    dest.mkdir(exist_ok=True)
     for key in keys:
         (dest / paths[key].name).write_bytes(paths[key].read_bytes())
     return dest
@@ -98,8 +99,17 @@ def test_synth_command_invalid_spec(tmp_path):
     (None, "spec.yaml"),
     ("machines: ab\n", "spec.machines"),
     ("[]\n", "spec.yaml"),
+    ("machines: [fan, 3]\n", "spec.machines[1]"),
+    # each name is a directory under --out
+    ("machines: [fan, fan]\n", "spec.machines[1]: 'fan' must be one path component"),
+    ("machines: ['../escaped']\n", "spec.machines[0]: '../escaped' must be one path"),
+    ("machines: ['']\n", "spec.machines[0]: '' must be one path component"),
+    ("machines: [fan, a/b]\n", "spec.machines[1]: 'a/b' must be one path component"),
+    ('machines: ["a\\0b"]\n', "spec.machines[0]: 'a\\x00b' must be one path component"),
 ], ids=["str-float", "counts-scalar", "range-scalar", "range-length", "float-count",
-        "bad-yaml", "directory", "machines-string", "not-a-mapping"])
+        "bad-yaml", "directory", "machines-string", "not-a-mapping", "machine-not-a-string",
+        "machine-twice", "machine-outside-out", "machine-empty", "machine-nested",
+        "machine-nul"])
 def test_bad_synth_spec_exits_config(tmp_path, capsys, text, name):
     spec_path = tmp_path / "spec.yaml"
     if text is None:
@@ -109,7 +119,7 @@ def test_bad_synth_spec_exits_config(tmp_path, capsys, text, name):
     out = tmp_path / "d"
     assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
     assert name in capsys.readouterr().err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [spec_path]  # no --out, nothing beside it
 
 
 # the sound-model keys a spec once set, at the values the synth still renders with
@@ -215,7 +225,7 @@ def test_train_command_writes_artifacts(small_dataset, tmp_path):
 @pytest.mark.parametrize("args, message", [
     (["--seed", "-1"], "seed must be >= 0, got -1"),
     (["--seed", "-2"], "seed must be >= 0, got -2"),
-    ([], "unknown train keys: ['seed']"),  # the shuffle seed is the run seed + 1
+    ([], "unknown config keys: ['train.seed']"),  # the shuffle seed is the run seed + 1
 ], ids=["seed-minus-1", "seed-minus-2", "train-seed-minus-3"])
 def test_train_negative_seed_exits_config_before_creating_out(small_dataset, tmp_path,
                                                              capsys, args, message):
@@ -359,13 +369,17 @@ def test_bad_training_clip_exits_data_naming_it(small_dataset, tmp_path, capsys,
 
 @pytest.mark.parametrize("settings, message", [
     # fixed constants now, so any value is an unknown key
-    ({"scoring": {"threshold_percentile": 150}}, "unknown scoring keys: ['threshold_percentile']"),
-    ({"scoring": {"ridge": 0}}, "unknown scoring keys: ['ridge']"),
-    ({"model": {"layer_dims": [160, 0, 160]}}, "each >= 1"),
-    ({"features": {"hop_length": 0}}, "hop_length must be in"),
-    ({"features": {"sample_rate_hz": 0}}, "sample_rate_hz must be > 0"),
+    ({"scoring": {"threshold_percentile": 150}},
+     "unknown config keys: ['scoring.threshold_percentile']"),
+    ({"scoring": {"ridge": 0}}, "unknown config keys: ['scoring.ridge']"),
+    ({"model": {"layer_dims": [160, 0, 160]}}, "unknown config keys: ['model.layer_dims']"),
+    ({"features": {"hop_length": 0}}, "unknown config keys: ['features.hop_length']"),
+    ({"features": {"sample_rate_hz": 0}}, "unknown config keys: ['features.sample_rate_hz']"),
+    ({"features": {"n_fft": 1024}}, "unknown config keys: ['features.n_fft']"),
+    ({"train": {"learning_rate": 1e-3}}, "unknown config keys: ['train.learning_rate']"),
     ({"features": {"n_mels": 256}}, "mel filters cover no FFT bin"),
-], ids=["percentile-150", "ridge-0", "zero-width-layer", "hop-0", "rate-0", "n_mels-256"])
+], ids=["percentile-150", "ridge-0", "zero-width-layer", "hop-0", "rate-0", "n_fft-1024",
+        "learning-rate-1e-3", "n_mels-256"])
 def test_bad_run_config_fails_before_training(small_dataset, tmp_path, capsys,
                                               monkeypatch, settings, message):
     def no_clip_reads(path, *args):
@@ -474,22 +488,20 @@ def test_score_command_rejects_bad_covariance_file(trained_artifacts, tmp_path, 
 def test_score_command_dimension_mismatch_fails_fast(trained_artifacts, tmp_path,
                                                     capsys):
     config, paths, root = trained_artifacts
-    wrong = tmp_path / "wrong.yaml"
-    with open(wrong, "w") as fh:  # 64 mels * 5 frames = 320 != model dim 160
-        yaml.safe_dump({"features": {"n_mels": 64, "context_frames": 5}}, fh)
+    model_dir = copy_artifacts(paths, tmp_path / "model", ("model", "thresholds", "config"))
+    wrong = RunConfig.from_dict({"features": {"n_mels": 64, "context_frames": 5}})
+    wrong.echo(model_dir / "config.yaml")  # 64 mels * 5 frames = 320 != model dim 160
     out_csv = tmp_path / "s.csv"
-    rc = main(["score", "--model", str(paths["model"].parent), "--config", str(wrong),
-               "--data-root", str(root), "--machine", SMALL_MACHINE,
-               "--mode", "mse", "--out", str(out_csv)])
-    assert rc == EXIT_CONFIG
-    assert "feature dim 320" in capsys.readouterr().err
+    cmd = ["score", "--model", str(model_dir), "--data-root", str(root),
+           "--machine", SMALL_MACHINE, "--out", str(out_csv)]
+    assert main([*cmd, "--mode", "mse"]) == EXIT_ARTIFACT
+    err = capsys.readouterr().err
+    assert "feature dim 320" in err and str(model_dir / "config.yaml") in err
     assert not out_csv.exists()
 
-    model_dir = copy_artifacts(paths, tmp_path / "model", ("model", "thresholds", "config"))
+    copy_artifacts(paths, model_dir, ("config",))
     save_covariances(identity_covariances(8), model_dir / paths["cov"].name)
-    rc = main(["score", "--model", str(model_dir), "--data-root", str(root),
-               "--machine", SMALL_MACHINE, "--mode", "mahala", "--out", str(out_csv)])
-    assert rc == EXIT_CONFIG
+    assert main([*cmd, "--mode", "mahala"]) == EXIT_ARTIFACT
     assert "covariance dim 8" in capsys.readouterr().err
     assert not out_csv.exists()
 
@@ -636,43 +648,103 @@ def test_scanned_tree_reports_its_skipped_files(trained_artifacts, tmp_path, cap
 @pytest.mark.parametrize("source", ["echo", "--config"])
 def test_score_mode_defaults_to_config_mode(trained_artifacts, tmp_path, source):
     config, paths, root = trained_artifacts
-    model_dir = copy_artifacts(paths, tmp_path / "model")
     settings = config.to_dict()
     settings["scoring"]["mode"] = "mahalanobis"
-    cfg = model_dir / "config.yaml" if source == "echo" else tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump(settings))
+    if source == "echo":  # an edited echo
+        model_dir = copy_artifacts(paths, tmp_path / "model")
+        (model_dir / "config.yaml").write_text(yaml.safe_dump(settings))
+    else:  # the mode train's --config set reaches score through the echo
+        cfg, model_dir = tmp_path / "cfg.yaml", tmp_path / "model"
+        cfg.write_text(yaml.safe_dump(settings))
+        assert main(["train", "--config", str(cfg), "--data-root", str(root),
+                     "--machine", SMALL_MACHINE, "--out", str(model_dir)]) == EXIT_OK
     cmd = ["score", "--model", str(model_dir), "--data-root", str(root),
            "--machine", SMALL_MACHINE]
-    if source == "--config":  # overrides the mse echo beside the model
-        cmd += ["--config", str(cfg)]
     assert main(cmd + ["--mode", "mahala", "--out", str(tmp_path / "explicit.csv")]) == EXIT_OK
     assert main(cmd + ["--out", str(tmp_path / "default.csv")]) == EXIT_OK
     assert ((tmp_path / "default.csv").read_bytes()
             == (tmp_path / "explicit.csv").read_bytes())
 
 
+# keys that echoes written before they became constants hold, at their old defaults
+OLD_ECHO_KEYS = [("features", "sample_rate_hz", 16000), ("features", "n_fft", 1024),
+                 ("features", "hop_length", 512),
+                 ("model", "layer_dims", [160, 128, 128, 128, 128, 8, 128, 128, 128, 128, 160]),
+                 ("train", "learning_rate", 0.001), ("train", "beta1", 0.9),
+                 ("train", "seed", 6), ("scoring", "ridge", 1e-3),
+                 ("scoring", "threshold_percentile", 90.0)]
+
+
+def on_run(command: str, model_dir: Path, root: Path, out_csv: Path) -> list[str]:
+    """argv of score (of the small machine into out_csv) or macs on a run directory."""
+    extra = ["--data-root", str(root), "--machine", SMALL_MACHINE, "--out", str(out_csv)]
+    return [command, "--model", str(model_dir), *(extra if command == "score" else [])]
+
+
+def with_old_key(echo_path: Path, section: str, key: str, value) -> dict:
+    echo = yaml.safe_load(echo_path.read_text())
+    echo.setdefault(section, {})[key] = value
+    return echo
+
+
 def test_echo_with_removed_key_exits_config(trained_artifacts, tmp_path, capsys):
+    # an old echo given to train --config, to rerun its run
+    config, paths, root = trained_artifacts
+    cfg, out = tmp_path / "cfg.yaml", tmp_path / "out"
+    for section, key, value in OLD_ECHO_KEYS:
+        cfg.write_text(yaml.safe_dump(with_old_key(paths["config"], section, key, value)))
+        assert main(["train", "--config", str(cfg), "--data-root", str(root),
+                     "--machine", SMALL_MACHINE, "--out", str(out)]) == EXIT_CONFIG, key
+        assert f"unknown config keys: ['{section}.{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "macs"])
+def test_echo_with_removed_key_exits_artifact(trained_artifacts, tmp_path, capsys, command):
     config, paths, root = trained_artifacts
     model_dir = copy_artifacts(paths, tmp_path / "model")
-    fresh = yaml.safe_load((model_dir / "config.yaml").read_text())
+    echo_path = model_dir / "config.yaml"
     out_csv = tmp_path / "s.csv"
-    # keys that echoes written before they became constants still hold
-    for section, key, value in [("train", "beta1", 0.9), ("train", "seed", 6),
-                                ("scoring", "ridge", 1e-3),
-                                ("scoring", "threshold_percentile", 90.0)]:
-        echo = yaml.safe_load(yaml.safe_dump(fresh))
-        echo[section][key] = value
-        (model_dir / "config.yaml").write_text(yaml.safe_dump(echo))
-        rc = main(["score", "--model", str(model_dir), "--data-root", str(root),
-                   "--machine", SMALL_MACHINE, "--out", str(out_csv)])
-        assert rc == EXIT_CONFIG, key
-        assert f"unknown {section} keys: ['{key}']" in capsys.readouterr().err
+    cmd = on_run(command, model_dir, root, out_csv)
+    for section, key, value in OLD_ECHO_KEYS:
+        echo_path.write_text(yaml.safe_dump(with_old_key(paths["config"], section, key, value)))
+        assert main(cmd) == EXIT_ARTIFACT, key
+        err = capsys.readouterr().err
+        assert f"{echo_path}: unknown config keys: ['{section}.{key}']" in err
+        assert "retrain" in err
         assert not out_csv.exists()
-    # --config still scores such a run directory
-    cfg = write_run_config(tmp_path / "cfg.yaml")
-    assert main(["score", "--model", str(model_dir), "--config", str(cfg),
-                 "--data-root", str(root), "--machine", SMALL_MACHINE,
-                 "--out", str(out_csv)]) == EXIT_OK
+    # deleting keys that hold the old defaults is enough
+    copy_artifacts(paths, model_dir, ("config",))
+    assert main(cmd) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["score", "macs"])
+@pytest.mark.parametrize("case", ["missing", "not-yaml", "dims"])
+def test_unusable_echo_exits_artifact(trained_artifacts, tmp_path, capsys, command, case):
+    config, paths, root = trained_artifacts
+    model_dir = copy_artifacts(paths, tmp_path / "model", ("model", "cov", "thresholds"))
+    echo_path = model_dir / "config.yaml"
+    if case == "not-yaml":
+        echo_path.write_text("features: [unclosed\n")
+    if case == "dims":  # 16 mels * 5 frames = 80 != model dim 160
+        RunConfig.from_dict({"features": {"n_mels": 16}}).echo(echo_path)
+    out_csv = tmp_path / "s.csv"
+    assert main(on_run(command, model_dir, root, out_csv)) == EXIT_ARTIFACT
+    err = capsys.readouterr().err
+    assert str(echo_path) in err
+    assert ("feature dim 80" if case == "dims" else "retrain") in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "macs"])
+def test_score_and_macs_take_no_config_flag(trained_artifacts, tmp_path, capsys, command):
+    config, paths, root = trained_artifacts
+    with pytest.raises(SystemExit) as excinfo:
+        main([*on_run(command, paths["model"].parent, root, tmp_path / "s.csv"),
+              "--config", str(paths["config"])])
+    assert excinfo.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_score_out_into_missing_directory(trained_artifacts, tmp_path, capsys):
@@ -689,8 +761,7 @@ def test_model_path_that_is_a_directory(trained_artifacts, tmp_path):
     (model_dir / "model.aem").mkdir()
     assert main(["score", "--model", str(model_dir), "--data-root", str(root),
                  "--machine", SMALL_MACHINE, "--out", str(tmp_path / "s.csv")]) == EXIT_ARTIFACT
-    for arg in (model_dir, model_dir / "model.aem"):
-        assert main(["macs", "--model", str(arg)]) == EXIT_ARTIFACT
+    assert main(["macs", "--model", str(model_dir)]) == EXIT_ARTIFACT
 
 
 def test_non_finite_model_exits_artifact(trained_artifacts, tmp_path, capsys):
@@ -808,9 +879,17 @@ def test_evaluate_missing_scores_file(small_dataset, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+REFERENCE_ROWS = {
+    "non-numeric-reference": f"{SMALL_MACHINE},x,90,80\n",
+    "reference-without-columns": None,
+    "reference-machine-twice": f"{SMALL_MACHINE},90,90,80\n{SMALL_MACHINE},91,90,80\n",
+    "reference-percent-150": f"{SMALL_MACHINE},90,150,80\n",
+    "reference-percent-minus-5": f"{SMALL_MACHINE},90,90,-5\n",
+}
+
+
 @pytest.mark.parametrize("case", ["manifest-directory", "missing-reference",
-                                  "non-numeric-reference", "reference-without-columns",
-                                  "nan-score"])
+                                  *REFERENCE_ROWS, "nan-score"])
 def test_evaluate_unreadable_table_exits_config(small_dataset, tmp_path, capsys, case):
     root, manifest = small_dataset
     scores_csv = tmp_path / "scores.csv"
@@ -822,16 +901,22 @@ def test_evaluate_unreadable_table_exits_config(small_dataset, tmp_path, capsys,
     cmd = ["evaluate", "--scores", str(scores_csv), "--manifest", str(truth),
            "--out", str(tmp_path / "report")]
     reference = tmp_path / "reference.csv"
-    if case == "non-numeric-reference":
-        reference.write_text(f"machine,auc_source,auc_target,pauc\n{SMALL_MACHINE},x,90,80\n")
     if case == "reference-without-columns":
         reference.write_text(f"machine,auc\n{SMALL_MACHINE},90\n")
-    if case in ("missing-reference", "non-numeric-reference", "reference-without-columns"):
+    elif case in REFERENCE_ROWS:
+        reference.write_text("machine,auc_source,auc_target,pauc\n" + REFERENCE_ROWS[case])
+    if case == "missing-reference" or case in REFERENCE_ROWS:
         cmd += ["--reference", str(reference)]
     assert main(cmd) == EXIT_CONFIG
     err = capsys.readouterr().err
     if case == "reference-without-columns":
         assert "reference CSV needs columns" in err
+    if case == "reference-machine-twice":
+        assert f"{reference} line 3: machine {SMALL_MACHINE!r} listed twice" in err
+    if case == "reference-percent-150":
+        assert f"{reference} line 2: auc_target 150.0 is not a percent in [0, 100]" in err
+    if case == "reference-percent-minus-5":
+        assert f"{reference} line 2: pauc -5.0 is not a percent" in err
     if case == "nan-score":
         assert f"line 3: score 'nan' of {rows[1][0]!r}" in err
     assert not (tmp_path / "report.csv").exists()
@@ -868,10 +953,16 @@ def test_evaluate_pauc_p_out_of_range_exits_config(small_dataset, tmp_path, caps
 # ---------------------------------------------------------------------------
 # macs
 
+def write_run_dir(path: Path) -> Path:
+    """A training run directory of the default config: its echo and a model."""
+    path.mkdir()
+    RunConfig().echo(path / "config.yaml")
+    save_model(init_model(DEFAULT_LAYER_DIMS, seed=0), path / "model.aem")
+    return path
+
+
 def test_macs_command_default_architecture(tmp_path, capsys):
-    model = init_model(DEFAULT_LAYER_DIMS, seed=0)
-    path = tmp_path / "model.aem"
-    save_model(model, path)
+    path = write_run_dir(tmp_path / "run")
     assert main(["macs", "--model", str(path), "--seconds", "10"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "MACs per input vector: 264192" in out
@@ -882,30 +973,34 @@ def test_macs_command_default_architecture(tmp_path, capsys):
 
 @pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1", "0.01"])
 def test_macs_seconds_without_a_vector_exits_config(tmp_path, capsys, seconds):
-    path = tmp_path / "model.aem"
-    save_model(init_model(DEFAULT_LAYER_DIMS, seed=0), path)
+    path = write_run_dir(tmp_path / "run")
     assert main(["macs", "--model", str(path), "--seconds", seconds]) == EXIT_CONFIG
     assert "--seconds" in capsys.readouterr().err
 
 
-def test_macs_command_corrupt_model(tmp_path):
-    path = tmp_path / "model.aem"
-    path.write_bytes(b"garbage")
+def test_macs_command_corrupt_model(tmp_path, capsys):
+    path = write_run_dir(tmp_path / "run")
+    (path / "model.aem").write_bytes(b"garbage")
     assert main(["macs", "--model", str(path)]) == EXIT_ARTIFACT
+    assert "truncated model file" in capsys.readouterr().err
 
 
-def test_macs_command_missing_model(tmp_path):
-    assert main(["macs", "--model", str(tmp_path / "no.aem")]) == EXIT_ARTIFACT
+def test_macs_command_missing_model(tmp_path, capsys):
+    path = write_run_dir(tmp_path / "run")
+    (path / "model.aem").unlink()
+    assert main(["macs", "--model", str(path)]) == EXIT_ARTIFACT
+    assert "unreadable model file" in capsys.readouterr().err
+    assert main(["macs", "--model", str(tmp_path / "no_run")]) == EXIT_ARTIFACT
 
 
 def test_macs_accepts_training_dir(trained_artifacts, capsys):
     config, paths, root = trained_artifacts
-    outs = []
-    for arg in (paths["model"].parent, paths["model"]):
-        assert main(["macs", "--model", str(arg), "--seconds", "1"]) == EXIT_OK
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    assert "layer dims: [160, 64, 8, 64, 160]" in outs[0]
+    assert main(["macs", "--model", str(paths["model"].parent), "--seconds", "1"]) == EXIT_OK
+    assert ("layer dims: [160, 128, 128, 128, 128, 8, 128, 128, 128, 128, 160]"
+            in capsys.readouterr().out)
+    # the model file is not a run directory: it has no echo beside it
+    assert main(["macs", "--model", str(paths["model"])]) == EXIT_ARTIFACT
+    assert f"{paths['model'] / 'config.yaml'}: config echo" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ from asdkit.synth import SynthSpec
 
 @pytest.mark.parametrize("data, key, expected", [
     # YAML reads 1e-3 (no dot) as the string "1e-3"
-    (yaml.safe_load("train: {learning_rate: 1e-3}"), "learning_rate", 1e-3),
-    ({"train": {"learning_rate": 1}}, "learning_rate", 1.0),
+    (yaml.safe_load("clip_seconds: 1e-3"), "clip_seconds", 1e-3),
+    ({"clip_seconds": 1}, "clip_seconds", 1.0),
 ])
 def test_float_keys_take_ints_and_numeric_strings(data, key, expected):
-    value = getattr(RunConfig.from_dict(data).train, key)
+    value = getattr(SynthSpec.from_dict(data), key)
     assert type(value) is float and value == expected
 
 
@@ -28,23 +28,25 @@ def test_float_keys_take_ints_and_numeric_strings(data, key, expected):
     ({"features": {"n_mels": 32.0}}, "features.n_mels"),
     ({"features": {"n_mels": True}}, "features.n_mels"),
     # fixed constants now, no longer config keys
-    pytest.param({"features": {"normalize": "yes"}}, r"unknown features keys: \['normalize'\]",
-                 id="unknown-normalize"),
-    pytest.param({"train": {"beta1": 0.9}}, r"unknown train keys: \['beta1'\]",
+    pytest.param({"features": {"normalize": "yes"}},
+                 r"unknown config keys: \['features.normalize'\]", id="unknown-normalize"),
+    pytest.param({"train": {"beta1": 0.9}}, r"unknown config keys: \['train.beta1'\]",
                  id="unknown-beta1"),
-    pytest.param({"features": {"log_floor": "tiny"}}, r"unknown features keys: \['log_floor'\]",
-                 id="unknown-log_floor"),
+    pytest.param({"features": {"log_floor": "tiny"}},
+                 r"unknown config keys: \['features.log_floor'\]", id="unknown-log_floor"),
+    # a fixed constant now (1e-3): any value is an unknown key, named in full
     ({"train": {"learning_rate": "abc"}}, "train.learning_rate"),
     ({"train": {"learning_rate": "nan"}}, "train.learning_rate"),
     ({"train": {"learning_rate": float("inf")}}, "train.learning_rate"),
     ({"train": {"epochs": [3]}}, "train.epochs"),
     # a fixed constant now (1e-3), no longer a config key
-    pytest.param({"scoring": {"ridge": 1e-3}}, r"unknown scoring keys: \['ridge'\]",
+    pytest.param({"scoring": {"ridge": 1e-3}}, r"unknown config keys: \['scoring.ridge'\]",
                  id="unknown-ridge"),
     ({"scoring": {"mode": ["mse"]}}, "scoring.mode"),
     ({"seed": "seven"}, "seed"),
     ({"seed": False}, "seed"),
-    ({"model": {"layer_dims": [640, "wide", 640]}}, r"model.layer_dims\[1\]"),
+    # the model section is gone: the layer dims follow from the feature dim
+    pytest.param({"model": None}, r"unknown config keys: \['model'\]", id="unknown-model"),
     ({"model": {"layer_dims": 640}}, "model.layer_dims"),
     ({"train": [1, 2]}, "'train'"),
 ])
@@ -102,6 +104,14 @@ def test_every_committed_config_loads():
 
 
 def test_default_yaml_is_the_code_defaults():
+    def keys(mapping):
+        return {k: keys(v) if isinstance(v, dict) else None for k, v in mapping.items()}
+
     path = Path(__file__).parents[1] / "configs" / "default.yaml"
-    assert RunConfig.from_dict(yaml.safe_load(path.read_text())).to_dict() == \
-        RunConfig.from_dict({}).to_dict()
+    data = yaml.safe_load(path.read_text())
+    defaults = RunConfig().to_dict()
+    assert RunConfig.from_dict(data).to_dict() == defaults
+    # the file lists every key, and a run config has exactly these six
+    assert keys(data) == keys(defaults) == {
+        "seed": None, "features": {"n_mels": None, "context_frames": None},
+        "train": {"epochs": None, "batch_size": None}, "scoring": {"mode": None}}

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from asdkit.dsp import (LOG_FLOOR, AudioClip, FeatureConfig, extract_features,
-                        frame_count, hann_window, hz_to_mel,
+from asdkit.config import from_mapping
+from asdkit.dsp import (HOP_LENGTH, LOG_FLOOR, N_FFT, AudioClip, FeatureConfig,
+                        extract_features, frame_count, hann_window, hz_to_mel,
                         log_mel, mel_filterbank, mel_to_hz, read_wav,
                         stack_frames, stft_power,
                         wav_num_samples)
@@ -90,23 +91,22 @@ def clip_of(samples):
 
 def test_stft_frame_count_formula():
     clip = clip_of(np.random.default_rng(0).standard_normal(16000))
-    power = stft_power(clip, FeatureConfig(n_fft=1024, hop_length=512))
+    power = stft_power(clip)
     assert power.shape == (513, 1 + (16000 - 1024) // 512)
     assert power.shape[1] == 30
 
 
-@pytest.mark.parametrize("n_fft,hop", [(1024, 512), (256, 100), (64, 64)])
+@pytest.mark.parametrize("n_fft,hop", [(N_FFT, HOP_LENGTH)])
 def test_frame_count_matches_stft_around_frame_boundaries(n_fft, hop):
     rng = np.random.default_rng(0)
     for frames in (1, 2, 7):
         boundary = n_fft + (frames - 1) * hop  # shortest length giving `frames`
         for length in (boundary - 1, boundary, boundary + 1):
-            expected = frame_count(length, n_fft, hop)
+            expected = frame_count(length)
             if length < n_fft:
                 assert expected == 0
                 continue
-            power = stft_power(clip_of(rng.standard_normal(length)),
-                               FeatureConfig(n_fft=n_fft, hop_length=hop, n_mels=8))
+            power = stft_power(clip_of(rng.standard_normal(length)))
             assert power.shape[1] == expected
             assert expected == frames - (length < boundary)
 
@@ -120,28 +120,29 @@ def test_wav_num_samples_reads_header(tmp_path):
 
 
 def test_stft_zero_input_is_zero():
-    power = stft_power(clip_of(np.zeros(4096)), FeatureConfig(n_fft=1024, hop_length=512))
+    power = stft_power(clip_of(np.zeros(4096)))
     assert np.all(power == 0.0)
 
 
 def test_stft_too_short():
     with pytest.raises(TooShortError):
-        stft_power(clip_of(np.ones(1000)), FeatureConfig(n_fft=1024, hop_length=512))
+        stft_power(clip_of(np.ones(1000)))
 
 
 @pytest.mark.parametrize("params, match", [
-    ({"n_fft": 1000, "hop_length": 500}, "n_fft must be a power of two"),
-    ({"hop_length": 2048}, "hop_length must be in"),  # hop > fft
-    ({"hop_length": 0}, "hop_length must be in"),
-    ({"hop_length": -5}, "hop_length must be in"),
+    # the rate, STFT size and hop are fixed constants: any value is an unknown key
+    ({"n_fft": 1000, "hop_length": 500}, r"unknown features keys: \['hop_length', 'n_fft'\]"),
+    ({"hop_length": 2048}, r"unknown features keys: \['hop_length'\]"),
+    ({"hop_length": 0}, r"unknown features keys: \['hop_length'\]"),
+    ({"hop_length": -5}, r"unknown features keys: \['hop_length'\]"),
     ({"context_frames": 0}, "context_frames must be >= 1"),
-    ({"sample_rate_hz": 0}, "sample_rate_hz must be > 0"),
+    ({"sample_rate_hz": 0}, r"unknown features keys: \['sample_rate_hz'\]"),
     ({"n_mels": 256}, "mel filters cover no FFT bin"),
 ], ids=["n_fft-1000", "hop-2048", "hop-0", "hop-minus-5", "context-0", "rate-0",
         "n_mels-256"])
 def test_feature_config_rejects_bad_params(params, match):
     with pytest.raises(ConfigError, match=match):
-        FeatureConfig(**params)
+        from_mapping(FeatureConfig, params, "features")
 
 
 def test_vector_count_matches_extracted_rows():
@@ -168,24 +169,24 @@ def naive_dft_power(frame):
 
 
 def test_stft_matches_naive_dft_oracle():
-    n_fft = 256
     rng = np.random.default_rng(42)
-    samples = rng.standard_normal(n_fft * 2)
+    samples = rng.standard_normal(N_FFT * 2)
     clip = clip_of(samples)
-    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=n_fft, n_mels=8))
+    power = stft_power(clip)
+    assert power.shape[1] == 3
     for frame_idx in range(power.shape[1]):
-        frame = samples[frame_idx * n_fft:(frame_idx + 1) * n_fft] * hann_window(n_fft)
+        start = frame_idx * HOP_LENGTH
+        frame = samples[start:start + N_FFT] * hann_window(N_FFT)
         expected = naive_dft_power(frame)
         assert np.allclose(power[:, frame_idx], expected, rtol=1e-9, atol=1e-12)
 
 
 def test_stft_exact_bin_sine_concentrates_energy():
-    n_fft = 256
-    bin_idx = 32
-    freq = bin_idx * SR / n_fft
-    t = np.arange(n_fft * 4) / SR
+    bin_idx = 128
+    freq = bin_idx * SR / N_FFT  # whole cycles per frame at any hop: 2000 Hz
+    t = np.arange(N_FFT * 4) / SR
     clip = clip_of(0.7 * np.sin(2 * np.pi * freq * t))
-    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=n_fft, n_mels=8))
+    power = stft_power(clip)
     for column in power.T:
         peak = column[bin_idx]
         main_lobe = {bin_idx - 1, bin_idx, bin_idx + 1}
@@ -195,17 +196,17 @@ def test_stft_exact_bin_sine_concentrates_energy():
 
 
 def test_stft_parseval_energy():
-    n_fft, hop = 512, 256
     rng = np.random.default_rng(7)
-    samples = rng.standard_normal(n_fft * 8)
+    samples = rng.standard_normal(N_FFT * 8)
     clip = clip_of(samples / np.max(np.abs(samples)))
-    power = stft_power(clip, FeatureConfig(n_fft=n_fft, hop_length=hop, n_mels=8))
-    window = hann_window(n_fft)
+    power = stft_power(clip)
+    window = hann_window(N_FFT)
     for frame_idx in range(power.shape[1]):
-        frame = clip.samples[frame_idx * hop:frame_idx * hop + n_fft] * window
+        start = frame_idx * HOP_LENGTH
+        frame = clip.samples[start:start + N_FFT] * window
         time_energy = np.sum(frame**2)
         col = power[:, frame_idx]
-        spectral = (col[0] + col[-1] + 2 * col[1:-1].sum()) / n_fft
+        spectral = (col[0] + col[-1] + 2 * col[1:-1].sum()) / N_FFT
         assert spectral == pytest.approx(time_energy, rel=0.01)
 
 
@@ -213,7 +214,7 @@ def test_stft_parseval_energy():
 # mel filterbank
 
 def test_mel_shape_and_positivity():
-    fb = mel_filterbank(128, 1024, SR)
+    fb = mel_filterbank(128)
     assert fb.shape == (128, 513)
     assert np.all(fb >= 0.0)
     assert np.all(fb.sum(axis=1) > 0.0)
@@ -223,19 +224,19 @@ def test_mel_centers_strictly_increasing():
     # analytic centers from the scale formula are the filter peaks
     centers = mel_to_hz(np.linspace(0.0, hz_to_mel(SR / 2), 128 + 2))[1:-1]
     assert np.all(np.diff(centers) > 0)
-    fb = mel_filterbank(128, 1024, SR)
+    fb = mel_filterbank(128)
     peak_bins = fb.argmax(axis=1)
     assert np.all(np.diff(peak_bins) >= 0)
 
 
 def test_mel_too_many_bands_for_fft():
     with pytest.raises(ConfigError):
-        mel_filterbank(256, 1024, SR)
+        mel_filterbank(256)
 
 
 def test_mel_requires_at_least_one_band():
     with pytest.raises(ConfigError):
-        mel_filterbank(0, 1024, SR)
+        mel_filterbank(0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,7 @@ def test_log_mel_scaling_shifts_by_log4():
 def test_log_mel_rejects_rate_mismatch():
     clip = AudioClip(samples=np.zeros(4096), sample_rate_hz=8000)
     with pytest.raises(ConfigError):
-        log_mel(clip, FeatureConfig(sample_rate_hz=16000))
+        log_mel(clip, FeatureConfig())
 
 
 def test_log_mel_rejects_overflowing_power(tmp_path):
@@ -353,7 +354,7 @@ def test_extract_features_shape_and_normalize_toggle():
 
 
 def test_mel_filterbank_is_cached_and_read_only():
-    fb = mel_filterbank(32, 256, SR)
-    assert mel_filterbank(32, 256, SR) is fb
+    fb = mel_filterbank(32)
+    assert mel_filterbank(32) is fb
     with pytest.raises(ValueError):
         fb[0, 0] = 1.0

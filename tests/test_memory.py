@@ -8,6 +8,7 @@ import pytest
 from asdkit import _pool
 from asdkit.cli import train_machine
 from asdkit.config import RunConfig
+from asdkit.dsp import SAMPLE_RATE_HZ
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 N_CLIPS = 66
@@ -30,10 +31,9 @@ def traced_training(tmp_path_factory):
                                         supplementary=0))
     synth_generate(spec, tmp_path / "data", seed=3)
     config = RunConfig.from_dict({"features": {"n_mels": 64, "context_frames": 5},
-                                  "model": {"layer_dims": [320, 32, 8, 32, 320]},
                                   "train": {"epochs": 1}})
     f = config.features
-    n_vectors = N_CLIPS * f.vector_count(int(spec.clip_seconds * f.sample_rate_hz))
+    n_vectors = N_CLIPS * f.vector_count(int(spec.clip_seconds * SAMPLE_RATE_HZ))
 
     tracemalloc.start()
     try:

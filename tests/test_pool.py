@@ -19,7 +19,7 @@ from asdkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from asdkit.config import RunConfig
 from asdkit.dataset import load_manifest
 from asdkit.dsp import AudioClip, FeatureConfig, extract_features
-from asdkit.model import init_model, save_model
+from asdkit.model import default_layer_dims, init_model, save_model
 from asdkit.scoring import Threshold, save_thresholds
 
 from conftest import SMALL_MACHINE, fast_config
@@ -227,7 +227,8 @@ def test_pool_workers_reuse_their_heap_across_clips(tmp_path):
     config = RunConfig.from_dict({"seed": 0})
     model_dir = tmp_path / "model"
     model_dir.mkdir()
-    save_model(init_model(config.layer_dims, seed=0), model_dir / "model.aem")
+    save_model(init_model(default_layer_dims(config.features.feature_dim), seed=0),
+               model_dir / "model.aem")
     save_thresholds({"mse": Threshold(phi=1.0)}, model_dir / "thresholds.json")
     config.echo(model_dir / "config.yaml")
     script = ("import resource, sys\n"

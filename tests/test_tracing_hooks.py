@@ -34,7 +34,7 @@ def _real_calls() -> dict:
     return {
         "dsp.extract_features": (
             (AudioClip(0.1 * rng.standard_normal(4096), 16000),
-             FeatureConfig(n_fft=512, hop_length=256, n_mels=8, context_frames=4)), {}),
+             FeatureConfig(n_mels=8, context_frames=4)), {}),
         "model.forward": ((model, frames.reshape(3, 32)), {}),
         "model.gradient": ((model, frames.reshape(3, 32)), {}),
         "model.train": ((model, frames, TrainConfig(epochs=1, batch_size=4)),
