@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, _pool
 from ._io import atomic_write, make_dir, remove_stale, write_yaml
-from .config import MODE_ALIASES, RunConfig, normalize_mode, read_yaml
+from .config import MODE_ALIASES, RunConfig, normalize_mode, read_yaml, unknown_keys
 from .dataset import (DatasetManifest, MANIFEST_FILENAME, load_manifest,
                       scan_dataset)
 from .dsp import (HOP_LENGTH, N_FFT, SAMPLE_RATE_HZ, extract_features, frame_count,
@@ -44,7 +44,7 @@ from .scoring import (covariances_from_moments, fit_threshold, load_covariances,
                       load_thresholds, read_score_csv, residual_statistics,
                       save_covariances, save_thresholds, score_mahalanobis,
                       score_mse, write_score_csv, decide)
-from .synth import SynthSpec, synth_generate
+from .synth import SPEC_FILENAME, SynthSpec, synth_generate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,10 +100,14 @@ def _load_run(run_dir):
     """
     paths = _artifact_paths(run_dir)
     try:
-        config = RunConfig.from_dict(read_yaml(paths["config"], "config echo"))
+        data = read_yaml(paths["config"], "config echo")
+        stale = unknown_keys(data)  # keys an older asdkit wrote
+        config = None if stale else RunConfig.from_dict(data)
     except ConfigError as exc:
-        raise ModelFileError(f"{paths['config']}: {exc}; retrain the model, or delete "
-                             "the keys named here if they hold the old defaults") from exc
+        raise ModelFileError(f"{paths['config']}: {exc}; retrain the model") from exc
+    if stale:
+        raise ModelFileError(f"{paths['config']}: unknown config keys: {stale}; retrain the "
+                             "model, or delete these keys if they hold the old defaults")
     model = load_model(paths["model"])
     feature_dim = config.features.feature_dim
     if feature_dim != model.input_dim:
@@ -330,7 +334,7 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
 def _cmd_synth(args) -> int:
     spec = SynthSpec.from_yaml(args.spec)
     manifest = synth_generate(spec, args.out, seed=args.seed)
-    write_yaml(Path(args.out) / "synth_spec.yaml",
+    write_yaml(Path(args.out) / SPEC_FILENAME,
                {"command": "synth", "seed": args.seed, "spec": spec.to_dict()})
     print(f"wrote {len(manifest.records)} clips for "
           f"{len(manifest.machines())} machine(s) under {args.out}")

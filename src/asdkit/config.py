@@ -79,7 +79,7 @@ def read_yaml(path, what: str) -> dict:
     return data or {}
 
 
-def _unknown_keys(data: dict) -> list[str]:
+def unknown_keys(data: dict) -> list[str]:
     """Dotted names of the keys no section has ("run" is the echo's provenance)."""
     unknown = []
     for name, raw in data.items():
@@ -115,7 +115,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict, seed_override: int | None = None) -> "RunConfig":
         data = dict(data or {})
-        unknown = _unknown_keys(data)
+        unknown = unknown_keys(data)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         seed = _checked("seed", data.get("seed", 0), 0)

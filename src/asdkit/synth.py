@@ -33,6 +33,8 @@ from .dataset import ClipRecord, DatasetManifest, save_manifest, MANIFEST_FILENA
 from .dsp import SAMPLE_RATE_HZ, write_wav
 from .errors import ConfigError
 
+SPEC_FILENAME = "synth_spec.yaml"  # the spec echo the synth command writes beside the manifest
+
 _SPLIT_CODE = {"train": 1, "test": 2, "supplementary": 3}
 _DOMAIN_CODE = {"source": 1, "target": 2}
 _COND_CODE = {"normal": 1, "anomaly": 2, "clean": 3, "noise": 4}
@@ -74,11 +76,13 @@ class SynthSpec:
             raise ConfigError(f"clip_seconds must be positive, got {self.clip_seconds}")
         if not self.machines:
             raise ConfigError("spec declares no machines")
+        own_files = (MANIFEST_FILENAME, SPEC_FILENAME)  # written at the root via <name>.tmp
         for i, name in enumerate(self.machines):  # each names a directory under --out
             if (name in ("", ".", "..", *self.machines[:i]) or Path(name).name != name
-                    or "\0" in name):
+                    or "\0" in name or name.removesuffix(".tmp") in own_files):
                 raise ConfigError(f"spec.machines[{i}]: {name!r} must be one path component, "
-                                  "not '.' or '..', and name no other machine")
+                                  f"not '.', '..', {MANIFEST_FILENAME!r} or {SPEC_FILENAME!r}, "
+                                  "and name no other machine")
         counts = [c.source_train, c.target_train, c.test_normal_source,
                   c.test_normal_target, c.test_anomaly_source,
                   c.test_anomaly_target, c.supplementary]

@@ -106,10 +106,18 @@ def test_synth_command_invalid_spec(tmp_path):
     ("machines: ['']\n", "spec.machines[0]: '' must be one path component"),
     ("machines: [fan, a/b]\n", "spec.machines[1]: 'a/b' must be one path component"),
     ('machines: ["a\\0b"]\n', "spec.machines[0]: 'a\\x00b' must be one path component"),
+    # the manifest and the spec echo are files at the dataset root
+    ("machines: [fan, manifest.csv]\n", "spec.machines[1]: 'manifest.csv' must be one path"),
+    ("machines: [manifest.csv.tmp]\n", "spec.machines[0]: 'manifest.csv.tmp' must be one"),
+    ("machines: [synth_spec.yaml]\n", "spec.machines[0]: 'synth_spec.yaml' must be one"),
+    # floats must be finite
+    ("clip_seconds: .nan\n", "spec.clip_seconds: expected float, got nan"),
+    ("clip_seconds: .inf\n", "spec.clip_seconds: expected float, got inf"),
 ], ids=["str-float", "counts-scalar", "range-scalar", "range-length", "float-count",
         "bad-yaml", "directory", "machines-string", "not-a-mapping", "machine-not-a-string",
         "machine-twice", "machine-outside-out", "machine-empty", "machine-nested",
-        "machine-nul"])
+        "machine-nul", "machine-manifest", "machine-manifest-tmp", "machine-spec-echo",
+        "clip-nan", "clip-inf"])
 def test_bad_synth_spec_exits_config(tmp_path, capsys, text, name):
     spec_path = tmp_path / "spec.yaml"
     if text is None:
@@ -711,7 +719,7 @@ def test_echo_with_removed_key_exits_artifact(trained_artifacts, tmp_path, capsy
         assert main(cmd) == EXIT_ARTIFACT, key
         err = capsys.readouterr().err
         assert f"{echo_path}: unknown config keys: ['{section}.{key}']" in err
-        assert "retrain" in err
+        assert "retrain the model, or delete these keys" in err
         assert not out_csv.exists()
     # deleting keys that hold the old defaults is enough
     copy_artifacts(paths, model_dir, ("config",))
@@ -719,20 +727,23 @@ def test_echo_with_removed_key_exits_artifact(trained_artifacts, tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", ["score", "macs"])
-@pytest.mark.parametrize("case", ["missing", "not-yaml", "dims"])
+@pytest.mark.parametrize("case", ["missing", "not-yaml", "bad-value", "dims"])
 def test_unusable_echo_exits_artifact(trained_artifacts, tmp_path, capsys, command, case):
     config, paths, root = trained_artifacts
     model_dir = copy_artifacts(paths, tmp_path / "model", ("model", "cov", "thresholds"))
     echo_path = model_dir / "config.yaml"
     if case == "not-yaml":
         echo_path.write_text("features: [unclosed\n")
+    if case == "bad-value":
+        echo_path.write_text("features: {n_mels: abc}\n")
     if case == "dims":  # 16 mels * 5 frames = 80 != model dim 160
         RunConfig.from_dict({"features": {"n_mels": 16}}).echo(echo_path)
     out_csv = tmp_path / "s.csv"
     assert main(on_run(command, model_dir, root, out_csv)) == EXIT_ARTIFACT
     err = capsys.readouterr().err
     assert str(echo_path) in err
-    assert ("feature dim 80" if case == "dims" else "retrain") in err
+    assert ("feature dim 80" if case == "dims" else "retrain the model") in err
+    assert "delete" not in err  # names no keys to delete
     assert not out_csv.exists()
 
 

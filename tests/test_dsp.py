@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from asdkit.config import from_mapping
+from asdkit.config import RunConfig
 from asdkit.dsp import (HOP_LENGTH, LOG_FLOOR, N_FFT, AudioClip, FeatureConfig,
                         extract_features, frame_count, hann_window, hz_to_mel,
                         log_mel, mel_filterbank, mel_to_hz, read_wav,
@@ -131,18 +131,19 @@ def test_stft_too_short():
 
 @pytest.mark.parametrize("params, match", [
     # the rate, STFT size and hop are fixed constants: any value is an unknown key
-    ({"n_fft": 1000, "hop_length": 500}, r"unknown features keys: \['hop_length', 'n_fft'\]"),
-    ({"hop_length": 2048}, r"unknown features keys: \['hop_length'\]"),
-    ({"hop_length": 0}, r"unknown features keys: \['hop_length'\]"),
-    ({"hop_length": -5}, r"unknown features keys: \['hop_length'\]"),
+    ({"n_fft": 1000, "hop_length": 500},
+     r"unknown config keys: \['features.hop_length', 'features.n_fft'\]"),
+    ({"hop_length": 2048}, r"unknown config keys: \['features.hop_length'\]"),
+    ({"hop_length": 0}, r"unknown config keys: \['features.hop_length'\]"),
+    ({"hop_length": -5}, r"unknown config keys: \['features.hop_length'\]"),
     ({"context_frames": 0}, "context_frames must be >= 1"),
-    ({"sample_rate_hz": 0}, r"unknown features keys: \['sample_rate_hz'\]"),
+    ({"sample_rate_hz": 0}, r"unknown config keys: \['features.sample_rate_hz'\]"),
     ({"n_mels": 256}, "mel filters cover no FFT bin"),
 ], ids=["n_fft-1000", "hop-2048", "hop-0", "hop-minus-5", "context-0", "rate-0",
         "n_mels-256"])
 def test_feature_config_rejects_bad_params(params, match):
     with pytest.raises(ConfigError, match=match):
-        from_mapping(FeatureConfig, params, "features")
+        RunConfig.from_dict({"features": params})
 
 
 def test_vector_count_matches_extracted_rows():
