@@ -16,8 +16,8 @@ from .dataset import (ClipRecord, DatasetManifest, load_attributes_csv,
 from .synth import SynthSpec, synth_generate
 from .model import (AeModel, TrainConfig, count_macs, forward, gradient,
                     init_model, load_model, save_model, train)
-from .scoring import (DomainCovariances, Threshold, decide, fit_threshold,
-                      identity_covariances, score_mahalanobis, score_mse)
+from .scoring import (DomainCovariances, decide, fit_threshold, identity_covariances,
+                      score_mahalanobis, score_mse)
 from .metrics import (MetricsReport, ScoredClip, ScoredTestSet, auc_domain,
                       build_report, official_score, pauc_section)
 from .config import RunConfig
@@ -31,8 +31,8 @@ __all__ = [
     "SynthSpec", "synth_generate",
     "AeModel", "TrainConfig", "count_macs", "forward", "gradient",
     "init_model", "load_model", "save_model", "train",
-    "DomainCovariances", "Threshold", "decide", "fit_threshold",
-    "identity_covariances", "score_mahalanobis", "score_mse",
+    "DomainCovariances", "decide", "fit_threshold", "identity_covariances",
+    "score_mahalanobis", "score_mse",
     "MetricsReport", "ScoredClip", "ScoredTestSet", "auc_domain",
     "build_report", "official_score", "pauc_section",
     "RunConfig",

@@ -2,12 +2,13 @@
 
 Exit codes are stable for scripting:
     0  success
-    2  configuration problem (bad flags, config or synth spec, unreadable table)
-    3  data problem (empty manifest, unknown machine, no train clips,
-       residual covariances that cannot be factored)
+    2  configuration problem (bad flags, config or synth spec, unreadable table,
+       an evaluate report that would overwrite its input)
+    3  data problem (empty manifest, unknown machine, no train clips, a bad
+       training clip, residual covariances that cannot be factored)
     4  artifact problem (missing/corrupt/non-finite model, covariance, thresholds
        or config echo, or an echo or covariance that does not fit the model)
-    5  scores and ground truth do not match up
+    5  scores and ground truth do not match up (or share no labeled test clip)
 
 Every command echoes its resolved configuration next to its outputs. Every
 artifact, CSV, report and echo is written atomically (temp + rename); an
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__, _pool
 from ._io import atomic_write, make_dir, remove_stale, write_yaml
-from .config import MODE_ALIASES, RunConfig, normalize_mode, read_yaml, unknown_keys
+from .config import RunConfig, read_yaml, unknown_keys
 from .dataset import (DatasetManifest, MANIFEST_FILENAME, load_manifest,
                       scan_dataset)
 from .dsp import (HOP_LENGTH, N_FFT, SAMPLE_RATE_HZ, extract_features, frame_count,
@@ -40,10 +41,10 @@ from .errors import (AsdkitError, ConfigError, DatasetError, MismatchError,
 from .metrics import (ScoredClip, ScoredTestSet, build_report,
                       load_reference_csv, render_report, write_report_csv)
 from .model import count_macs, default_layer_dims, init_model, load_model, save_model, train
-from .scoring import (covariances_from_moments, fit_threshold, load_covariances,
-                      load_thresholds, read_score_csv, residual_statistics,
-                      save_covariances, save_thresholds, score_mahalanobis,
-                      score_mse, write_score_csv, decide)
+from .scoring import (MODES, covariances_from_moments, decide, fit_threshold,
+                      load_covariances, load_thresholds, read_score_csv,
+                      residual_statistics, save_covariances, save_thresholds,
+                      score_mahalanobis, score_mse, write_score_csv)
 from .synth import SPEC_FILENAME, SynthSpec, synth_generate
 
 EXIT_OK = 0
@@ -186,8 +187,10 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     stacks each batch from it, and residual statistics and threshold scores
     stack and stream it clip by clip. Frame extraction and the Mahalanobis
     threshold scores run on the fork pool; the residual pass stays
-    in-process, since its merge order defines the covariance bytes. Returns
-    the artifact paths.
+    in-process, since its merge order defines the covariance bytes. The
+    previous run's artifacts are removed before the first new one is
+    written, so a run that fails part-way never leaves files of two runs.
+    Returns the artifact paths.
     """
     model0 = init_model(default_layer_dims(config.features.feature_dim), seed=config.seed)
     train_records = _machine_clips(data_root, machine, "train")
@@ -196,6 +199,8 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     model, history = train(model0, frames, config.train, rows)
 
     paths = _artifact_paths(out_dir)
+    for path in paths.values():
+        remove_stale(path)
     save_model(model, paths["model"])
     _write_loss_history(history, paths["loss"])
 
@@ -209,17 +214,15 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
         cov = covariances_from_moments(moments["source"], moments["target"])
         save_covariances(cov, paths["cov"])
     else:
-        remove_stale(paths["cov"])
         print("warning: missing a training domain; covariance file not written, "
               "mahalanobis mode will be unavailable", file=sys.stderr)
 
-    thresholds = {"mse": fit_threshold(mse_scores, split="train", mode="mse")}
+    thresholds = {"mse": fit_threshold(mse_scores)}
     if cov is not None:
         mah_scores = _pool.run(
             lambda clip: score_mahalanobis(model, vectors(clip[0], clip[1]), cov),
             clips, workers)
-        thresholds["mahalanobis"] = fit_threshold(mah_scores, split="train",
-                                                  mode="mahalanobis")
+        thresholds["mahalanobis"] = fit_threshold(mah_scores)
     save_thresholds(thresholds, paths["thresholds"])
     config.echo(paths["config"], extra={"command": "train", "machine": machine,
                                         "data_root": str(data_root)})
@@ -230,12 +233,12 @@ def score_machine(run_dir, data_root, machine: str, mode: str | None, out_csv):
     """Score every test clip of a machine with the model trained into run_dir,
     in mode (None: the echo's scoring.mode); returns (rows, row_errors)."""
     config, model, paths = _load_run(run_dir)
-    mode = normalize_mode(mode or config.mode)
+    mode = mode or config.mode
     thresholds = load_thresholds(paths["thresholds"])
     if mode not in thresholds:
         raise ModelFileError(f"no {mode!r} threshold in {paths['thresholds']}; a model "
                              "trained without a source or a target domain has only 'mse'")
-    threshold = thresholds[mode]
+    phi = thresholds[mode]
     cov = load_covariances(paths["cov"]) if mode == "mahalanobis" else None
     if cov is not None and cov.dim != model.input_dim:
         raise ModelFileError(f"{paths['cov']}: covariance dim {cov.dim} does not match "
@@ -258,7 +261,7 @@ def score_machine(run_dir, data_root, machine: str, mode: str | None, out_csv):
     rows, row_errors = [], []
     for rec, (score, error) in zip(records, _pool.run(score_clip, records, workers)):
         if error is None:
-            rows.append((rec.path, score, decide(score, threshold)))
+            rows.append((rec.path, score, decide(score, phi)))
         else:
             row_errors.append((rec.path, error))
     if row_errors:
@@ -287,6 +290,12 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
                     macs: int | None = None):
     """Join scores with ground truth, compute the report (pAUC at the paper's
     p = 0.1), write CSV + table."""
+    out_base = str(out_base)
+    outputs = {Path(out_base + ext).resolve() for ext in (".csv", ".txt", ".config.yaml")}
+    for flag, path in (("--scores", scores_csv), ("--manifest", manifest_path),
+                       ("--reference", reference_csv)):
+        if path is not None and Path(path).resolve() in outputs:
+            raise ConfigError(f"{flag} {path} is one of the files --out {out_base} writes")
     if macs is not None and macs < 0:
         raise ConfigError(f"--macs must be >= 0, got {macs}")
     scores_path = Path(scores_csv)
@@ -314,9 +323,11 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
         clips.append(ScoredClip(path=path, machine_type=rec.machine_type,
                                 section=rec.section, domain=rec.domain,
                                 condition=rec.condition, score=value))
+    if not clips:
+        raise MismatchError(f"none of the {len(score_rows)} clips in {scores_path} is a "
+                            f"labeled test clip in {truth_path}")
     reference = load_reference_csv(reference_csv) if reference_csv else None
     report = build_report(ScoredTestSet(clips), model_macs=macs, reference=reference)
-    out_base = str(out_base)
     write_report_csv(report, out_base + ".csv")
     with atomic_write(out_base + ".txt") as fh:
         fh.write(render_report(report))
@@ -412,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="training output directory")
     p.add_argument("--data-root", required=True)
     p.add_argument("--machine", required=True)
-    p.add_argument("--mode", default=None, choices=list(MODE_ALIASES),
+    p.add_argument("--mode", default=None, choices=MODES,
                    help="scoring mode (default: scoring.mode of the training run)")
     p.add_argument("--out", required=True, help="output scores CSV")
     p.set_defaults(fn=_cmd_score)

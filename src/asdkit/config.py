@@ -18,8 +18,6 @@ from .errors import ConfigError
 from .model import TrainConfig
 from .scoring import MODES
 
-MODE_ALIASES = {"mse": "mse", "mahala": "mahalanobis", "mahalanobis": "mahalanobis"}
-
 
 def _defaults(cls) -> dict:
     """Config keys of a dataclass and their defaults."""
@@ -108,7 +106,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.mode = normalize_mode(self.mode)
+        if self.mode not in MODES:
+            raise ConfigError(f"scoring.mode: expected one of {list(MODES)}, got {self.mode!r}")
         if self.seed < 0:  # numpy seeds take no negative value
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -138,11 +137,3 @@ class RunConfig:
         if extra:
             payload["run"] = extra
         write_yaml(path, payload)
-
-
-def normalize_mode(mode: str) -> str:
-    resolved = MODE_ALIASES.get(mode)
-    if resolved is None or resolved not in MODES:
-        raise ConfigError(f"unknown scoring mode {mode!r}; expected one of "
-                          f"{sorted(MODE_ALIASES)}")
-    return resolved

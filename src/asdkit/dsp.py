@@ -278,10 +278,11 @@ def log_mel(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     """log(max(mel_fb @ power_spectrogram, floor)), shape (n_mels, T), float32.
 
     Computed in float64 and rounded once to float32, the model's input dtype:
-    training and scoring both take their inputs from here. ConfigError, not a
-    numpy warning, if an entry is not finite (huge samples overflow)."""
+    training and scoring both take their inputs from here. WavFormatError (a
+    data problem) for a clip at another rate, and, not a numpy warning, if an
+    entry is not finite (huge samples overflow)."""
     if clip.sample_rate_hz != SAMPLE_RATE_HZ:
-        raise ConfigError(
+        raise WavFormatError(
             f"clip rate {clip.sample_rate_hz} Hz != {SAMPLE_RATE_HZ} Hz "
             f"({clip.source_path}); resampling is out of scope")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -289,8 +290,8 @@ def log_mel(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
         mel_power = mel_filterbank(config.n_mels) @ power
         values = np.log(np.maximum(mel_power, LOG_FLOOR))
     if not np.all(np.isfinite(values)):
-        raise ConfigError(f"log-mel spectrogram contains non-finite entries "
-                          f"({clip.source_path})")
+        raise WavFormatError(f"log-mel spectrogram contains non-finite entries "
+                             f"({clip.source_path})")
     return values.astype(np.float32)
 
 

@@ -28,7 +28,7 @@ import csv
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +39,10 @@ from .model import AeModel, forward
 MODES = ("mse", "mahalanobis")
 COV_MAGIC = b"ASDK-CV\x00"
 COV_VERSION = 2
-DEFAULT_RIDGE = 1e-3
+RIDGE = 1e-3
 # keeps the ridge term positive even when the sample covariance is all zero
 RIDGE_TRACE_FLOOR = 1e-12
-DEFAULT_PERCENTILE = 90.0
+THRESHOLD_PERCENTILE = 90.0
 
 
 @dataclass
@@ -61,14 +61,6 @@ class DomainCovariances:
     @property
     def dim(self) -> int:
         return self.whitening.shape[0]
-
-
-@dataclass
-class Threshold:
-    phi: float
-    percentile: float = DEFAULT_PERCENTILE
-    split: str = "train"
-    mode: str = "mse"
 
 
 def _residuals(model: AeModel, features: np.ndarray) -> np.ndarray:
@@ -170,11 +162,11 @@ class ResidualMoments:
         return sigma
 
 
-def _ridged_covariance(moments: ResidualMoments, ridge: float) -> np.ndarray:
-    """Sample covariance plus ridge * max(trace/D, floor) * I, in M2's buffer."""
+def _ridged_covariance(moments: ResidualMoments) -> np.ndarray:
+    """Sample covariance plus RIDGE * max(trace/D, floor) * I, in M2's buffer."""
     sigma = moments.covariance()
     mean_diag = float(np.trace(sigma)) / sigma.shape[0]
-    sigma.flat[::sigma.shape[0] + 1] += ridge * max(mean_diag, RIDGE_TRACE_FLOOR)
+    sigma.flat[::sigma.shape[0] + 1] += RIDGE * max(mean_diag, RIDGE_TRACE_FLOOR)
     return sigma
 
 
@@ -229,22 +221,20 @@ def joint_whitening(sigma_source: np.ndarray, sigma_target: np.ndarray):
     return c_inv.T @ u, scale
 
 
-def covariances_from_moments(source: ResidualMoments, target: ResidualMoments,
-                             ridge: float = DEFAULT_RIDGE) -> DomainCovariances:
+def covariances_from_moments(source: ResidualMoments,
+                             target: ResidualMoments) -> DomainCovariances:
     """Joint factorization of the ridged residual covariances of both domains.
 
     Covariance = mean-centered sample covariance (divisor N-1) plus
-    ridge * max(trace/D, floor) * I. The ridge keeps the target matrix
+    RIDGE * max(trace/D, floor) * I. The ridge keeps the target matrix
     invertible even with very few target-domain clips. Both are built in the
     moments' M2 buffers, so the moments are spent afterwards.
     """
-    if ridge <= 0:
-        raise ConfigError(f"ridge must be > 0, got {ridge}")
     n_source, n_target = source.n, target.n
-    whitening, target_scale = joint_whitening(_ridged_covariance(source, ridge),
-                                              _ridged_covariance(target, ridge))
+    whitening, target_scale = joint_whitening(_ridged_covariance(source),
+                                              _ridged_covariance(target))
     return DomainCovariances(whitening=whitening, target_scale=target_scale,
-                             ridge=ridge, n_source=n_source, n_target=n_target)
+                             ridge=RIDGE, n_source=n_source, n_target=n_target)
 
 
 def identity_covariances(dim: int) -> DomainCovariances:
@@ -253,21 +243,18 @@ def identity_covariances(dim: int) -> DomainCovariances:
                              ridge=0.0, n_source=0, n_target=0)
 
 
-def fit_threshold(training_scores, percentile: float = DEFAULT_PERCENTILE,
-                  split: str = "train", mode: str = "mse") -> Threshold:
-    """Empirical percentile (linear interpolation) of training-split scores."""
-    values = [float(s) for s in training_scores]
-    if not values:
+def fit_threshold(training_scores) -> float:
+    """phi: the THRESHOLD_PERCENTILE percentile (linear interpolation) of
+    training-split scores."""
+    values = np.asarray(training_scores, dtype=np.float64)
+    if values.size == 0:
         raise ConfigError("cannot fit a threshold on an empty score list")
-    if not (0.0 < percentile <= 100.0):
-        raise ConfigError(f"percentile must be in (0, 100], got {percentile}")
-    phi = float(np.percentile(np.asarray(values, dtype=np.float64), percentile))
-    return Threshold(phi=phi, percentile=percentile, split=split, mode=mode)
+    return float(np.percentile(values, THRESHOLD_PERCENTILE))
 
 
-def decide(score: float, threshold: Threshold) -> str:
+def decide(score: float, phi: float) -> str:
     """'anomaly' iff the score strictly exceeds phi, else 'normal'."""
-    return "anomaly" if score > threshold.phi else "normal"
+    return "anomaly" if score > phi else "normal"
 
 
 # ---------------------------------------------------------------------------
@@ -319,32 +306,29 @@ def load_covariances(path) -> DomainCovariances:
                              ridge=ridge, n_source=int(n_source), n_target=int(n_target))
 
 
-def save_thresholds(thresholds: dict[str, Threshold], path) -> None:
-    payload = {mode: asdict(t) for mode, t in thresholds.items()}
+def save_thresholds(thresholds: dict[str, float], path) -> None:
     with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(thresholds, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_thresholds(path) -> dict[str, Threshold]:
-    """Read thresholds.json: {mode: {phi, percentile, split, mode}}, phi finite."""
+def load_thresholds(path) -> dict[str, float]:
+    """Read thresholds.json: {mode: phi}, each phi a finite number."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (ValueError, OSError) as exc:
         raise ModelFileError(f"{path}: unreadable threshold file ({exc})") from exc
     if not isinstance(payload, dict):
-        raise ModelFileError(f"{path}: threshold file must map mode to threshold")
-    expected = {f.name for f in fields(Threshold)}
-    for mode, entry in payload.items():
-        if not isinstance(entry, dict) or set(entry) != expected:
-            raise ModelFileError(f"{path}: {mode!r} threshold must have exactly the "
-                                 f"fields {sorted(expected)}, got {entry!r}")
-        phi = entry["phi"]
+        raise ModelFileError(f"{path}: threshold file must map mode to phi")
+    for mode, phi in payload.items():
+        if isinstance(phi, dict):  # the {phi, percentile, split, mode} record of old runs
+            raise ModelFileError(f"{path}: {mode!r} threshold is in an older format; "
+                                 "retrain the model")
         if type(phi) not in (int, float) or not -math.inf < phi < math.inf:
-            raise ModelFileError(f"{path}: {mode!r} threshold phi {phi!r} is not "
+            raise ModelFileError(f"{path}: {mode!r} threshold {phi!r} is not "
                                  "a finite number")
-    return {mode: Threshold(**entry) for mode, entry in payload.items()}
+    return payload
 
 
 def write_score_csv(rows, path) -> None:

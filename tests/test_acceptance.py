@@ -119,15 +119,15 @@ def test_acceptance_3_mode_equivalence_end_to_end(small_dataset, tmp_path):
         save_covariances(identity_covariances(config.features.feature_dim),
                          out / "covariances.cov")
         scores = {}
-        for mode in ("mse", "mahala"):
+        for mode in ("mse", "mahalanobis"):
             csv_path = tmp_path / f"{mode}.csv"
             assert main(["score", "--model", str(out), "--data-root", str(root),
                          "--machine", SMALL_MACHINE, "--mode", mode,
                          "--out", str(csv_path)]) == 0
             scores[mode] = dict((p, v) for p, v, _ in read_score_csv(csv_path))
-        assert scores["mse"].keys() == scores["mahala"].keys()
+        assert scores["mse"].keys() == scores["mahalanobis"].keys()
         for path, mse_value in scores["mse"].items():
-            mah_value = scores["mahala"][path]
+            mah_value = scores["mahalanobis"][path]
             assert abs(mse_value - mah_value) <= 1e-6 * max(abs(mse_value),
                                                             abs(mah_value))
 

@@ -24,9 +24,10 @@ from asdkit.errors import (AsdkitError, ConfigError, DatasetError, InsufficientD
                            MismatchError, ModelFileError, TooShortError,
                            TrainingDivergedError, UndefinedMetricError, WavFormatError)
 from asdkit.model import DEFAULT_LAYER_DIMS, init_model, load_model, save_model
-from asdkit.scoring import (COV_MAGIC, identity_covariances, load_covariances,
-                            load_thresholds, read_score_csv, save_covariances,
-                            score_mahalanobis, score_mse, write_score_csv)
+from asdkit.scoring import (COV_MAGIC, MODES, THRESHOLD_PERCENTILE, identity_covariances,
+                            load_covariances, load_thresholds, read_score_csv,
+                            save_covariances, score_mahalanobis, score_mse,
+                            write_score_csv)
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 from conftest import SMALL_MACHINE, fast_config
@@ -307,6 +308,28 @@ def test_train_without_a_target_domain_removes_a_stale_covariance_file(
     assert not list(tmp_path.glob("s.csv*"))
 
 
+def test_failed_retrain_leaves_no_file_of_the_previous_run(small_dataset, tmp_path, capsys):
+    cfg = write_run_config(tmp_path / "cfg.yaml")
+    out = tmp_path / "out"
+    one_vector = tmp_path / "one_vector"  # a single target clip that stacks into K = 1
+    manifest = synth_generate(SynthSpec(clip_seconds=1.0, machines=[SMALL_MACHINE],
+                                        counts=SynthCounts(12, 1, 1, 1, 1, 1, 0)),
+                              one_vector, seed=2)
+    target = manifest.select(split="train", domain="target")[0].path
+    write_wav(one_vector / target, np.zeros(3072, dtype=np.int16), 16000)
+    train = ["train", "--config", str(cfg), "--machine", SMALL_MACHINE, "--out", str(out)]
+    assert main([*train, "--data-root", str(small_dataset[0])]) == EXIT_OK
+    assert main([*train, "--data-root", str(one_vector)]) == EXIT_DATA
+    assert "need at least 2 residual vectors per domain, got 1" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["loss_history.csv", "model.aem"]
+    out_csv = tmp_path / "s.csv"
+    assert main(["score", "--model", str(out), "--data-root", str(small_dataset[0]),
+                 "--machine", SMALL_MACHINE, "--mode", "mahalanobis",
+                 "--out", str(out_csv)]) == EXIT_ARTIFACT
+    assert f"{out / 'config.yaml'}: config echo not found" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_training_clips_scored_like_test_clips_give_the_stored_thresholds(
         trained_artifacts):
     # one feature path: read_wav -> extract_features is what training fitted phi on
@@ -319,8 +342,7 @@ def test_training_clips_scored_like_test_clips_give_the_stored_thresholds(
     scores = {"mse": [score_mse(model, feats) for feats in clips],
               "mahalanobis": [score_mahalanobis(model, feats, cov) for feats in clips]}
     for mode, values in scores.items():
-        threshold = thresholds[mode]
-        assert float(np.percentile(values, threshold.percentile)) == threshold.phi, mode
+        assert float(np.percentile(values, THRESHOLD_PERCENTILE)) == thresholds[mode], mode
 
 
 def test_train_without_config_matches_empty_config(small_dataset, tmp_path):
@@ -360,7 +382,9 @@ def write_silence(n_samples):
     (Path.unlink, "not a readable WAV file"),
     (write_silence(500), "500 samples"),  # shorter than one 1024-sample frame
     (write_silence(2048), "2048 samples"),  # 3 frames, fewer than the 5 stacked
-], ids=["missing", "shorter-than-a-frame", "fewer-frames-than-stacked"])
+    (lambda path: wavfile.write(path, 44100, np.zeros(44100, dtype=np.int16)),
+     "clip rate 44100 Hz != 16000 Hz"),  # a data problem, like any other bad clip
+], ids=["missing", "shorter-than-a-frame", "fewer-frames-than-stacked", "other-rate"])
 def test_bad_training_clip_exits_data_naming_it(small_dataset, tmp_path, capsys,
                                                 change, message):
     root = tmp_path / "data"
@@ -407,11 +431,14 @@ def test_bad_run_config_fails_before_training(small_dataset, tmp_path, capsys,
 def test_run_config_with_unknown_scoring_mode_exits_config(small_dataset, tmp_path,
                                                            capsys):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({"scoring": {"mode": "zscore"}}))
-    rc = main(["train", "--config", str(cfg), "--data-root", str(small_dataset[0]),
-               "--machine", SMALL_MACHINE, "--out", str(tmp_path / "out")])
-    assert rc == EXIT_CONFIG
-    assert "zscore" in capsys.readouterr().err
+    for mode in ("zscore", "mahala"):  # a mode has one name
+        cfg.write_text(yaml.safe_dump({"scoring": {"mode": mode}}))
+        rc = main(["train", "--config", str(cfg), "--data-root", str(small_dataset[0]),
+                   "--machine", SMALL_MACHINE, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert (f"scoring.mode: expected one of ['mse', 'mahalanobis'], got {mode!r}"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +464,15 @@ def test_score_command_modes_agree_with_identity_covariances(
     save_covariances(identity_covariances(dim), paths["cov"])
     try:
         outs = {}
-        for mode in ("mse", "mahala"):
+        for mode in ("mse", "mahalanobis"):
             out_csv = tmp_path / f"scores_{mode}.csv"
             assert main(["score", "--model", str(paths["model"].parent),
                          "--data-root", str(root), "--machine", SMALL_MACHINE,
                          "--mode", mode, "--out", str(out_csv)]) == EXIT_OK
             outs[mode] = {p: v for p, v, _ in read_score_csv(out_csv)}
-        assert outs["mse"].keys() == outs["mahala"].keys()
+        assert outs["mse"].keys() == outs["mahalanobis"].keys()
         for path in outs["mse"]:
-            a, b = outs["mse"][path], outs["mahala"][path]
+            a, b = outs["mse"][path], outs["mahalanobis"][path]
             assert abs(a - b) <= 1e-6 * max(abs(a), abs(b))
     finally:
         # restore fitted covariances for other tests sharing the fixture
@@ -460,7 +487,7 @@ def test_score_command_missing_covariance(trained_artifacts, tmp_path):
     try:
         rc = main(["score", "--model", str(paths["model"].parent),
                    "--data-root", str(root), "--machine", SMALL_MACHINE,
-                   "--mode", "mahala", "--out", str(tmp_path / "s.csv")])
+                   "--mode", "mahalanobis", "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_ARTIFACT
     finally:
         paths["cov"].write_bytes(cov_bytes)
@@ -487,7 +514,7 @@ def test_score_command_rejects_bad_covariance_file(trained_artifacts, tmp_path, 
         save_covariances(cov, cov_path)
     out_csv = tmp_path / "s.csv"
     rc = main(["score", "--model", str(model_dir), "--data-root", str(root),
-               "--machine", SMALL_MACHINE, "--mode", "mahala", "--out", str(out_csv)])
+               "--machine", SMALL_MACHINE, "--mode", "mahalanobis", "--out", str(out_csv)])
     assert rc == EXIT_ARTIFACT
     assert re.search(message, capsys.readouterr().err)
     assert not out_csv.exists()
@@ -509,7 +536,7 @@ def test_score_command_dimension_mismatch_fails_fast(trained_artifacts, tmp_path
 
     copy_artifacts(paths, model_dir, ("config",))
     save_covariances(identity_covariances(8), model_dir / paths["cov"].name)
-    assert main([*cmd, "--mode", "mahala"]) == EXIT_ARTIFACT
+    assert main([*cmd, "--mode", "mahalanobis"]) == EXIT_ARTIFACT
     assert "covariance dim 8" in capsys.readouterr().err
     assert not out_csv.exists()
 
@@ -594,7 +621,7 @@ def test_score_overflowing_wav_is_row_level(trained_artifacts, tmp_path, capsys)
     # finite float64 samples whose power spectrum overflows
     wavfile.write(root / victim, 16000, np.full(16000, 1e200))
     try:
-        for mode in ("mse", "mahala"):
+        for mode in ("mse", "mahalanobis"):
             out_csv = tmp_path / f"scores_{mode}.csv"
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
@@ -668,10 +695,40 @@ def test_score_mode_defaults_to_config_mode(trained_artifacts, tmp_path, source)
                      "--machine", SMALL_MACHINE, "--out", str(model_dir)]) == EXIT_OK
     cmd = ["score", "--model", str(model_dir), "--data-root", str(root),
            "--machine", SMALL_MACHINE]
-    assert main(cmd + ["--mode", "mahala", "--out", str(tmp_path / "explicit.csv")]) == EXIT_OK
+    assert main(cmd + ["--mode", "mahalanobis", "--out", str(tmp_path / "explicit.csv")]) == EXIT_OK
     assert main(cmd + ["--out", str(tmp_path / "default.csv")]) == EXIT_OK
     assert ((tmp_path / "default.csv").read_bytes()
             == (tmp_path / "explicit.csv").read_bytes())
+
+
+def test_score_mode_takes_exactly_the_modes(capsys):
+    argv = ["score", "--model", "run", "--data-root", "data", "--machine", "m",
+            "--out", "s.csv"]
+    for mode in MODES:
+        assert cli.build_parser().parse_args([*argv, "--mode", mode]).mode == mode
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--mode", "mahala"])
+    assert excinfo.value.code == EXIT_CONFIG
+    assert "invalid choice: 'mahala'" in capsys.readouterr().err
+
+
+def test_old_format_threshold_file_exits_artifact(trained_artifacts, tmp_path, capsys):
+    # thresholds.json once held a record per mode; phi alone is what a run needs
+    config, paths, root = trained_artifacts
+    model_dir = copy_artifacts(paths, tmp_path / "model")
+    thresholds_path = model_dir / "thresholds.json"
+    thresholds_path.write_text(json.dumps(
+        {mode: {"phi": phi, "percentile": 90.0, "split": "train", "mode": mode}
+         for mode, phi in load_thresholds(paths["thresholds"]).items()}))
+    out_csv = tmp_path / "s.csv"
+    for mode in MODES:
+        assert main(["score", "--model", str(model_dir), "--data-root", str(root),
+                     "--machine", SMALL_MACHINE, "--mode", mode,
+                     "--out", str(out_csv)]) == EXIT_ARTIFACT
+        err = capsys.readouterr().err
+        assert str(thresholds_path) in err
+        assert "threshold is in an older format; retrain the model" in err
+        assert not out_csv.exists()
 
 
 # keys that echoes written before they became constants hold, at their old defaults
@@ -880,6 +937,48 @@ def test_evaluate_duplicate_score_rows_exit_mismatch(small_dataset, tmp_path, ca
     assert (f"2 clips scored more than once in {scores_csv}: {twice[0]}, {thrice[0]}"
             in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == [scores_csv]
+
+
+def test_evaluate_without_a_labeled_test_clip_exits_mismatch(small_dataset, tmp_path,
+                                                             capsys):
+    root, manifest = small_dataset
+    scores_csv = tmp_path / "scores.csv"
+    write_score_csv([(rec.path, 1.0, "") for rec in manifest.select(split="train")],
+                    scores_csv)
+    rc = main(["evaluate", "--scores", str(scores_csv),
+               "--manifest", str(root / "manifest.csv"), "--out", str(tmp_path / "report")])
+    assert rc == EXIT_MISMATCH
+    assert (f"none of the 15 clips in {scores_csv} is a labeled test clip"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [scores_csv]
+
+
+@pytest.mark.parametrize("flag, suffix", [("--scores", ".csv"), ("--scores", ".txt"),
+                                          ("--manifest", ".config.yaml"),
+                                          ("--reference", ".csv")])
+def test_evaluate_out_over_an_input_exits_config(small_dataset, tmp_path, capsys,
+                                                 monkeypatch, flag, suffix):
+    root, manifest = small_dataset
+    inputs = {"--scores": tmp_path / "scores.csv", "--manifest": tmp_path / "manifest.csv",
+              "--reference": tmp_path / "reference.csv"}
+    write_score_csv(separated_scores(manifest, SMALL_MACHINE), inputs["--scores"])
+    shutil.copy(root / "manifest.csv", inputs["--manifest"])
+    inputs["--reference"].write_text(f"machine,auc_source,auc_target,pauc\n"
+                                     f"{SMALL_MACHINE},90,90,80\n")
+    inputs[flag] = inputs[flag].rename(tmp_path / f"report{suffix}")
+    before = {path: path.read_bytes() for path in inputs.values()}
+
+    def no_reads(path, *args):
+        raise AssertionError(f"read {path} before checking --out")
+    for reader in ("read_score_csv", "load_manifest", "load_reference_csv"):
+        monkeypatch.setattr(cli, reader, no_reads)
+    monkeypatch.chdir(tmp_path)  # the same file, named relative and absolute
+    rc = main(["evaluate", *[arg for f, p in inputs.items() for arg in (f, str(p))],
+               "--out", "report"])
+    assert rc == EXIT_CONFIG
+    assert f"{flag} {inputs[flag]} is one of the files --out report writes" in (
+        capsys.readouterr().err)
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_evaluate_missing_scores_file(small_dataset, tmp_path):

@@ -49,6 +49,10 @@ def test_float_keys_take_ints_and_numeric_strings(data, key, expected):
     pytest.param({"model": None}, r"unknown config keys: \['model'\]", id="unknown-model"),
     ({"model": {"layer_dims": 640}}, "model.layer_dims"),
     ({"train": [1, 2]}, "'train'"),
+    # a mode has one name
+    pytest.param({"scoring": {"mode": "mahala"}},
+                 r"scoring.mode: expected one of \['mse', 'mahalanobis'\], got 'mahala'",
+                 id="mode-alias"),
 ])
 def test_bad_config_value_names_key(data, name):
     with pytest.raises(ConfigError, match=name):

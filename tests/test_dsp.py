@@ -270,8 +270,9 @@ def test_log_mel_scaling_shifts_by_log4():
 
 
 def test_log_mel_rejects_rate_mismatch():
+    # a data problem, not a config one: the clip, not the run, is wrong
     clip = AudioClip(samples=np.zeros(4096), sample_rate_hz=8000)
-    with pytest.raises(ConfigError):
+    with pytest.raises(WavFormatError, match="clip rate 8000 Hz != 16000 Hz"):
         log_mel(clip, FeatureConfig())
 
 
@@ -281,7 +282,7 @@ def test_log_mel_rejects_overflowing_power(tmp_path):
     clip = read_wav(tmp_path / "loud.wav")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
-        with pytest.raises(ConfigError, match="non-finite"):
+        with pytest.raises(WavFormatError, match="non-finite"):
             log_mel(clip, FeatureConfig())
 
 
@@ -294,7 +295,7 @@ def test_non_finite_samples_are_rejected(tmp_path, value):
         read_wav(tmp_path / "bad.wav")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
-        with pytest.raises(ConfigError, match="non-finite"):
+        with pytest.raises(WavFormatError, match="non-finite"):
             log_mel(clip_of(samples), FeatureConfig())  # a directly built clip
 
 

@@ -15,12 +15,12 @@ import pytest
 from scipy.io import wavfile
 
 from asdkit import _pool
-from asdkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from asdkit.cli import EXIT_DATA, EXIT_OK, main
 from asdkit.config import RunConfig
 from asdkit.dataset import load_manifest
 from asdkit.dsp import AudioClip, FeatureConfig, extract_features
 from asdkit.model import default_layer_dims, init_model, save_model
-from asdkit.scoring import Threshold, save_thresholds
+from asdkit.scoring import save_thresholds
 
 from conftest import SMALL_MACHINE, fast_config
 
@@ -192,14 +192,14 @@ def test_pooled_training_writes_the_in_process_artifacts(small_dataset, tmp_path
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_non_finite_training_log_mel_exits_config_naming_the_clip(
+def test_non_finite_training_log_mel_exits_data_naming_the_clip(
         small_dataset, tmp_path, capsys, force_workers, workers):
     force_workers(workers)
     root = tmp_path / "data"
     shutil.copytree(small_dataset[0], root)
     victim = sorted(r.path for r in small_dataset[1].select(split="train"))[-1]
     wavfile.write(root / victim, 16000, np.full(16000, 1e200))
-    assert train(root, tmp_path / "out") == EXIT_CONFIG
+    assert train(root, tmp_path / "out") == EXIT_DATA
     err = capsys.readouterr().err
     assert "non-finite" in err and victim in err
     assert not (tmp_path / "out" / "model.aem").exists()
@@ -229,7 +229,7 @@ def test_pool_workers_reuse_their_heap_across_clips(tmp_path):
     model_dir.mkdir()
     save_model(init_model(default_layer_dims(config.features.feature_dim), seed=0),
                model_dir / "model.aem")
-    save_thresholds({"mse": Threshold(phi=1.0)}, model_dir / "thresholds.json")
+    save_thresholds({"mse": 1.0}, model_dir / "thresholds.json")
     config.echo(model_dir / "config.yaml")
     script = ("import resource, sys\n"
               "from asdkit import _pool\n"

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
+
+from asdkit.cli import build_parser
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -18,6 +21,26 @@ def readme_python_block(section: str) -> str:
     match = re.search(r"```python\n(.*?)```", text[start:], re.DOTALL)
     assert match, f"no python block under '## {section}'"
     return match.group(1)
+
+
+def readme_shell_block(section: str) -> str:
+    """The first ``` block under the README heading `## <section>`."""
+    text = README.read_text()
+    start = text.index(f"\n## {section}\n")
+    match = re.search(r"```\n(.*?)```", text[start:], re.DOTALL)
+    assert match, f"no code block under '## {section}'"
+    return match.group(1)
+
+
+def test_cli_walkthrough_parses():
+    # parsed only: a renamed command, flag or mode fails here, nothing is run
+    commands = [shlex.split(line)[1:] for line in
+                readme_shell_block("CLI walkthrough").splitlines()
+                if line.startswith("asdkit ")]
+    assert [argv[0] for argv in commands] == ["synth", "train", "score", "score",
+                                              "evaluate", "macs"]
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_library_use_example_runs(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from asdkit.errors import ConfigError, InsufficientDataError, ModelFileError
 from asdkit.model import forward, init_model
-from asdkit.scoring import (COV_MAGIC, COV_VERSION, DEFAULT_RIDGE, DomainCovariances, Threshold, decide,
+from asdkit.scoring import (COV_MAGIC, COV_VERSION, RIDGE, DomainCovariances, decide,
                             fit_threshold, identity_covariances, joint_whitening,
                             load_covariances, load_thresholds, mahalanobis_frame_scores,
                             read_score_csv, save_covariances, save_thresholds,
@@ -103,11 +103,11 @@ def test_mse_zero_residual_frame_scales_score_exactly():
 # ---------------------------------------------------------------------------
 # covariances
 
-def fit_covariances(model, source_features, target_features, ridge=DEFAULT_RIDGE):
+def fit_covariances(model, source_features, target_features):
     """Each domain's features taken as one batch: the fit train_machine streams."""
     _, moments = residual_statistics(
         model, [(source_features, "source"), (target_features, "target")])
-    return covariances_from_moments(moments["source"], moments["target"], ridge)
+    return covariances_from_moments(moments["source"], moments["target"])
 
 
 def inverses(cov):
@@ -131,20 +131,21 @@ def ridged(x, ridge):
 
 def test_covariance_hand_case():
     residuals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    ridge = 1e-9
-    cov = fit_covariances(zero_model(2), residuals, residuals, ridge=ridge)
+    cov = fit_covariances(zero_model(2), residuals, residuals)
     # sample covariance (divisor N-1) of the residuals is diag(2/3, 2/3)
+    expected = ridged(residuals, RIDGE)
+    assert np.allclose(expected, np.diag([2 / 3, 2 / 3]) * (1 + RIDGE), rtol=1e-12)
     for inv in inverses(cov):
         sigma = np.linalg.inv(inv)
-        assert np.allclose(sigma, np.diag([2 / 3, 2 / 3]), rtol=1e-6, atol=1e-9)
-    assert cov.n_source == 4 and cov.n_target == 4
+        assert np.allclose(sigma, expected, rtol=1e-6, atol=1e-9)
+    assert cov.n_source == 4 and cov.n_target == 4 and cov.ridge == RIDGE
 
 
 def test_covariance_inverse_contract(rng):
     model = init_model([5, 3, 5], seed=2, dtype=np.float64)
     src = rng.standard_normal((40, 5))
     tgt = rng.standard_normal((25, 5))
-    cov = fit_covariances(model, src, tgt, ridge=1e-3)
+    cov = fit_covariances(model, src, tgt)
     for inv in inverses(cov):
         sigma = np.linalg.inv(inv)
         assert np.allclose(sigma @ inv, np.eye(5), atol=1e-6)
@@ -163,10 +164,10 @@ def test_joint_factors_equal_ridged_inverses(dim, n_source, n_target):
     rng = np.random.default_rng(dim)
     src = rng.standard_normal((n_source, dim)) * rng.uniform(0.5, 2.0, dim) + 3.0
     tgt = rng.standard_normal((n_target, dim)) * rng.uniform(0.1, 5.0, dim) - 1.0
-    cov = fit_covariances(zero_model(dim), src, tgt, ridge=1e-3)
+    cov = fit_covariances(zero_model(dim), src, tgt)
     assert (cov.n_source, cov.n_target) == (n_source, n_target)
     for got, x in zip(inverses(cov), (src, tgt)):
-        expected = np.linalg.inv(ridged(x, 1e-3))
+        expected = np.linalg.inv(ridged(x, RIDGE))
         assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
@@ -192,9 +193,8 @@ def test_joint_whitening_rejects_non_positive_definite(sigma_source, sigma_targe
 
 def test_covariance_degenerate_equal_residuals():
     feats = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))  # all residuals equal
-    ridge = 1e-3
-    cov = fit_covariances(zero_model(3), feats, feats, ridge=ridge)
-    expected_diag = 1.0 / (ridge * RIDGE_TRACE_FLOOR)
+    cov = fit_covariances(zero_model(3), feats, feats)
+    expected_diag = 1.0 / (RIDGE * RIDGE_TRACE_FLOOR)
     for inv in inverses(cov):
         assert np.allclose(np.diag(inv), expected_diag, rtol=1e-6)
         off = inv - np.diag(np.diag(inv))
@@ -262,11 +262,6 @@ def test_covariances_spend_the_moments():
 def test_covariance_insufficient_data():
     with pytest.raises(InsufficientDataError):
         fit_covariances(zero_model(3), np.zeros((1, 3)), np.zeros((5, 3)))
-
-
-def test_covariance_rejects_bad_ridge():
-    with pytest.raises(ConfigError):
-        fit_covariances(zero_model(2), np.zeros((3, 2)), np.zeros((3, 2)), ridge=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,40 +377,36 @@ def test_threshold_interpolation_worked_example():
     scores = [float(i) for i in range(1, 101)]
     # oracle: rank position (n-1) * q = 89.1 -> s[89] + 0.1 * (s[90] - s[89])
     expected = scores[89] + 0.1 * (scores[90] - scores[89])
-    threshold = fit_threshold(scores, percentile=90)
-    assert threshold.phi == pytest.approx(expected, rel=1e-12)
+    phi = fit_threshold(scores)
+    assert type(phi) is float
+    assert phi == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(90.1)
 
 
 def test_threshold_degenerate_cases():
-    assert fit_threshold([3.5], percentile=25).phi == 3.5
-    assert fit_threshold([2.0, 2.0, 2.0], percentile=90).phi == 2.0
-    assert fit_threshold([1.0, 2.0], percentile=100).phi == 2.0
+    assert fit_threshold([3.5]) == 3.5
+    assert fit_threshold([2.0, 2.0, 2.0]) == 2.0
+    assert fit_threshold([1.0, 2.0]) == pytest.approx(1.9, rel=1e-12)
 
 
 def test_threshold_rejects_bad_inputs():
-    with pytest.raises(ConfigError):
-        fit_threshold([], percentile=90)
-    with pytest.raises(ConfigError):
-        fit_threshold([1.0], percentile=0.0)
-    with pytest.raises(ConfigError):
-        fit_threshold([1.0], percentile=101)
+    with pytest.raises(ConfigError, match="empty score list"):
+        fit_threshold([])
 
 
 def test_decide_strict_inequality():
-    threshold = Threshold(phi=1.0)
-    assert decide(2.0, threshold) == "anomaly"
-    assert decide(1.0, threshold) == "normal"
-    assert decide(0.5, threshold) == "normal"
+    assert decide(2.0, 1.0) == "anomaly"
+    assert decide(1.0, 1.0) == "normal"
+    assert decide(0.5, 1.0) == "normal"
 
 
 def test_decide_invariant_under_increasing_transform(rng):
     for _ in range(50):
         value = float(rng.uniform(0, 5))
         phi = float(rng.uniform(0, 5))
-        base = decide(value, Threshold(phi=phi))
+        base = decide(value, phi)
         for transform in (np.exp, lambda v: 3 * v + 7, lambda v: v**3 + v):
-            mapped = decide(float(transform(value)), Threshold(phi=float(transform(phi))))
+            mapped = decide(float(transform(value)), float(transform(phi)))
             assert mapped == base
 
 
@@ -496,14 +487,11 @@ def test_non_positive_target_scale_in_file_is_model_file_error(tmp_path, value):
 
 
 def test_threshold_file_roundtrip(tmp_path):
-    thresholds = {"mse": Threshold(phi=0.123, percentile=90.0),
-                  "mahalanobis": Threshold(phi=4.56, percentile=90.0,
-                                           mode="mahalanobis")}
+    thresholds = {"mse": 0.123, "mahalanobis": 4.56}
     path = tmp_path / "t.json"
     save_thresholds(thresholds, path)
-    loaded = load_thresholds(path)
-    assert loaded["mse"].phi == 0.123
-    assert loaded["mahalanobis"].phi == 4.56
+    assert path.read_text() == '{\n  "mahalanobis": 4.56,\n  "mse": 0.123\n}\n'
+    assert load_thresholds(path) == thresholds
     (tmp_path / "bad.json").write_text("{not json")
     with pytest.raises(ModelFileError):
         load_thresholds(tmp_path / "bad.json")
@@ -520,27 +508,31 @@ def test_score_csv_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("text", [
     "[]",
-    '{"mse": 0.5}',
+    "0.5",
+    # the record format of older asdkit versions, with and without its exact fields
     '{"mse": {"phi": 0.5, "percentile": 90.0, "split": "train", "mode": "mse", "x": 1}}',
     '{"mse": {"phi": 0.5, "split": "train", "mode": "mse"}}',
-    '{"mse": {"phi": NaN, "percentile": 90.0, "split": "train", "mode": "mse"}}',
-    '{"mse": {"phi": Infinity, "percentile": 90.0, "split": "train", "mode": "mse"}}',
-    '{"mse": {"phi": "0.5", "percentile": 90.0, "split": "train", "mode": "mse"}}',
-    '{"mse": {"phi": null, "percentile": 90.0, "split": "train", "mode": "mse"}}',
+    '{"mse": NaN}',
+    '{"mse": 0.5, "mahalanobis": Infinity}',
+    '{"mse": "0.5"}',
+    '{"mse": null}',
+    '{"mse": true}',
+    '{"mse": {"phi": 0.5, "percentile": 90.0, "split": "train", "mode": "mse"}}',
 ], ids=["list", "not-a-mapping", "unknown-field", "missing-field", "nan-phi",
-        "inf-phi", "string-phi", "null-phi"])
+        "inf-phi", "string-phi", "null-phi", "bool-phi", "old-record"])
 def test_corrupt_threshold_file_is_model_file_error(tmp_path, text):
     path = tmp_path / "thresholds.json"
     path.write_text(text)
-    with pytest.raises(ModelFileError, match="thresholds.json"):
+    with pytest.raises(ModelFileError, match="thresholds.json") as excinfo:
         load_thresholds(path)
+    assert ("older format; retrain the model" in str(excinfo.value)) == ("phi" in text)
 
 
 def test_threshold_file_of_exact_fields_loads(tmp_path):
+    # each mode maps to phi alone, and an int is a number too
     path = tmp_path / "thresholds.json"
-    path.write_text('{"mse": {"phi": 1, "percentile": 90.0, "split": "train", '
-                    '"mode": "mse"}}')
-    assert load_thresholds(path)["mse"].phi == 1
+    path.write_text('{"mahalanobis": 2.5, "mse": 1}')
+    assert load_thresholds(path) == {"mahalanobis": 2.5, "mse": 1}
 
 
 @pytest.mark.parametrize("value", ["abc", "", "nan", "inf", "-inf"])
