@@ -3,9 +3,9 @@
 Exit codes are stable for scripting:
     0  success
     2  configuration problem (bad flags, config or synth spec, unreadable table,
-       an evaluate report that would overwrite its input)
-    3  data problem (empty manifest, unknown machine, no train clips, a bad
-       training clip, residual covariances that cannot be factored)
+       an --out that would overwrite an input, a score --machine not the run's)
+    3  data problem (empty manifest, unknown machine, train clips lacking a
+       domain, a bad training clip, residual covariances that cannot be factored)
     4  artifact problem (missing/corrupt/non-finite model, covariance, thresholds
        or config echo, or an echo or covariance that does not fit the model)
     5  scores and ground truth do not match up (or share no labeled test clip)
@@ -94,7 +94,8 @@ def _artifact_paths(out_dir) -> dict[str, Path]:
 
 
 def _load_run(run_dir):
-    """(config, model, artifact paths) of a training run directory, checked to agree.
+    """(config, model, artifact paths, machine) of a training run directory,
+    checked to agree; machine is the echo's run.machine, None if it has none.
 
     The config.yaml echo is the only config that describes a run, so any
     problem with it is an artifact problem (ModelFileError) naming the file.
@@ -115,7 +116,8 @@ def _load_run(run_dir):
         raise ModelFileError(
             f"{paths['config']}: feature dim {feature_dim} (context_frames * n_mels) "
             f"does not match input dim {model.input_dim} of {paths['model']}")
-    return config, model, paths
+    run = data.get("run")
+    return config, model, paths, run.get("machine") if isinstance(run, dict) else None
 
 
 def _write_loss_history(history, path) -> None:
@@ -181,70 +183,77 @@ def _pcm_seconds(root: Path, records) -> float:
 def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     """Train the autoencoder for one machine and write all artifacts.
 
-    Trains on source+target train clips together, fits per-domain residual
+    Trains on source+target train clips together (a DatasetError before any
+    clip is read if either domain has none), fits per-domain residual
     covariances, and fits one threshold per scoring mode on the training
     scores. The only full-size array is the float32 frame store: training
     stacks each batch from it, and residual statistics and threshold scores
     stack and stream it clip by clip. Frame extraction and the Mahalanobis
     threshold scores run on the fork pool; the residual pass stays
-    in-process, since its merge order defines the covariance bytes. The
-    previous run's artifacts are removed before the first new one is
-    written, so a run that fails part-way never leaves files of two runs.
-    Returns the artifact paths.
+    in-process, since its merge order defines the covariance bytes. Only
+    once every artifact is computed are the previous run's five files
+    replaced, so a failed run leaves the previous one as it was.
     """
-    model0 = init_model(default_layer_dims(config.features.feature_dim), seed=config.seed)
     train_records = _machine_clips(data_root, machine, "train")
+    missing = [d for d in ("source", "target") if not any(r.domain == d for r in train_records)]
+    if missing:
+        raise DatasetError(f"machine {machine!r} has no train clips of the "
+                           f"{' or '.join(missing)} domain; training needs both")
     make_dir(out_dir)
     frames, rows, clips, workers = _feature_store(config, Path(data_root), train_records)
+    model0 = init_model(default_layer_dims(config.features.feature_dim), seed=config.seed)
     model, history = train(model0, frames, config.train, rows)
-
-    paths = _artifact_paths(out_dir)
-    for path in paths.values():
-        remove_stale(path)
-    save_model(model, paths["model"])
-    _write_loss_history(history, paths["loss"])
 
     def vectors(offset, t):
         return stack_frames(frames[offset:offset + t].T, config.features)
 
     mse_scores, moments = residual_statistics(
         model, ((vectors(o, t), domain) for o, t, domain in clips))
-    cov = None
-    if moments["source"].n and moments["target"].n:
-        cov = covariances_from_moments(moments["source"], moments["target"])
-        save_covariances(cov, paths["cov"])
-    else:
-        print("warning: missing a training domain; covariance file not written, "
-              "mahalanobis mode will be unavailable", file=sys.stderr)
+    cov = covariances_from_moments(moments["source"], moments["target"])
+    mah_scores = _pool.run(
+        lambda clip: score_mahalanobis(model, vectors(clip[0], clip[1]), cov), clips, workers)
+    thresholds = {"mse": fit_threshold(mse_scores), "mahalanobis": fit_threshold(mah_scores)}
 
-    thresholds = {"mse": fit_threshold(mse_scores)}
-    if cov is not None:
-        mah_scores = _pool.run(
-            lambda clip: score_mahalanobis(model, vectors(clip[0], clip[1]), cov),
-            clips, workers)
-        thresholds["mahalanobis"] = fit_threshold(mah_scores)
+    paths = _artifact_paths(out_dir)
+    for path in paths.values():
+        remove_stale(path)
+    save_model(model, paths["model"])
+    _write_loss_history(history, paths["loss"])
+    save_covariances(cov, paths["cov"])
     save_thresholds(thresholds, paths["thresholds"])
     config.echo(paths["config"], extra={"command": "train", "machine": machine,
                                         "data_root": str(data_root)})
     return paths
 
 
+def _refuse_overwrite(out, suffixes, inputs) -> None:
+    """ConfigError if out + a suffix resolves to an input path (of (flag, path) pairs)."""
+    outputs = {Path(f"{out}{ext}").resolve() for ext in suffixes}
+    for flag, path in inputs:
+        if path is not None and Path(path).resolve() in outputs:
+            raise ConfigError(f"{flag} {path} is one of the files --out {out} writes")
+
+
 def score_machine(run_dir, data_root, machine: str, mode: str | None, out_csv):
     """Score every test clip of a machine with the model trained into run_dir,
     in mode (None: the echo's scoring.mode); returns (rows, row_errors)."""
-    config, model, paths = _load_run(run_dir)
+    _refuse_overwrite(out_csv, ("", ".errors.csv", ".config.yaml"),
+                      [*(("--model", path) for path in _artifact_paths(run_dir).values()),
+                       ("--data-root", Path(data_root) / MANIFEST_FILENAME)])
+    config, model, paths, trained_on = _load_run(run_dir)
+    if not isinstance(trained_on, str):
+        raise ModelFileError(f"{paths['config']}: names no run.machine; retrain the model")
     mode = mode or config.mode
-    thresholds = load_thresholds(paths["thresholds"])
-    if mode not in thresholds:
-        raise ModelFileError(f"no {mode!r} threshold in {paths['thresholds']}; a model "
-                             "trained without a source or a target domain has only 'mse'")
-    phi = thresholds[mode]
+    phi = load_thresholds(paths["thresholds"])[mode]
     cov = load_covariances(paths["cov"]) if mode == "mahalanobis" else None
     if cov is not None and cov.dim != model.input_dim:
         raise ModelFileError(f"{paths['cov']}: covariance dim {cov.dim} does not match "
                              f"input dim {model.input_dim} of {paths['model']}")
 
     records = _machine_clips(data_root, machine, "test")
+    if trained_on != machine:  # after the lookup: a machine the dataset lacks exits 3
+        raise ConfigError(f"--machine {machine!r} is not {trained_on!r}, the machine "
+                          f"the run in {run_dir} was trained on")
     root = Path(data_root)
 
     def score_clip(rec):
@@ -291,11 +300,9 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
     """Join scores with ground truth, compute the report (pAUC at the paper's
     p = 0.1), write CSV + table."""
     out_base = str(out_base)
-    outputs = {Path(out_base + ext).resolve() for ext in (".csv", ".txt", ".config.yaml")}
-    for flag, path in (("--scores", scores_csv), ("--manifest", manifest_path),
-                       ("--reference", reference_csv)):
-        if path is not None and Path(path).resolve() in outputs:
-            raise ConfigError(f"{flag} {path} is one of the files --out {out_base} writes")
+    _refuse_overwrite(out_base, (".csv", ".txt", ".config.yaml"),
+                      [("--scores", scores_csv), ("--manifest", manifest_path),
+                       ("--reference", reference_csv)])
     if macs is not None and macs < 0:
         raise ConfigError(f"--macs must be >= 0, got {macs}")
     scores_path = Path(scores_csv)
@@ -381,7 +388,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_macs(args) -> int:
-    config, model, _ = _load_run(args.model)
+    config, model, _, _ = _load_run(args.model)
     per_vector = count_macs(model)
     f = config.features
     n = round(args.seconds * SAMPLE_RATE_HZ) if 0 < args.seconds < math.inf else 0

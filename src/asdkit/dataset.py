@@ -140,7 +140,7 @@ def scan_dataset(root_dir, role: str = "development") -> DatasetManifest:
 
     Expects <root>/<machine>/<subdir>/*.wav; the subdir name supplies the
     split when the filename carries no split token. Unparseable names go to
-    manifest.skipped. Raises DatasetError on an empty tree or duplicate paths.
+    manifest.skipped. Raises DatasetError on an empty tree.
     """
     root = Path(root_dir)
     if not root.is_dir():
@@ -150,7 +150,6 @@ def scan_dataset(root_dir, role: str = "development") -> DatasetManifest:
     wavs = sorted(root.rglob("*.wav"))
     if not wavs:
         raise DatasetError(f"no .wav files under {root}")
-    seen: Counter[str] = Counter()
     for wav in wavs:
         rel = wav.relative_to(root)
         if len(rel.parts) < 2:
@@ -180,10 +179,6 @@ def scan_dataset(root_dir, role: str = "development") -> DatasetManifest:
             skipped.append((str(rel), str(exc)))
             continue
         records.append(rec)
-        seen[str(rel)] += 1
-    dupes = [p for p, c in seen.items() if c > 1]
-    if dupes:
-        raise DatasetError(f"duplicate clip paths in manifest: {dupes[:5]}")
     if not records:
         raise DatasetError(f"no parseable .wav files under {root} "
                            f"({len(skipped)} skipped)")

@@ -256,8 +256,8 @@ def mel_filterbank(n_mels: int) -> np.ndarray:
     n_mels is too large for the FFT resolution (some filter would not cover
     any bin). Cached per n_mels, hence read-only.
     """
-    if n_mels < 1:
-        raise ConfigError(f"n_mels must be >= 1, got {n_mels}")
+    if not 1 <= n_mels <= N_FFT // 2 + 1:  # before the (n_mels, bins) arrays are allocated
+        raise ConfigError(f"n_mels must be in [1, {N_FFT // 2 + 1}], got {n_mels}")
     nyquist = SAMPLE_RATE_HZ / 2.0
     edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(nyquist), n_mels + 2))
     bin_hz = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE_HZ / N_FFT)

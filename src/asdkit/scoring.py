@@ -313,7 +313,7 @@ def save_thresholds(thresholds: dict[str, float], path) -> None:
 
 
 def load_thresholds(path) -> dict[str, float]:
-    """Read thresholds.json: {mode: phi}, each phi a finite number."""
+    """Read thresholds.json: {mode: phi} for exactly the MODES, each phi a finite number."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -328,6 +328,9 @@ def load_thresholds(path) -> dict[str, float]:
         if type(phi) not in (int, float) or not -math.inf < phi < math.inf:
             raise ModelFileError(f"{path}: {mode!r} threshold {phi!r} is not "
                                  "a finite number")
+    if sorted(payload) != sorted(MODES):
+        raise ModelFileError(f"{path}: threshold file must hold exactly the modes "
+                             f"{sorted(MODES)}, got {sorted(payload)}")
     return payload
 
 

@@ -279,36 +279,27 @@ def test_train_command_rerun_is_byte_identical(small_dataset, tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_train_without_a_target_domain_removes_a_stale_covariance_file(
-        small_dataset, tmp_path, capsys, monkeypatch):
+def test_train_without_a_domain_exits_data_before_reading_a_clip(tmp_path, capsys,
+                                                                 monkeypatch):
+    def no_clip_reads(path, *args):
+        raise AssertionError(f"read {path} before checking the domains")
+    monkeypatch.setattr(cli, "read_wav", no_clip_reads)
+    monkeypatch.setattr(cli, "wav_num_samples", no_clip_reads)
     cfg = write_run_config(tmp_path / "cfg.yaml")
     out = tmp_path / "out"
-    source_only = tmp_path / "source_only"
-    synth_generate(SynthSpec(clip_seconds=1.0, machines=[SMALL_MACHINE],
-                             counts=SynthCounts(12, 0, 1, 1, 1, 1, 0)), source_only, seed=2)
-    for root in (small_dataset[0], source_only):
+    for missing, counts in (("target", SynthCounts(12, 0, 1, 1, 1, 1, 0)),
+                            ("source", SynthCounts(0, 3, 1, 1, 1, 1, 0))):
+        root = tmp_path / f"no_{missing}"
+        synth_generate(SynthSpec(clip_seconds=1.0, machines=[SMALL_MACHINE], counts=counts),
+                       root, seed=2)
         assert main(["train", "--config", str(cfg), "--data-root", str(root),
-                     "--machine", SMALL_MACHINE, "--out", str(out)]) == EXIT_OK
-        if root == small_dataset[0]:
-            assert (out / "covariances.cov").exists()
-    assert "covariance file not written" in capsys.readouterr().err
-    assert not (out / "covariances.cov").exists()
-    assert set(json.loads((out / "thresholds.json").read_text())) == {"mse"}
-
-    def no_clip_reads(path, *args):
-        raise AssertionError(f"read {path} before checking the thresholds")
-    monkeypatch.setattr(cli, "read_wav", no_clip_reads)
-    out_csv = tmp_path / "s.csv"
-    assert main(["score", "--model", str(out), "--data-root", str(source_only),
-                 "--machine", SMALL_MACHINE, "--mode", "mahalanobis",
-                 "--out", str(out_csv)]) == EXIT_ARTIFACT
-    err = capsys.readouterr().err
-    assert "no 'mahalanobis' threshold" in err and "without a source or a target domain" in err
-    assert "covariance" not in err
-    assert not list(tmp_path.glob("s.csv*"))
+                     "--machine", SMALL_MACHINE, "--out", str(out)]) == EXIT_DATA
+        assert (f"machine {SMALL_MACHINE!r} has no train clips of the {missing} domain"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
-def test_failed_retrain_leaves_no_file_of_the_previous_run(small_dataset, tmp_path, capsys):
+def test_failed_retrain_leaves_the_previous_run_as_it_was(small_dataset, tmp_path, capsys):
     cfg = write_run_config(tmp_path / "cfg.yaml")
     out = tmp_path / "out"
     one_vector = tmp_path / "one_vector"  # a single target clip that stacks into K = 1
@@ -319,15 +310,15 @@ def test_failed_retrain_leaves_no_file_of_the_previous_run(small_dataset, tmp_pa
     write_wav(one_vector / target, np.zeros(3072, dtype=np.int16), 16000)
     train = ["train", "--config", str(cfg), "--machine", SMALL_MACHINE, "--out", str(out)]
     assert main([*train, "--data-root", str(small_dataset[0])]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(before) == 5
     assert main([*train, "--data-root", str(one_vector)]) == EXIT_DATA
     assert "need at least 2 residual vectors per domain, got 1" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["loss_history.csv", "model.aem"]
-    out_csv = tmp_path / "s.csv"
-    assert main(["score", "--model", str(out), "--data-root", str(small_dataset[0]),
-                 "--machine", SMALL_MACHINE, "--mode", "mahalanobis",
-                 "--out", str(out_csv)]) == EXIT_ARTIFACT
-    assert f"{out / 'config.yaml'}: config echo not found" in capsys.readouterr().err
-    assert not out_csv.exists()
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    for mode in MODES:
+        assert main(["score", "--model", str(out), "--data-root", str(small_dataset[0]),
+                     "--machine", SMALL_MACHINE, "--mode", mode,
+                     "--out", str(tmp_path / f"s_{mode}.csv")]) == EXIT_OK
 
 
 def test_training_clips_scored_like_test_clips_give_the_stored_thresholds(
@@ -410,8 +401,10 @@ def test_bad_training_clip_exits_data_naming_it(small_dataset, tmp_path, capsys,
     ({"features": {"n_fft": 1024}}, "unknown config keys: ['features.n_fft']"),
     ({"train": {"learning_rate": 1e-3}}, "unknown config keys: ['train.learning_rate']"),
     ({"features": {"n_mels": 256}}, "mel filters cover no FFT bin"),
+    # more bands than FFT bins is rejected before the filterbank is allocated
+    ({"features": {"n_mels": 100000000}}, "n_mels must be in [1, 513]"),
 ], ids=["percentile-150", "ridge-0", "zero-width-layer", "hop-0", "rate-0", "n_fft-1024",
-        "learning-rate-1e-3", "n_mels-256"])
+        "learning-rate-1e-3", "n_mels-256", "n_mels-1e8"])
 def test_bad_run_config_fails_before_training(small_dataset, tmp_path, capsys,
                                               monkeypatch, settings, message):
     def no_clip_reads(path, *args):
@@ -426,6 +419,19 @@ def test_bad_run_config_fails_before_training(small_dataset, tmp_path, capsys,
     assert rc == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_oversized_context_frames_exits_data_before_building_the_model(
+        small_dataset, tmp_path, capsys, monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("built a model of an unusable feature dim")
+    monkeypatch.setattr(cli, "init_model", no_model)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"features": {"n_mels": 32, "context_frames": 100000000}}))
+    rc = main(["train", "--config", str(cfg), "--data-root", str(small_dataset[0]),
+               "--machine", SMALL_MACHINE, "--out", str(tmp_path / "out")])
+    assert rc == EXIT_DATA
+    assert "fewer than 100000000 frames" in capsys.readouterr().err
 
 
 def test_run_config_with_unknown_scoring_mode_exits_config(small_dataset, tmp_path,
@@ -525,7 +531,8 @@ def test_score_command_dimension_mismatch_fails_fast(trained_artifacts, tmp_path
     config, paths, root = trained_artifacts
     model_dir = copy_artifacts(paths, tmp_path / "model", ("model", "thresholds", "config"))
     wrong = RunConfig.from_dict({"features": {"n_mels": 64, "context_frames": 5}})
-    wrong.echo(model_dir / "config.yaml")  # 64 mels * 5 frames = 320 != model dim 160
+    # 64 mels * 5 frames = 320 != model dim 160
+    wrong.echo(model_dir / "config.yaml", extra={"machine": SMALL_MACHINE})
     out_csv = tmp_path / "s.csv"
     cmd = ["score", "--model", str(model_dir), "--data-root", str(root),
            "--machine", SMALL_MACHINE, "--out", str(out_csv)]
@@ -687,7 +694,8 @@ def test_score_mode_defaults_to_config_mode(trained_artifacts, tmp_path, source)
     settings["scoring"]["mode"] = "mahalanobis"
     if source == "echo":  # an edited echo
         model_dir = copy_artifacts(paths, tmp_path / "model")
-        (model_dir / "config.yaml").write_text(yaml.safe_dump(settings))
+        echo = yaml.safe_load(paths["config"].read_text())
+        (model_dir / "config.yaml").write_text(yaml.safe_dump({**echo, **settings}))
     else:  # the mode train's --config set reaches score through the echo
         cfg, model_dir = tmp_path / "cfg.yaml", tmp_path / "model"
         cfg.write_text(yaml.safe_dump(settings))
@@ -729,6 +737,59 @@ def test_old_format_threshold_file_exits_artifact(trained_artifacts, tmp_path, c
         assert str(thresholds_path) in err
         assert "threshold is in an older format; retrain the model" in err
         assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("target", ["model.aem", "covariances.cov", "thresholds.json",
+                                    "loss_history.csv", "config.yaml", "manifest.csv"])
+def test_score_out_over_an_input_exits_config(trained_artifacts, tmp_path, capsys,
+                                              monkeypatch, target):
+    config, paths, root = trained_artifacts
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(root / "manifest.csv", data)
+    model_dir = copy_artifacts(paths, tmp_path / "model", tuple(paths))
+    before = {path: path.read_bytes() for path in [*model_dir.iterdir(), data / "manifest.csv"]}
+
+    def no_reads(path, *args):
+        raise AssertionError(f"read {path} before checking --out")
+    for reader in ("read_yaml", "load_model", "load_thresholds", "load_covariances",
+                   "load_manifest", "scan_dataset", "read_wav"):
+        monkeypatch.setattr(cli, reader, no_reads)
+    monkeypatch.chdir(tmp_path)  # the same file, named relative and absolute
+    out = f"{'data' if target == 'manifest.csv' else 'model'}/{target}"
+    flag = "--data-root" if target == "manifest.csv" else "--model"
+    rc = main(["score", "--model", str(model_dir), "--data-root", str(data),
+               "--machine", SMALL_MACHINE, "--out", out])
+    assert rc == EXIT_CONFIG
+    input_path = (data if target == "manifest.csv" else model_dir) / target
+    assert f"{flag} {input_path} is one of the files --out {out} writes" in (
+        capsys.readouterr().err)
+    assert {path: path.read_bytes() for path in before} == before
+    assert not list(tmp_path.glob("*/*.tmp"))
+
+
+def test_score_checks_the_machine_the_run_was_trained_on(trained_artifacts, tmp_path,
+                                                          capsys, monkeypatch):
+    config, paths, root = trained_artifacts
+    data = tmp_path / "data"  # the run's machine and another one
+    synth_generate(SynthSpec(clip_seconds=1.0, machines=[SMALL_MACHINE, "pump"],
+                             counts=SynthCounts(2, 1, 1, 1, 1, 1, 0)), data, seed=2)
+
+    def no_clip_reads(path, *args):
+        raise AssertionError(f"read {path} before checking --machine")
+    monkeypatch.setattr(cli, "read_wav", no_clip_reads)
+    model_dir = copy_artifacts(paths, tmp_path / "model")
+    out_csv = tmp_path / "s.csv"
+    score = ["score", "--model", str(model_dir), "--data-root", str(data),
+             "--out", str(out_csv)]
+    assert main([*score, "--machine", "pump"]) == EXIT_CONFIG
+    assert (f"--machine 'pump' is not {SMALL_MACHINE!r}, the machine the run in "
+            f"{model_dir} was trained on" in capsys.readouterr().err)
+    config.echo(model_dir / "config.yaml")  # an echo that names no machine
+    assert main([*score, "--machine", SMALL_MACHINE]) == EXIT_ARTIFACT
+    assert (f"{model_dir / 'config.yaml'}: names no run.machine; retrain the model"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("s.csv*"))
 
 
 # keys that echoes written before they became constants hold, at their old defaults

@@ -99,7 +99,9 @@ def test_every_committed_config_loads():
     specs = [p for p in paths if p.name.startswith("synth_")]
     run_configs = [p for p in paths if p not in specs]
     for path in specs:
-        SynthSpec.from_yaml(path)
+        counts = SynthSpec.from_yaml(path).counts
+        # train needs both domains, so every committed spec trains source and target
+        assert counts.source_train > 0 and counts.target_train > 0, path.name
     for path in run_configs:
         RunConfig.from_dict(yaml.safe_load(path.read_text()))
     assert sorted(p.name for p in run_configs) == ["default.yaml", "desk.yaml",

@@ -229,8 +229,8 @@ def test_pool_workers_reuse_their_heap_across_clips(tmp_path):
     model_dir.mkdir()
     save_model(init_model(default_layer_dims(config.features.feature_dim), seed=0),
                model_dir / "model.aem")
-    save_thresholds({"mse": 1.0}, model_dir / "thresholds.json")
-    config.echo(model_dir / "config.yaml")
+    save_thresholds({"mse": 1.0, "mahalanobis": 1.0}, model_dir / "thresholds.json")
+    config.echo(model_dir / "config.yaml", extra={"machine": "valve"})
     script = ("import resource, sys\n"
               "from asdkit import _pool\n"
               "_pool.worker_count = lambda items, audio_s: 2\n"

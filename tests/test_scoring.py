@@ -506,26 +506,38 @@ def test_score_csv_roundtrip(tmp_path):
     assert loaded == rows
 
 
-@pytest.mark.parametrize("text", [
-    "[]",
-    "0.5",
+OLD_FORMAT = "older format; retrain the model"
+NOT_FINITE = "is not a finite number"
+NOT_BOTH = "must hold exactly the modes ['mahalanobis', 'mse']"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "must map mode to phi"),
+    ("0.5", "must map mode to phi"),
     # the record format of older asdkit versions, with and without its exact fields
-    '{"mse": {"phi": 0.5, "percentile": 90.0, "split": "train", "mode": "mse", "x": 1}}',
-    '{"mse": {"phi": 0.5, "split": "train", "mode": "mse"}}',
-    '{"mse": NaN}',
-    '{"mse": 0.5, "mahalanobis": Infinity}',
-    '{"mse": "0.5"}',
-    '{"mse": null}',
-    '{"mse": true}',
-    '{"mse": {"phi": 0.5, "percentile": 90.0, "split": "train", "mode": "mse"}}',
+    ('{"mse": {"phi": 0.5, "percentile": 90.0, "split": "train", "mode": "mse", "x": 1}}',
+     OLD_FORMAT),
+    ('{"mse": {"phi": 0.5, "split": "train", "mode": "mse"}}', OLD_FORMAT),
+    ('{"mse": NaN, "mahalanobis": 1.0}', NOT_FINITE),
+    ('{"mse": 0.5, "mahalanobis": Infinity}', NOT_FINITE),
+    ('{"mse": "0.5", "mahalanobis": 1.0}', NOT_FINITE),
+    ('{"mse": null, "mahalanobis": 1.0}', NOT_FINITE),
+    ('{"mse": true, "mahalanobis": 1.0}', NOT_FINITE),
+    ('{"mse": {"phi": 0.5, "percentile": 90.0, "split": "train", "mode": "mse"}}',
+     OLD_FORMAT),
+    # a run holds both modes' phi, and no other
+    ('{"mse": 0.5}', NOT_BOTH),
+    ('{"mahalanobis": 0.5}', NOT_BOTH),
+    ('{"mse": 0.5, "mahalanobis": 1.0, "zscore": 2.0}', NOT_BOTH),
 ], ids=["list", "not-a-mapping", "unknown-field", "missing-field", "nan-phi",
-        "inf-phi", "string-phi", "null-phi", "bool-phi", "old-record"])
-def test_corrupt_threshold_file_is_model_file_error(tmp_path, text):
+        "inf-phi", "string-phi", "null-phi", "bool-phi", "old-record", "mse-only",
+        "mahalanobis-only", "extra-mode"])
+def test_corrupt_threshold_file_is_model_file_error(tmp_path, text, message):
     path = tmp_path / "thresholds.json"
     path.write_text(text)
     with pytest.raises(ModelFileError, match="thresholds.json") as excinfo:
         load_thresholds(path)
-    assert ("older format; retrain the model" in str(excinfo.value)) == ("phi" in text)
+    assert message in str(excinfo.value)
 
 
 def test_threshold_file_of_exact_fields_loads(tmp_path):
