@@ -1,12 +1,16 @@
-"""Atomic file output: every artifact, report and config echo is written here.
+"""File I/O: atomic output, and the one CSV table format asdkit reads and writes.
 
 A file is written to ``<path>.tmp`` and renamed over ``path`` only once the
 write has finished, so a reader never sees a half-written file and a failed
 write leaves an existing ``path`` as it was.
+
+Every CSV table (manifest, score CSV, errors CSV, loss history, report,
+reference table) is a header line, then rows with the header's field count.
 """
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager, suppress
 
@@ -55,3 +59,36 @@ def make_dir(path) -> None:
 def write_yaml(path, payload: dict) -> None:
     with atomic_write(path) as fh:
         yaml.safe_dump(payload, fh, sort_keys=False)
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table atomically: the header, then each row of fields."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path, what: str, columns) -> list[tuple[int, dict[str, str]]]:
+    """The rows of a CSV table as (line number, {column: field}), blank lines skipped.
+
+    A ConfigError names the file when it cannot be read, when its header
+    lacks one of columns, or when a row's field count is not the header's.
+    """
+    rows = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if not set(columns) <= set(header):
+                raise ConfigError(f"{path}: {what} needs columns {sorted(columns)}")
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    raise ConfigError(f"{path} line {reader.line_num}: {len(fields)} "
+                                      f"fields, the header has {len(header)}")
+                rows.append((reader.line_num, dict(zip(header, fields))))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    return rows

@@ -2,8 +2,9 @@
 
 Exit codes are stable for scripting:
     0  success
-    2  configuration problem (bad flags, config or synth spec, unreadable table,
-       an --out that would overwrite an input, a score --machine not the run's)
+    2  configuration problem (bad flags, config or synth spec, an unreadable or
+       malformed table, an --out that would overwrite an input, a score
+       --machine not the run's)
     3  data problem (empty manifest, unknown machine, train clips lacking a
        domain, a bad training clip, residual covariances that cannot be factored)
     4  artifact problem (missing/corrupt/non-finite model, covariance, thresholds
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import math
 import os
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _pool
-from ._io import atomic_write, make_dir, remove_stale, write_yaml
+from ._io import atomic_write, make_dir, remove_stale, write_table, write_yaml
 from .config import RunConfig, read_yaml, unknown_keys
 from .dataset import (DatasetManifest, MANIFEST_FILENAME, load_manifest,
                       scan_dataset)
@@ -41,9 +41,8 @@ from .errors import (AsdkitError, ConfigError, DatasetError, MismatchError,
 from .metrics import (ScoredClip, ScoredTestSet, build_report,
                       load_reference_csv, render_report, write_report_csv)
 from .model import count_macs, default_layer_dims, init_model, load_model, save_model, train
-from .scoring import (MODES, covariances_from_moments, decide, fit_threshold,
-                      load_covariances, load_thresholds, read_score_csv,
-                      residual_statistics, save_covariances, save_thresholds,
+from .scoring import (MODES, decide, fit_covariances, fit_threshold, load_covariances,
+                      load_thresholds, read_score_csv, save_covariances, save_thresholds,
                       score_mahalanobis, score_mse, write_score_csv)
 from .synth import SPEC_FILENAME, SynthSpec, synth_generate
 
@@ -118,14 +117,6 @@ def _load_run(run_dir):
             f"does not match input dim {model.input_dim} of {paths['model']}")
     run = data.get("run")
     return config, model, paths, run.get("machine") if isinstance(run, dict) else None
-
-
-def _write_loss_history(history, path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mse"])
-        for epoch, value in enumerate(history):
-            writer.writerow([epoch, repr(float(value))])
 
 
 def _feature_store(config: RunConfig, root: Path, records):
@@ -207,9 +198,8 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     def vectors(offset, t):
         return stack_frames(frames[offset:offset + t].T, config.features)
 
-    mse_scores, moments = residual_statistics(
+    mse_scores, cov = fit_covariances(
         model, ((vectors(o, t), domain) for o, t, domain in clips))
-    cov = covariances_from_moments(moments["source"], moments["target"])
     mah_scores = _pool.run(
         lambda clip: score_mahalanobis(model, vectors(clip[0], clip[1]), cov), clips, workers)
     thresholds = {"mse": fit_threshold(mse_scores), "mahalanobis": fit_threshold(mah_scores)}
@@ -218,7 +208,8 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     for path in paths.values():
         remove_stale(path)
     save_model(model, paths["model"])
-    _write_loss_history(history, paths["loss"])
+    write_table(paths["loss"], ["epoch", "mse"],
+                ([epoch, repr(float(value))] for epoch, value in enumerate(history)))
     save_covariances(cov, paths["cov"])
     save_thresholds(thresholds, paths["thresholds"])
     config.echo(paths["config"], extra={"command": "train", "machine": machine,
@@ -274,10 +265,7 @@ def score_machine(run_dir, data_root, machine: str, mode: str | None, out_csv):
         else:
             row_errors.append((rec.path, error))
     if row_errors:
-        with atomic_write(str(out_csv) + ".errors.csv", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["clip_path", "error"])
-            writer.writerows(row_errors)
+        write_table(str(out_csv) + ".errors.csv", ["clip_path", "error"], row_errors)
     else:
         remove_stale(str(out_csv) + ".errors.csv")
     if not rows:

@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._io import atomic_write
+from ._io import read_table, write_table
 from .errors import ConfigError, DatasetError
 
 DOMAINS = ("source", "target", "unknown")
@@ -229,38 +229,27 @@ def apply_attributes(manifest: DatasetManifest,
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for r in sorted(manifest.records, key=lambda r: r.path):
-            attr_text = ";".join(f"{k}={v}" for k, v in sorted(r.attributes.items()))
-            writer.writerow([r.machine_type, r.section, r.domain, r.split,
-                             r.condition, r.path, attr_text, manifest.role])
+    write_table(path, MANIFEST_COLUMNS, (
+        [r.machine_type, r.section, r.domain, r.split, r.condition, r.path,
+         ";".join(f"{k}={v}" for k, v in sorted(r.attributes.items())), manifest.role]
+        for r in sorted(manifest.records, key=lambda r: r.path)))
 
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     records = []
     roles = set()
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = set(MANIFEST_COLUMNS) - set(reader.fieldnames or [])
-            if missing:
-                raise DatasetError(f"{path}: manifest missing columns {sorted(missing)}")
-            for row in reader:
-                attributes = {}
-                if row["attributes"]:
-                    for item in row["attributes"].split(";"):
-                        k, _, v = item.partition("=")
-                        attributes[k] = v
-                records.append(ClipRecord(
-                    machine_type=row["machine_type"], section=row["section"],
-                    domain=row["domain"], split=row["split"], condition=row["condition"],
-                    path=row["path"], attributes=attributes))
-                roles.add(row["role"])
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
+    for _, row in read_table(path, "manifest", MANIFEST_COLUMNS):
+        attributes = {}
+        if row["attributes"]:
+            for item in row["attributes"].split(";"):
+                k, _, v = item.partition("=")
+                attributes[k] = v
+        records.append(ClipRecord(
+            machine_type=row["machine_type"], section=row["section"],
+            domain=row["domain"], split=row["split"], condition=row["condition"],
+            path=row["path"], attributes=attributes))
+        roles.add(row["role"])
     if not records:
         raise DatasetError(f"{path}: empty manifest")
     if len(roles) != 1:

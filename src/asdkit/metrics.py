@@ -17,16 +17,16 @@ comparisons as the brute-force double loop.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._io import atomic_write
+from ._io import read_table, write_table
 from .config import _checked
 from .errors import ConfigError, UndefinedMetricError
 
 DEFAULT_PAUC_P = 0.1
+METRICS = ("auc_source", "auc_target", "pauc")  # a section's metrics, in column order
 
 
 @dataclass
@@ -173,7 +173,7 @@ def build_report(scored: ScoredTestSet, model_macs: int | None = None,
             ref = reference[machine]
             row.reference = dict(ref)
             row.deltas = {key: 100.0 * metric_values[key] - ref[key]
-                          for key in ("auc_source", "auc_target", "pauc")
+                          for key in METRICS
                           if metric_values.get(key) is not None and key in ref}
         rows.append(row)
     if not rows:
@@ -190,24 +190,15 @@ def build_report(scored: ScoredTestSet, model_macs: int | None = None,
 def load_reference_csv(path) -> dict[str, dict[str, float]]:
     """Reference table: columns machine,auc_source,auc_target,pauc (percent)."""
     reference = {}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"machine", "auc_source", "auc_target", "pauc"}
-            if not needed <= set(reader.fieldnames or []):
-                raise ConfigError(f"{path}: reference CSV needs columns {sorted(needed)}")
-            for row in reader:
-                where = f"{path} line {reader.line_num}"
-                if row["machine"] in reference:
-                    raise ConfigError(f"{where}: machine {row['machine']!r} listed twice")
-                reference[row["machine"]] = {
-                    key: _checked(f"{where}: {key}", row[key], 0.0)
-                    for key in ("auc_source", "auc_target", "pauc")}
-                for key, value in reference[row["machine"]].items():
-                    if not 0.0 <= value <= 100.0:
-                        raise ConfigError(f"{where}: {key} {value} is not a percent in [0, 100]")
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read reference table {path}: {exc}") from exc
+    for line, row in read_table(path, "reference CSV", ["machine", *METRICS]):
+        where = f"{path} line {line}"
+        if row["machine"] in reference:
+            raise ConfigError(f"{where}: machine {row['machine']!r} listed twice")
+        reference[row["machine"]] = {key: _checked(f"{where}: {key}", row[key], 0.0)
+                                     for key in METRICS}
+        for key, value in reference[row["machine"]].items():
+            if not 0.0 <= value <= 100.0:
+                raise ConfigError(f"{where}: {key} {value} is not a percent in [0, 100]")
     return reference
 
 
@@ -217,27 +208,21 @@ def _pct(value: float | None) -> str:
 
 def write_report_csv(report: MetricsReport, path) -> None:
     has_ref = any(row.deltas for row in report.rows)
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["machine_type", "section", "auc_source", "auc_target", "pauc"]
+    header = ["machine_type", "section", *METRICS]
+    if has_ref:
+        header += [f"{kind}_{key}" for key in METRICS for kind in ("ref", "delta")]
+    rows = []
+    for row in report.rows:
+        ours = [getattr(row, key) for key in METRICS]
+        cells = [row.machine_type, row.section, *("" if v is None else repr(v) for v in ours)]
         if has_ref:
-            for key in ("auc_source", "auc_target", "pauc"):
-                header += [f"ref_{key}", f"delta_{key}"]
-        writer.writerow(header)
-        for row in report.rows:
-            cells = [row.machine_type, row.section,
-                     "" if row.auc_source is None else repr(row.auc_source),
-                     "" if row.auc_target is None else repr(row.auc_target),
-                     "" if row.pauc is None else repr(row.pauc)]
-            if has_ref:
-                for key, ours in (("auc_source", row.auc_source),
-                                  ("auc_target", row.auc_target),
-                                  ("pauc", row.pauc)):
-                    ref = (row.reference or {}).get(key)
-                    delta = (row.deltas or {}).get(key)
-                    cells += ["" if ref is None else f"{ref:.2f}",
-                              "" if delta is None else f"{delta:+.2f}"]
-            writer.writerow(cells)
+            for key in METRICS:
+                ref = (row.reference or {}).get(key)
+                delta = (row.deltas or {}).get(key)
+                cells += ["" if ref is None else f"{ref:.2f}",
+                          "" if delta is None else f"{delta:+.2f}"]
+        rows.append(cells)
+    write_table(path, header, rows)
 
 
 def render_report(report: MetricsReport) -> str:

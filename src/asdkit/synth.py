@@ -20,6 +20,7 @@ worker count.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import NamedTuple
@@ -51,6 +52,8 @@ _CLICK_AMP = 0.9
 _DETUNE_PROBABILITY = 0.5
 _DETUNE = 0.08  # relative pitch error of a detuned partial
 _PEAK = 0.98  # clips louder than this are scaled down to it
+# the largest 16-bit data chunk whose RIFF size, 36 + 2 * samples, fits a u32 (~37.3 h)
+_MAX_CLIP_SAMPLES = (2**32 - 1 - 36) // 2
 
 
 @dataclass
@@ -72,8 +75,10 @@ class SynthSpec:
 
     def validate(self) -> None:
         c = self.counts
-        if self.clip_seconds <= 0:
-            raise ConfigError(f"clip_seconds must be positive, got {self.clip_seconds}")
+        if not (math.isfinite(self.clip_seconds)
+                and 1 <= self.clip_samples <= _MAX_CLIP_SAMPLES):
+            raise ConfigError(f"spec.clip_seconds: {self.clip_seconds} s must give 1 to "
+                              f"{_MAX_CLIP_SAMPLES} samples at {SAMPLE_RATE_HZ} Hz")
         if not self.machines:
             raise ConfigError("spec declares no machines")
         own_files = (MANIFEST_FILENAME, SPEC_FILENAME)  # written at the root via <name>.tmp
@@ -90,6 +95,10 @@ class SynthSpec:
             raise ConfigError(f"negative clip counts: {c}")
         if sum(counts) == 0:
             raise ConfigError("spec produces zero clips")
+
+    @property
+    def clip_samples(self) -> int:
+        return round(self.clip_seconds * SAMPLE_RATE_HZ)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthSpec":
@@ -138,7 +147,7 @@ def _pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _tone(spec: SynthSpec, profile: _MachineProfile, domain: str,
           rng: np.random.Generator, detuned_harmonic: int | None = None) -> np.ndarray:
-    n = int(round(spec.clip_seconds * SAMPLE_RATE_HZ))
+    n = spec.clip_samples
     t = np.arange(n) / SAMPLE_RATE_HZ
     f0 = profile.f0_hz * (profile.target_f0_factor if domain == "target" else 1.0)
     f0 *= 1.0 + rng.uniform(-0.005, 0.005)  # per-clip pitch jitter
@@ -190,7 +199,7 @@ def _render_supplementary(spec: SynthSpec, profile: _MachineProfile, kind: str,
     if kind == "clean":
         return _clamp_peak(_tone(spec, profile, "source", rng))
     return _clamp_peak(
-        0.05 * _pink_noise(int(round(spec.clip_seconds * SAMPLE_RATE_HZ)), rng))
+        0.05 * _pink_noise(spec.clip_samples, rng))
 
 
 class _Job(NamedTuple):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import random
 import re
 import shutil
 import struct
@@ -12,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from asdkit import cli
@@ -114,11 +117,14 @@ def test_synth_command_invalid_spec(tmp_path):
     # floats must be finite
     ("clip_seconds: .nan\n", "spec.clip_seconds: expected float, got nan"),
     ("clip_seconds: .inf\n", "spec.clip_seconds: expected float, got inf"),
+    # a clip holds 1 sample to the most a 16-bit WAV's u32 RIFF size can count
+    ("clip_seconds: 0.00001\n", "spec.clip_seconds: 1e-05 s must give 1 to 2147483629 samples"),
+    ("clip_seconds: 1.0e9\n", "spec.clip_seconds: 1000000000.0 s must give 1 to 2147483629"),
 ], ids=["str-float", "counts-scalar", "range-scalar", "range-length", "float-count",
         "bad-yaml", "directory", "machines-string", "not-a-mapping", "machine-not-a-string",
         "machine-twice", "machine-outside-out", "machine-empty", "machine-nested",
         "machine-nul", "machine-manifest", "machine-manifest-tmp", "machine-spec-echo",
-        "clip-nan", "clip-inf"])
+        "clip-nan", "clip-inf", "clip-zero-samples", "clip-too-long"])
 def test_bad_synth_spec_exits_config(tmp_path, capsys, text, name):
     spec_path = tmp_path / "spec.yaml"
     if text is None:
@@ -1091,6 +1097,62 @@ def test_evaluate_unreadable_table_exits_config(small_dataset, tmp_path, capsys,
     if case == "nan-score":
         assert f"line 3: score 'nan' of {rows[1][0]!r}" in err
     assert not (tmp_path / "report.csv").exists()
+
+
+TABLE_MUTATIONS = ("cut", "drop-field", "add-field", "swap-fields", "blank",
+                   "stray-quote", "duplicate", "permute-header")
+
+
+def mangle(text: str, mutation: str, i: int, j: int) -> str:
+    """text with one mutation at line i % lines (the header for permute-header);
+    j picks the field, character position or permutation. No field is quoted."""
+    lines = text.splitlines()
+    row = 0 if mutation == "permute-header" else i % len(lines)
+    line = lines[row]
+    fields = line.split(",")
+    k = j % len(fields)
+    if mutation == "cut":  # the file ends partway through the line
+        lines[row:] = [line[:j % (len(line) + 1)]]
+    elif mutation == "drop-field":
+        del fields[k]
+    elif mutation == "add-field":
+        fields.insert(k, "x")
+    elif mutation == "swap-fields":
+        fields[k - 1], fields[k] = fields[k], fields[k - 1]
+    elif mutation == "blank":
+        lines[row] = ""
+    elif mutation == "stray-quote":
+        at = j % (len(line) + 1)
+        lines[row] = line[:at] + '"' + line[at:]
+    elif mutation == "duplicate":
+        lines.insert(row, line)
+    elif mutation == "permute-header":
+        random.Random(j).shuffle(fields)
+    if mutation in ("drop-field", "add-field", "swap-fields", "permute-header"):
+        lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@given(table=st.sampled_from(["manifest", "scores", "reference"]),
+       mutation=st.sampled_from(TABLE_MUTATIONS),
+       i=st.integers(0, 40), j=st.integers(0, 200))
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mangled_table_gives_an_exit_code(small_dataset, tmp_path, table, mutation, i, j):
+    root, manifest = small_dataset
+    scores_csv = tmp_path / "scores.csv"
+    write_score_csv(separated_scores(manifest, SMALL_MACHINE), scores_csv)
+    texts = {"manifest": (root / "manifest.csv").read_text(),
+             "scores": scores_csv.read_text(),
+             "reference": f"machine,auc_source,auc_target,pauc\n{SMALL_MACHINE},90,90,80\n"}
+    texts[table] = mangle(texts[table], mutation, i, j)
+    for name, text in texts.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    rc = main(["evaluate", "--scores", str(tmp_path / "scores.csv"),
+               "--manifest", str(tmp_path / "manifest.csv"),
+               "--reference", str(tmp_path / "reference.csv"),
+               "--out", str(tmp_path / "report")])
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH)
 
 
 def test_evaluate_negative_macs_exits_config(small_dataset, tmp_path, capsys):

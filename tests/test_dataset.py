@@ -220,7 +220,7 @@ def test_manifest_roundtrip(tmp_path, small_dataset):
 def test_manifest_load_rejects_missing_columns(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("machine_type,path\nfan,x.wav\n")
-    with pytest.raises(DatasetError):
+    with pytest.raises(ConfigError, match="manifest needs columns"):
         load_manifest(path)
 
 

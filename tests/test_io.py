@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import ast
+import csv
+import io
 from pathlib import Path
 
 import pytest
 
 import asdkit
-from asdkit._io import atomic_write
+from asdkit._io import atomic_write, read_table, write_table
+from asdkit.errors import ConfigError
 
 SRC = Path(asdkit.__file__).parent
 
@@ -77,3 +80,56 @@ def test_every_file_write_goes_through_atomic_write():
                  if path.name != "_io.py"
                  and (lines := _file_writes(path.read_text()))}
     assert offenders == {}
+
+
+def test_write_table_bytes_equal_csv_writer(tmp_path):
+    header = ["clip_path", "score", "note"]
+    rows = [["a.wav", "0.1", ""], ["b,c.wav", "2.5", 'say "hi"'], ["d.wav", "", "x\ny"]]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_table(tmp_path / "t.csv", header, iter(rows))
+    assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode()
+
+
+def test_read_table_rows_with_line_numbers_and_blank_lines_skipped(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n1,2,3\n\n\n4,,6\n")
+    assert read_table(path, "table", ["c", "a"]) == [
+        (2, {"a": "1", "b": "2", "c": "3"}), (5, {"a": "4", "b": "", "c": "6"})]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b,c\n1,2,3\n4,5\n", "t.csv line 3: 2 fields, the header has 3"),
+    ("a,b,c\n1,2,3,4\n", "t.csv line 2: 4 fields, the header has 3"),
+    ("a,c\n1,3\n", "t.csv: table needs columns ['a', 'b']"),
+    ("", "t.csv: table needs columns ['a', 'b']"),
+], ids=["short-row", "long-row", "missing-column", "empty-file"])
+def test_read_table_rejects_a_malformed_table(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message.replace("[", r"\[")):
+        read_table(path, "table", ["a", "b"])
+
+
+def test_read_table_of_an_unreadable_file_names_it(tmp_path):
+    with pytest.raises(ConfigError, match=f"cannot read table {tmp_path}"):
+        read_table(tmp_path, "table", ["a"])
+
+
+def _imported_modules(source: str) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+def test_csv_is_read_and_written_only_in_io():
+    # dataset.py keeps csv for attribute CSVs, whose rows are ragged by format
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if "csv" in _imported_modules(path.read_text())]
+    assert users == ["_io.py", "dataset.py"]

@@ -13,8 +13,7 @@ from asdkit.scoring import (COV_MAGIC, COV_VERSION, RIDGE, DomainCovariances, de
                             load_covariances, load_thresholds, mahalanobis_frame_scores,
                             read_score_csv, save_covariances, save_thresholds,
                             score_mahalanobis, score_mse, write_score_csv,
-                            RIDGE_TRACE_FLOOR, ResidualMoments,
-                            covariances_from_moments, residual_statistics)
+                            RIDGE_TRACE_FLOOR, ResidualMoments, fit_covariances)
 
 
 def zero_model(dim):
@@ -103,11 +102,9 @@ def test_mse_zero_residual_frame_scales_score_exactly():
 # ---------------------------------------------------------------------------
 # covariances
 
-def fit_covariances(model, source_features, target_features):
-    """Each domain's features taken as one batch: the fit train_machine streams."""
-    _, moments = residual_statistics(
-        model, [(source_features, "source"), (target_features, "target")])
-    return covariances_from_moments(moments["source"], moments["target"])
+def batch_fit(model, source_features, target_features):
+    """The fit train_machine streams, with each domain's features as one batch."""
+    return fit_covariances(model, [(source_features, "source"), (target_features, "target")])[1]
 
 
 def inverses(cov):
@@ -131,7 +128,7 @@ def ridged(x, ridge):
 
 def test_covariance_hand_case():
     residuals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    cov = fit_covariances(zero_model(2), residuals, residuals)
+    cov = batch_fit(zero_model(2), residuals, residuals)
     # sample covariance (divisor N-1) of the residuals is diag(2/3, 2/3)
     expected = ridged(residuals, RIDGE)
     assert np.allclose(expected, np.diag([2 / 3, 2 / 3]) * (1 + RIDGE), rtol=1e-12)
@@ -145,7 +142,7 @@ def test_covariance_inverse_contract(rng):
     model = init_model([5, 3, 5], seed=2, dtype=np.float64)
     src = rng.standard_normal((40, 5))
     tgt = rng.standard_normal((25, 5))
-    cov = fit_covariances(model, src, tgt)
+    cov = batch_fit(model, src, tgt)
     for inv in inverses(cov):
         sigma = np.linalg.inv(inv)
         assert np.allclose(sigma @ inv, np.eye(5), atol=1e-6)
@@ -164,7 +161,7 @@ def test_joint_factors_equal_ridged_inverses(dim, n_source, n_target):
     rng = np.random.default_rng(dim)
     src = rng.standard_normal((n_source, dim)) * rng.uniform(0.5, 2.0, dim) + 3.0
     tgt = rng.standard_normal((n_target, dim)) * rng.uniform(0.1, 5.0, dim) - 1.0
-    cov = fit_covariances(zero_model(dim), src, tgt)
+    cov = batch_fit(zero_model(dim), src, tgt)
     assert (cov.n_source, cov.n_target) == (n_source, n_target)
     for got, x in zip(inverses(cov), (src, tgt)):
         expected = np.linalg.inv(ridged(x, RIDGE))
@@ -193,7 +190,7 @@ def test_joint_whitening_rejects_non_positive_definite(sigma_source, sigma_targe
 
 def test_covariance_degenerate_equal_residuals():
     feats = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))  # all residuals equal
-    cov = fit_covariances(zero_model(3), feats, feats)
+    cov = batch_fit(zero_model(3), feats, feats)
     expected_diag = 1.0 / (RIDGE * RIDGE_TRACE_FLOOR)
     for inv in inverses(cov):
         assert np.allclose(np.diag(inv), expected_diag, rtol=1e-6)
@@ -240,10 +237,9 @@ def test_covariances_from_streamed_clips_equal_batch_fit(rng):
     clips = [(rng.standard_normal((k, 5)), domain)
              for k, domain in [(7, "source"), (1, "target"), (12, "source"),
                                (4, "unknown"), (5, "target"), (3, "source")]]
-    scores, moments = residual_statistics(model, clips)
+    scores, streamed = fit_covariances(model, clips)
     assert scores == [score_mse(model, feats) for feats, _ in clips]
-    streamed = covariances_from_moments(moments["source"], moments["target"])
-    batch = fit_covariances(
+    batch = batch_fit(
         model, np.vstack([f for f, d in clips if d == "source"]),
         np.vstack([f for f, d in clips if d == "target"]))
     assert (streamed.n_source, streamed.n_target) == (22, 6)
@@ -261,7 +257,7 @@ def test_covariances_spend_the_moments():
 
 def test_covariance_insufficient_data():
     with pytest.raises(InsufficientDataError):
-        fit_covariances(zero_model(3), np.zeros((1, 3)), np.zeros((5, 3)))
+        batch_fit(zero_model(3), np.zeros((1, 3)), np.zeros((5, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +311,7 @@ def test_mahalanobis_equals_reference_forms(dim):
     # on the inverses the factors stand for
     rng = np.random.default_rng(dim)
     model = init_model([dim, 4, dim], seed=7, dtype=np.float64)
-    cov = fit_covariances(model, rng.standard_normal((3 * dim, dim)) * rng.uniform(0.5, 2, dim),
+    cov = batch_fit(model, rng.standard_normal((3 * dim, dim)) * rng.uniform(0.5, 2, dim),
                           rng.standard_normal((dim // 2, dim)))
     inv_s, inv_t = inverses(cov)
     for _ in range(5):
