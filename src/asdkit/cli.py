@@ -102,7 +102,8 @@ def _load_run(run_dir):
     paths = _artifact_paths(run_dir)
     try:
         data = read_yaml(paths["config"], "config echo")
-        stale = unknown_keys(data)  # keys an older asdkit wrote
+        run = data.pop("run", None)
+        stale = unknown_keys(RunConfig, data)  # keys an older asdkit wrote
         config = None if stale else RunConfig.from_dict(data)
     except ConfigError as exc:
         raise ModelFileError(f"{paths['config']}: {exc}; retrain the model") from exc
@@ -115,7 +116,6 @@ def _load_run(run_dir):
         raise ModelFileError(
             f"{paths['config']}: feature dim {feature_dim} (context_frames * n_mels) "
             f"does not match input dim {model.input_dim} of {paths['model']}")
-    run = data.get("run")
     return config, model, paths, run.get("machine") if isinstance(run, dict) else None
 
 
@@ -234,7 +234,7 @@ def score_machine(run_dir, data_root, machine: str, mode: str | None, out_csv):
     config, model, paths, trained_on = _load_run(run_dir)
     if not isinstance(trained_on, str):
         raise ModelFileError(f"{paths['config']}: names no run.machine; retrain the model")
-    mode = mode or config.mode
+    mode = mode or config.scoring.mode
     phi = load_thresholds(paths["thresholds"])[mode]
     cov = load_covariances(paths["cov"]) if mode == "mahalanobis" else None
     if cov is not None and cov.dim != model.input_dim:
@@ -379,7 +379,8 @@ def _cmd_macs(args) -> int:
     config, model, _, _ = _load_run(args.model)
     per_vector = count_macs(model)
     f = config.features
-    n = round(args.seconds * SAMPLE_RATE_HZ) if 0 < args.seconds < math.inf else 0
+    samples = args.seconds * SAMPLE_RATE_HZ  # inf past about 1e304 s
+    n = round(samples) if 0 < samples < math.inf else 0
     k = f.vector_count(n)
     if k == 0:
         raise ConfigError(f"--seconds {args.seconds} gives no {f.context_frames}-frame "

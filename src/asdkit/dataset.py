@@ -135,12 +135,37 @@ def parse_clip_name(filename: str) -> dict:
             "condition": condition, "index": index, "attributes": attributes}
 
 
+def clip_record(rel) -> ClipRecord:
+    """The record of the clip at rel, a path <machine>/<subdir>/<name>.wav
+    relative to the dataset root.
+
+    The subdir name supplies the split when the file name carries no split
+    token, and a train clip with no condition token is normal. Raises
+    ValueError or DatasetError, whose message says why the file is no clip.
+    """
+    rel = Path(rel)
+    if len(rel.parts) < 2:
+        raise ValueError("not under a <machine>/ directory")
+    parsed = parse_clip_name(rel.name)
+    split = parsed["split"]
+    if split is None and rel.parent.name in SPLITS:
+        split = rel.parent.name
+    if split is None:
+        raise ValueError("no split token and directory is not a split name")
+    condition = parsed["condition"]
+    if split == "train" and condition == "unknown":
+        # unsupervised setting: everything offered for training is normal
+        condition = "normal"
+    return ClipRecord(machine_type=rel.parts[0], section=parsed["section"],
+                      domain=parsed["domain"], split=split, condition=condition,
+                      path=str(rel), attributes=parsed["attributes"])
+
+
 def scan_dataset(root_dir, role: str = "development") -> DatasetManifest:
     """Walk a dataset tree and build the manifest.
 
-    Expects <root>/<machine>/<subdir>/*.wav; the subdir name supplies the
-    split when the filename carries no split token. Unparseable names go to
-    manifest.skipped. Raises DatasetError on an empty tree.
+    Expects <root>/<machine>/<subdir>/*.wav (see clip_record). Unparseable
+    names go to manifest.skipped. Raises DatasetError on an empty tree.
     """
     root = Path(root_dir)
     if not root.is_dir():
@@ -152,33 +177,10 @@ def scan_dataset(root_dir, role: str = "development") -> DatasetManifest:
         raise DatasetError(f"no .wav files under {root}")
     for wav in wavs:
         rel = wav.relative_to(root)
-        if len(rel.parts) < 2:
-            skipped.append((str(rel), "not under a <machine>/ directory"))
-            continue
-        machine = rel.parts[0]
         try:
-            parsed = parse_clip_name(wav.name)
-        except ValueError as exc:
+            records.append(clip_record(rel))
+        except (ValueError, DatasetError) as exc:
             skipped.append((str(rel), str(exc)))
-            continue
-        split = parsed["split"]
-        if split is None and rel.parent.name in SPLITS:
-            split = rel.parent.name
-        if split is None:
-            skipped.append((str(rel), "no split token and directory is not a split name"))
-            continue
-        condition = parsed["condition"]
-        if split == "train" and condition == "unknown":
-            # unsupervised setting: everything offered for training is normal
-            condition = "normal"
-        try:
-            rec = ClipRecord(machine_type=machine, section=parsed["section"],
-                             domain=parsed["domain"], split=split, condition=condition,
-                             path=str(rel), attributes=parsed["attributes"])
-        except DatasetError as exc:
-            skipped.append((str(rel), str(exc)))
-            continue
-        records.append(rec)
     if not records:
         raise DatasetError(f"no parseable .wav files under {root} "
                            f"({len(skipped)} skipped)")

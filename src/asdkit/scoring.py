@@ -45,6 +45,15 @@ THRESHOLD_PERCENTILE = 90.0
 
 
 @dataclass
+class ScoringConfig:
+    mode: str = "mse"
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"scoring.mode: expected one of {list(MODES)}, got {self.mode!r}")
+
+
+@dataclass
 class DomainCovariances:
     """Both domains' inverse covariances as one joint factorization.
 
@@ -313,7 +322,7 @@ def load_thresholds(path) -> dict[str, float]:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ModelFileError(f"{path}: unreadable threshold file ({exc})") from exc
     if not isinstance(payload, dict):
         raise ModelFileError(f"{path}: threshold file must map mode to phi")

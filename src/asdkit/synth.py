@@ -30,7 +30,7 @@ import numpy as np
 from . import _pool
 from ._io import make_dir
 from .config import from_mapping, read_yaml
-from .dataset import ClipRecord, DatasetManifest, save_manifest, MANIFEST_FILENAME
+from .dataset import DatasetManifest, MANIFEST_FILENAME, clip_record, save_manifest
 from .dsp import SAMPLE_RATE_HZ, write_wav
 from .errors import ConfigError
 
@@ -102,7 +102,7 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthSpec":
-        spec = from_mapping(cls, data, "spec")
+        spec = from_mapping(cls, data, "spec", "spec")
         spec.validate()
         return spec
 
@@ -208,28 +208,29 @@ class _Job(NamedTuple):
     rng_key: list[int]
     profile: _MachineProfile
     domain: str
-    condition: str
-    aux: str | None  # "clean"/"noise" for a supplementary clip, else None
-    path: Path
+    condition: str  # "clean"/"noise" for a supplementary clip
+    path: Path  # relative to the dataset root
 
 
-def _render_job(spec: SynthSpec, job: _Job) -> None:
+def _render_job(spec: SynthSpec, out: Path, job: _Job) -> None:
     """Render one clip and write it as 16-bit PCM (in a pool worker or in-process)."""
     rng = np.random.default_rng(job.rng_key)
-    if job.aux is None:
-        samples = _render_clip(spec, job.profile, job.domain, job.condition, rng)
+    if job.condition in ("clean", "noise"):
+        samples = _render_supplementary(spec, job.profile, job.condition, rng)
     else:
-        samples = _render_supplementary(spec, job.profile, job.aux, rng)
+        samples = _render_clip(spec, job.profile, job.domain, job.condition, rng)
     data = np.clip(np.round(samples * 32767.0), -32768, 32767).astype(np.int16)
-    write_wav(job.path, data, SAMPLE_RATE_HZ)
+    write_wav(out / job.path, data, SAMPLE_RATE_HZ)
 
 
 def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
     """Render the dataset tree under out_dir and write its manifest.csv.
 
     Deterministic per seed: repeated runs produce byte-identical trees,
-    whatever the number of worker processes. A negative seed is a ConfigError,
-    raised before out_dir is created.
+    whatever the number of worker processes. The manifest holds the clips
+    rendered, read from their names as scan_dataset reads them. A negative
+    seed is a ConfigError, raised before out_dir is created; so is running
+    out of memory, which leaves out_dir with the clips written so far.
     """
     spec.validate()
     if seed < 0:
@@ -237,7 +238,6 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
     out = Path(out_dir)
     make_dir(out)
     jobs: list[_Job] = []
-    records: list[ClipRecord] = []
     c = spec.counts
     for m_idx, machine in enumerate(spec.machines):
         profile = _machine_profile(seed, m_idx)
@@ -249,42 +249,28 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
             ("test", "source", "anomaly", c.test_anomaly_source),
             ("test", "target", "anomaly", c.test_anomaly_target),
         ]
-        for split, domain, condition, count in plan:
-            if count:
-                make_dir(out / machine / split)
-            for i in range(count):
-                name = f"section_00_{domain}_{split}_{condition}_{i:04d}.wav"
-                key = [seed, m_idx, _SPLIT_CODE[split], _DOMAIN_CODE[domain],
-                       _COND_CODE[condition], i]
-                jobs.append(_Job(key, profile, domain, condition, None,
-                                 out / machine / split / name))
-                records.append(ClipRecord(
-                    machine_type=machine, section="00", domain=domain,
-                    split=split, condition=condition,
-                    path=str(Path(machine) / split / name)))
+        clips = [(split, domain, condition, i, f"{condition}_{i:04d}")
+                 for split, domain, condition, count in plan for i in range(count)]
         # supplementary clips alternate clean machine sound and noise-only
-        if c.supplementary:
-            make_dir(out / machine / "supplementary")
         for i in range(c.supplementary):
             kind = "clean" if i % 2 == 0 else "noise"
-            if kind == "clean":
-                name = f"section_00_source_supplementary_normal_{i:04d}_aux_clean.wav"
-                condition = "normal"
-            else:
-                name = f"section_00_source_supplementary_{i:04d}_aux_noise.wav"
-                condition = "unknown"
-            key = [seed, m_idx, _SPLIT_CODE["supplementary"], 1, _COND_CODE[kind], i]
-            jobs.append(_Job(key, profile, "source", condition, kind,
-                             out / machine / "supplementary" / name))
-            records.append(ClipRecord(
-                machine_type=machine, section="00", domain="source",
-                split="supplementary", condition=condition,
-                path=str(Path(machine) / "supplementary" / name),
-                attributes={"aux": kind}))
+            tail = f"normal_{i:04d}" if kind == "clean" else f"{i:04d}"  # noise: no condition
+            clips.append(("supplementary", "source", kind, i, f"{tail}_aux_{kind}"))
+        for split in dict.fromkeys(clip[0] for clip in clips):
+            make_dir(out / machine / split)
+        for split, domain, condition, i, tail in clips:
+            key = [seed, m_idx, _SPLIT_CODE[split], _DOMAIN_CODE[domain],
+                   _COND_CODE[condition], i]
+            jobs.append(_Job(key, profile, domain, condition,
+                             Path(machine, split, f"section_00_{domain}_{split}_{tail}.wav")))
     audio_s = len(jobs) * spec.clip_seconds
-    _pool.run(functools.partial(_render_job, spec), jobs,
-              _pool.worker_count(len(jobs), audio_s))
-    records.sort(key=lambda r: r.path)
+    try:
+        _pool.run(functools.partial(_render_job, spec, out), jobs,
+                  _pool.worker_count(len(jobs), audio_s))
+    except MemoryError as exc:
+        raise ConfigError(f"spec.clip_seconds: clips of {spec.clip_seconds} s do not fit "
+                          f"in memory; {out} is left partly written") from exc
+    records = sorted((clip_record(job.path) for job in jobs), key=lambda r: r.path)
     manifest = DatasetManifest(records=records, role="development")
     save_manifest(manifest, out / MANIFEST_FILENAME)
     return manifest

@@ -3,10 +3,13 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
 import random
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+import asdkit
 from asdkit import cli
 from asdkit.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH,
                         EXIT_OK, main)
@@ -34,6 +38,16 @@ from asdkit.scoring import (COV_MAGIC, MODES, THRESHOLD_PERCENTILE, identity_cov
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 from conftest import SMALL_MACHINE, fast_config
+
+try:
+    import resource
+except ImportError:  # no resource module on Windows
+    resource = None
+
+# YAML that PyYAML cannot load: nesting too deep to compose, and an int of
+# more digits (5000) than Python converts from a string (4300)
+TOO_DEEP = "[" * 5000
+HUGE_INT = "9" * 5000
 
 
 def write_synth_spec(path: Path, spec: SynthSpec) -> Path:
@@ -120,11 +134,16 @@ def test_synth_command_invalid_spec(tmp_path):
     # a clip holds 1 sample to the most a 16-bit WAV's u32 RIFF size can count
     ("clip_seconds: 0.00001\n", "spec.clip_seconds: 1e-05 s must give 1 to 2147483629 samples"),
     ("clip_seconds: 1.0e9\n", "spec.clip_seconds: 1000000000.0 s must give 1 to 2147483629"),
+    (f"clip_seconds: {TOO_DEEP}\n", "spec.yaml"),
+    (f"counts: {{source_train: {HUGE_INT}}}\n", "spec.yaml"),
+    # a nested unknown key is named in full, as a run config's are
+    ("counts: {foo: 1}\n", "unknown spec keys: ['counts.foo']"),
 ], ids=["str-float", "counts-scalar", "range-scalar", "range-length", "float-count",
         "bad-yaml", "directory", "machines-string", "not-a-mapping", "machine-not-a-string",
         "machine-twice", "machine-outside-out", "machine-empty", "machine-nested",
         "machine-nul", "machine-manifest", "machine-manifest-tmp", "machine-spec-echo",
-        "clip-nan", "clip-inf", "clip-zero-samples", "clip-too-long"])
+        "clip-nan", "clip-inf", "clip-zero-samples", "clip-too-long", "too-deep",
+        "huge-int", "nested-unknown"])
 def test_bad_synth_spec_exits_config(tmp_path, capsys, text, name):
     spec_path = tmp_path / "spec.yaml"
     if text is None:
@@ -198,6 +217,36 @@ def test_synth_command_leaves_no_worker_processes(tmp_path, force_workers):
     assert main(["synth", "--spec", str(smoke_spec_path()),
                  "--out", str(tmp_path / "d")]) == EXIT_OK
     assert multiprocessing.active_children() == []
+
+
+# synth in a process that caps its own address space at 2 GB, one worker per clip
+LIMITED_SYNTH = """
+import resource, sys
+from asdkit import _pool, cli
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+_pool.worker_count = lambda items, audio_s: items
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs resource.RLIMIT_AS")
+@pytest.mark.parametrize("seconds, clips", [(100000, 1), (20000, 2)],
+                         ids=["in-process", "pool"])
+def test_synth_out_of_memory_exits_config(tmp_path, seconds, clips):
+    # a clip of 100000 s needs 12.8 GB of float64 samples, one of 20000 s 2.6 GB
+    spec_path = write_synth_spec(tmp_path / "spec.yaml", SynthSpec(
+        clip_seconds=seconds, machines=["m"], counts=SynthCounts(clips, 0, 0, 0, 0, 0, 0)))
+    out = tmp_path / "d"
+    src = str(Path(asdkit.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", LIMITED_SYNTH, "synth", "--spec",
+                           str(spec_path), "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert "Traceback" not in done.stderr
+    assert (f"spec.clip_seconds: clips of {seconds:.1f} s do not fit in memory; {out} is "
+            "left partly written") in done.stderr
+    assert (out / "m").is_dir() and not (out / "manifest.csv").exists()
 
 
 def test_synth_negative_seed_exits_config_before_creating_out(tmp_path, capsys):
@@ -851,7 +900,8 @@ def test_echo_with_removed_key_exits_artifact(trained_artifacts, tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", ["score", "macs"])
-@pytest.mark.parametrize("case", ["missing", "not-yaml", "bad-value", "dims"])
+@pytest.mark.parametrize("case", ["missing", "not-yaml", "bad-value", "dims", "too-deep",
+                                  "huge-int"])
 def test_unusable_echo_exits_artifact(trained_artifacts, tmp_path, capsys, command, case):
     config, paths, root = trained_artifacts
     model_dir = copy_artifacts(paths, tmp_path / "model", ("model", "cov", "thresholds"))
@@ -862,6 +912,10 @@ def test_unusable_echo_exits_artifact(trained_artifacts, tmp_path, capsys, comma
         echo_path.write_text("features: {n_mels: abc}\n")
     if case == "dims":  # 16 mels * 5 frames = 80 != model dim 160
         RunConfig.from_dict({"features": {"n_mels": 16}}).echo(echo_path)
+    if case == "too-deep":
+        echo_path.write_text(f"seed: {TOO_DEEP}\n")
+    if case == "huge-int":
+        echo_path.write_text(f"seed: {HUGE_INT}\n")
     out_csv = tmp_path / "s.csv"
     assert main(on_run(command, model_dir, root, out_csv)) == EXIT_ARTIFACT
     err = capsys.readouterr().err
@@ -869,6 +923,33 @@ def test_unusable_echo_exits_artifact(trained_artifacts, tmp_path, capsys, comma
     assert ("feature dim 80" if case == "dims" else "retrain the model") in err
     assert "delete" not in err  # names no keys to delete
     assert not out_csv.exists()
+
+
+def corrupt(data: bytes, cut: str, i: int, j: int) -> bytes:
+    """data truncated to i % (n + 1) bytes, with bit j % 8 of byte i % n flipped,
+    or spliced: bytes i % n to j % n dropped, or repeated where j % n < i % n."""
+    n = len(data)
+    if cut == "truncate":
+        return data[:i % (n + 1)]
+    if cut == "flip":
+        return data[:i % n] + bytes([data[i % n] ^ (1 << j % 8)]) + data[i % n + 1:]
+    return data[:i % n] + data[j % n:]
+
+
+@given(name=st.sampled_from(["model.aem", "covariances.cov", "thresholds.json"]),
+       cut=st.sampled_from(["truncate", "flip", "splice"]),
+       i=st.integers(0, 2**20), j=st.integers(0, 2**20))
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corrupt_artifact_bytes_give_an_exit_code(trained_artifacts, tmp_path, name, cut, i, j):
+    config, paths, root = trained_artifacts
+    model_dir = copy_artifacts(paths, tmp_path / "model")
+    path = model_dir / name
+    path.write_bytes(corrupt(path.read_bytes(), cut, i, j))
+    assert main([*on_run("score", model_dir, root, tmp_path / "s.csv"),
+                 "--mode", "mahalanobis"]) in (EXIT_OK, EXIT_DATA, EXIT_ARTIFACT)
+    assert main(on_run("macs", model_dir, root, tmp_path / "s.csv")) in (EXIT_OK,
+                                                                           EXIT_ARTIFACT)
 
 
 @pytest.mark.parametrize("command", ["score", "macs"])
@@ -1204,7 +1285,7 @@ def test_macs_command_default_architecture(tmp_path, capsys):
     assert f"MACs per clip: {264192 * 307}" in out
 
 
-@pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1", "0.01"])
+@pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1", "0.01", "1e308"])
 def test_macs_seconds_without_a_vector_exits_config(tmp_path, capsys, seconds):
     path = write_run_dir(tmp_path / "run")
     assert main(["macs", "--model", str(path), "--seconds", seconds]) == EXIT_CONFIG

@@ -49,6 +49,9 @@ def test_float_keys_take_ints_and_numeric_strings(data, key, expected):
     pytest.param({"model": None}, r"unknown config keys: \['model'\]", id="unknown-model"),
     ({"model": {"layer_dims": 640}}, "model.layer_dims"),
     ({"train": [1, 2]}, "'train'"),
+    # only a null section takes the defaults
+    pytest.param({"features": 0}, "'features' must be a mapping, got 0",
+                 id="section-not-a-mapping"),
     # a mode has one name
     pytest.param({"scoring": {"mode": "mahala"}},
                  r"scoring.mode: expected one of \['mse', 'mahalanobis'\], got 'mahala'",
@@ -59,10 +62,26 @@ def test_bad_config_value_names_key(data, name):
         RunConfig.from_dict(data)
 
 
+def test_null_section_takes_its_defaults():
+    assert RunConfig.from_dict({"features": None, "train": None, "scoring": None}) == RunConfig()
+    assert SynthSpec.from_dict({"counts": None}) == SynthSpec()
+
+
+def test_seed_override_follows_the_seed_check():
+    assert RunConfig.from_dict({"seed": 5}, seed_override=3).seed == 3
+    with pytest.raises(ConfigError, match="seed: expected int, got 'seven'"):
+        RunConfig.from_dict({"seed": "seven"}, seed_override=3)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        RunConfig.from_dict({"seed": 5}, seed_override=-1)
+
+
 @pytest.mark.parametrize("text", ["features: {n_mels: abc}\n",
                                   "train: {learning_rate: abc}\n",
                                   "model: {layer_dims: []}\n",
-                                  "features: [unclosed\n"])
+                                  "features: [unclosed\n",
+                                  # nested too deep to parse; more digits than an int takes
+                                  pytest.param("seed: " + "[" * 5000 + "\n", id="too-deep"),
+                                  pytest.param("seed: " + "9" * 5000 + "\n", id="huge-int")])
 def test_bad_config_file_exits_config(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)

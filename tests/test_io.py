@@ -41,9 +41,14 @@ def _file_writes(source: str) -> list[int]:
         if name in ("write_text", "write_bytes"):
             found.append(node.lineno)
         elif name in ("replace", "rename"):
-            # os.replace(a, b) or Path.replace(target); str.replace takes two args
-            on_os = isinstance(func.value, ast.Name) and func.value.id == "os"
-            if on_os or (len(node.args) == 1 and not node.keywords):
+            # os.replace(a, b), a bare replace(a, b) imported from os, or
+            # Path.replace(target); str.replace takes two args, and
+            # dataclasses.replace one plus keywords
+            if isinstance(func, ast.Name):
+                if len(node.args) == 2:
+                    found.append(node.lineno)
+            elif ((isinstance(func.value, ast.Name) and func.value.id == "os")
+                  or (len(node.args) == 1 and not node.keywords)):
                 found.append(node.lineno)
         elif name == "open":
             # builtin open(file, mode); Path.open(mode)
@@ -66,7 +71,10 @@ def _file_writes(source: str) -> list[int]:
     ("open(p, mode)", True),
     ("Path(p).open('a')", True),
     ("p.write_bytes(b'')", True),
+    ("replace(tmp, path)", True),
+    ("rename(tmp, path)", True),
     ("name.replace('_', '-')", False),
+    ("replace(config, seed=3)", False),
     ("open(p)", False),
     ("open(p, 'rb')", False),
     ("wavfile.read(p, mmap=True)", False),

@@ -525,9 +525,10 @@ NOT_BOTH = "must hold exactly the modes ['mahalanobis', 'mse']"
     ('{"mse": 0.5}', NOT_BOTH),
     ('{"mahalanobis": 0.5}', NOT_BOTH),
     ('{"mse": 0.5, "mahalanobis": 1.0, "zscore": 2.0}', NOT_BOTH),
+    ("[" * 100000, "unreadable threshold file"),  # nested too deep to decode
 ], ids=["list", "not-a-mapping", "unknown-field", "missing-field", "nan-phi",
         "inf-phi", "string-phi", "null-phi", "bool-phi", "old-record", "mse-only",
-        "mahalanobis-only", "extra-mode"])
+        "mahalanobis-only", "extra-mode", "too-deep"])
 def test_corrupt_threshold_file_is_model_file_error(tmp_path, text, message):
     path = tmp_path / "thresholds.json"
     path.write_text(text)
