@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .dsp import (AudioClip, FeatureConfig, extract_features, log_mel,
                   mel_filterbank, read_wav, stack_frames, stft_power)
-from .dataset import (ClipRecord, DatasetManifest, load_attributes_csv,
-                      load_manifest, save_manifest, scan_dataset)
+from .dataset import (ClipRecord, DatasetManifest, load_manifest, save_manifest,
+                      scan_dataset)
 from .synth import SynthSpec, synth_generate
 from .model import (AeModel, TrainConfig, count_macs, forward, gradient,
                     init_model, load_model, save_model, train)
@@ -26,8 +26,8 @@ __all__ = [
     "__version__",
     "AudioClip", "FeatureConfig", "extract_features", "log_mel",
     "mel_filterbank", "read_wav", "stack_frames", "stft_power",
-    "ClipRecord", "DatasetManifest", "load_attributes_csv", "load_manifest",
-    "save_manifest", "scan_dataset",
+    "ClipRecord", "DatasetManifest", "load_manifest", "save_manifest",
+    "scan_dataset",
     "SynthSpec", "synth_generate",
     "AeModel", "TrainConfig", "count_macs", "forward", "gradient",
     "init_model", "load_model", "save_model", "train",

@@ -20,6 +20,7 @@ first-touched and unmapped again for every clip.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import mmap
@@ -59,6 +60,33 @@ def _blas_set_threads():
             fn.argtypes, fn.restype = [ctypes.c_int], None
             return fn
     return None
+
+
+@functools.cache
+def _blas_get_threads():
+    """The get-threads sibling of _blas_set_threads, or None."""
+    set_threads = _blas_set_threads()
+    if set_threads is None:
+        return None
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    fn = getattr(lib, set_threads.__name__.replace("_set_", "_get_"), None)
+    if fn is not None:
+        fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one BLAS thread where BLAS can be pinned; restore the count after."""
+    set_threads, get_threads = _blas_set_threads(), _blas_get_threads()
+    before = None if get_threads is None else get_threads()
+    if before is not None:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            set_threads(before)
 
 
 @functools.cache

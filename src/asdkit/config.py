@@ -8,6 +8,7 @@ alone.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import yaml
@@ -17,6 +18,10 @@ from .dsp import FeatureConfig
 from .errors import ConfigError
 from .model import TrainConfig
 from .scoring import ScoringConfig
+
+# quotes a bad value in a message: one level of a few items, whatever YAML aliases share
+_quote = reprlib.Repr()
+_quote.maxlevel = 1
 
 
 def _defaults(cls) -> dict:
@@ -45,7 +50,7 @@ def _checked(name: str, value, default):
             pass
     if type(value) is kind and (kind is not float or -math.inf < value < math.inf):
         return value
-    raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+    raise ConfigError(f"{name}: expected {kind.__name__}, got {_quote.repr(value)}")
 
 
 def unknown_keys(cls, data: dict) -> list[str]:
@@ -61,7 +66,7 @@ def unknown_keys(cls, data: dict) -> list[str]:
             inner = unknown_keys(type(default), value) if is_dataclass(default) else value
             unknown += [f"{key}.{name}" for name in inner]
         elif key not in defaults:
-            unknown.append(key)
+            unknown.append(str(key))  # YAML keys may be ints, dates, null
     return sorted(unknown)
 
 
@@ -69,7 +74,7 @@ def from_mapping(cls, data, what: str, name: str = ""):
     """Dataclass cls from the mapping of a what file: unknown keys are rejected
     by their dotted names, each value is checked as name.key (key if no name)."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{name!r} must be a mapping, got {data!r}")
+        raise ConfigError(f"{name!r} must be a mapping, got {_quote.repr(data)}")
     unknown = unknown_keys(cls, data)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {unknown}")

@@ -1,4 +1,4 @@
-"""Dataset model: clip records, manifests, directory scanning, attribute CSVs.
+"""Dataset model: clip records, manifests, directory scanning.
 
 The on-disk layout mirrors the usual machine-condition-monitoring convention:
 
@@ -12,13 +12,12 @@ of being dropped silently.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._io import read_table, write_table
-from .errors import ConfigError, DatasetError
+from .errors import DatasetError
 
 DOMAINS = ("source", "target", "unknown")
 SPLITS = ("train", "test", "supplementary")
@@ -57,10 +56,6 @@ class ClipRecord:
                 f"train clip {self.path} has condition {self.condition!r}; "
                 "training data must be normal only")
 
-    @property
-    def filename(self) -> str:
-        return Path(self.path).name
-
 
 @dataclass
 class DatasetManifest:
@@ -92,9 +87,6 @@ class DatasetManifest:
                 continue
             out.append(r)
         return out
-
-    def by_filename(self) -> dict[str, ClipRecord]:
-        return {r.filename: r for r in self.records}
 
 
 def parse_clip_name(filename: str) -> dict:
@@ -186,48 +178,6 @@ def scan_dataset(root_dir, role: str = "development") -> DatasetManifest:
                            f"({len(skipped)} skipped)")
     records.sort(key=lambda r: r.path)
     return DatasetManifest(records=records, role=role, skipped=skipped)
-
-
-def load_attributes_csv(path) -> dict[str, dict[str, str]]:
-    """Read an attribute CSV: header row, then `filename,key,value[,key,value...]`.
-
-    A file that cannot be read or parsed is a ConfigError naming the path.
-    """
-    attrs: dict[str, dict[str, str]] = {}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                return attrs
-            for row in reader:
-                if not row or not row[0].strip():
-                    continue
-                name = Path(row[0].strip()).name
-                pairs = {}
-                cells = [c.strip() for c in row[1:]]
-                for i in range(0, len(cells) - 1, 2):
-                    if cells[i]:
-                        pairs[cells[i]] = cells[i + 1]
-                attrs[name] = pairs
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read attribute CSV {path}: {exc}") from exc
-    return attrs
-
-
-def apply_attributes(manifest: DatasetManifest,
-                     attrs: dict[str, dict[str, str]]) -> list[str]:
-    """Merge an attribute map into matching records; returns warnings for
-    CSV rows that reference no clip in the manifest."""
-    by_name = manifest.by_filename()
-    warnings = []
-    for name, pairs in attrs.items():
-        rec = by_name.get(name)
-        if rec is None:
-            warnings.append(f"attribute row for unknown clip {name!r}")
-            continue
-        rec.attributes.update(pairs)
-    return warnings
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

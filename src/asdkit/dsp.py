@@ -59,10 +59,6 @@ class AudioClip:
     def num_samples(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class FeatureConfig:

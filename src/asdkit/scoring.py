@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write, read_table, write_table
+from ._pool import one_blas_thread
 from .errors import ConfigError, InsufficientDataError, ModelFileError
 from .model import AeModel, forward
 
@@ -236,8 +237,9 @@ def fit_covariances(model: AeModel, clips) -> tuple[list[float], DomainCovarianc
     # training run on 10 s clips)
     clips = features = residuals = None
     source, target = moments["source"], moments["target"]
-    whitening, target_scale = joint_whitening(_ridged_covariance(source),
-                                              _ridged_covariance(target))
+    with one_blas_thread():  # LAPACK's last digits vary with the thread count
+        whitening, target_scale = joint_whitening(_ridged_covariance(source),
+                                                  _ridged_covariance(target))
     return scores, DomainCovariances(whitening=whitening, target_scale=target_scale,
                                      ridge=RIDGE, n_source=source.n, n_target=target.n)
 

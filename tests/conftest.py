@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,14 @@ from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 SMALL_SEED = 11
 SMALL_MACHINE = "pumpette"
+
+
+# YAML whose seed is seven nested lists, each of nine aliases of the one
+# before: 229 bytes that spell 9**7 zeros (17 MB) when the value is quoted in full
+ALIAS_BOMB = "seed: [&a [0,0,0,0,0,0,0,0,0]" + "".join(
+    f", &{b} [{','.join([f'*{a}'] * 9)}]" for a, b in zip("abcdef", "bcdefg")) + "]\n"
+# bytes an error message may take on stderr
+MESSAGE_LIMIT = 1024
 
 
 def small_spec() -> SynthSpec:
@@ -34,22 +40,16 @@ def fast_config(seed: int = 5) -> RunConfig:
 
 
 @pytest.fixture(scope="session")
-def _small_dataset_session(tmp_path_factory):
+def small_dataset(tmp_path_factory):
+    # one tree and manifest for the session: tests that change clips copy the tree
     root = tmp_path_factory.mktemp("small_data")
     manifest = synth_generate(small_spec(), root, seed=SMALL_SEED)
     return root, manifest
 
 
-@pytest.fixture
-def small_dataset(_small_dataset_session):
-    # fresh manifest copy per test; attribute merges mutate records in place
-    root, manifest = _small_dataset_session
-    return root, copy.deepcopy(manifest)
-
-
 @pytest.fixture(scope="session")
-def trained_artifacts(_small_dataset_session, tmp_path_factory):
-    root, _ = _small_dataset_session
+def trained_artifacts(small_dataset, tmp_path_factory):
+    root, _ = small_dataset
     out = tmp_path_factory.mktemp("small_model")
     config = fast_config()
     paths = train_machine(config, root, SMALL_MACHINE, out)

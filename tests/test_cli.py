@@ -37,7 +37,7 @@ from asdkit.scoring import (COV_MAGIC, MODES, THRESHOLD_PERCENTILE, identity_cov
                             write_score_csv)
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
-from conftest import SMALL_MACHINE, fast_config
+from conftest import ALIAS_BOMB, MESSAGE_LIMIT, SMALL_MACHINE, fast_config
 
 try:
     import resource
@@ -901,7 +901,7 @@ def test_echo_with_removed_key_exits_artifact(trained_artifacts, tmp_path, capsy
 
 @pytest.mark.parametrize("command", ["score", "macs"])
 @pytest.mark.parametrize("case", ["missing", "not-yaml", "bad-value", "dims", "too-deep",
-                                  "huge-int"])
+                                  "huge-int", "alias-bomb"])
 def test_unusable_echo_exits_artifact(trained_artifacts, tmp_path, capsys, command, case):
     config, paths, root = trained_artifacts
     model_dir = copy_artifacts(paths, tmp_path / "model", ("model", "cov", "thresholds"))
@@ -916,9 +916,12 @@ def test_unusable_echo_exits_artifact(trained_artifacts, tmp_path, capsys, comma
         echo_path.write_text(f"seed: {TOO_DEEP}\n")
     if case == "huge-int":
         echo_path.write_text(f"seed: {HUGE_INT}\n")
+    if case == "alias-bomb":
+        echo_path.write_text(ALIAS_BOMB)
     out_csv = tmp_path / "s.csv"
     assert main(on_run(command, model_dir, root, out_csv)) == EXIT_ARTIFACT
     err = capsys.readouterr().err
+    assert len(err.encode()) < MESSAGE_LIMIT
     assert str(echo_path) in err
     assert ("feature dim 80" if case == "dims" else "retrain the model") in err
     assert "delete" not in err  # names no keys to delete

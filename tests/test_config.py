@@ -1,16 +1,23 @@
 from __future__ import annotations
 
 import ast
+import shutil
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import asdkit
-from asdkit.cli import EXIT_CONFIG, main
+from asdkit.cli import EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from asdkit.config import RunConfig
 from asdkit.errors import ConfigError
 from asdkit.synth import SynthSpec
+
+from conftest import ALIAS_BOMB, MESSAGE_LIMIT
+
+REPO = Path(__file__).parents[1]
 
 
 @pytest.mark.parametrize("data, key, expected", [
@@ -81,14 +88,75 @@ def test_seed_override_follows_the_seed_check():
                                   "features: [unclosed\n",
                                   # nested too deep to parse; more digits than an int takes
                                   pytest.param("seed: " + "[" * 5000 + "\n", id="too-deep"),
-                                  pytest.param("seed: " + "9" * 5000 + "\n", id="huge-int")])
+                                  pytest.param("seed: " + "9" * 5000 + "\n", id="huge-int"),
+                                  pytest.param(ALIAS_BOMB, id="alias-bomb")])
 def test_bad_config_file_exits_config(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     rc = main(["train", "--config", str(cfg), "--data-root", str(tmp_path),
                "--machine", "m", "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert len(err.encode()) < MESSAGE_LIMIT
+
+
+def test_unknown_keys_of_any_yaml_type_are_named():
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['0', 'None', 'foo'\]"):
+        RunConfig.from_dict(yaml.safe_load("0: 1\nfoo: 2\n~: 3\n"))
+
+
+# characters that YAML gives a meaning, plus a few plain ones
+MANGLE_CHARS = "&*[]{}:,-|>!#'\"\n 0a"
+
+
+def mangle(text: str, edits) -> str:
+    """text with each (op, at, width, char) edit applied in turn: delete or
+    duplicate width characters at position at, or insert char there."""
+    for op, at, width, char in edits:
+        at %= len(text) + 1
+        if op == "delete":
+            text = text[:at] + text[at + width:]
+        elif op == "duplicate":
+            text = text[:at + width] + text[at:]
+        else:
+            text = text[:at] + char + text[at:]
+    return text
+
+
+@given(target=st.sampled_from(["run-config", "echo", "synth-spec"]),
+       edits=st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "insert"]),
+                                st.integers(0, 2**16), st.integers(1, 8),
+                                st.sampled_from(MANGLE_CHARS)), min_size=1, max_size=4))
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mangled_yaml_gives_an_exit_code(trained_artifacts, tmp_path, capsys, target,
+                                         edits):
+    _, paths, _ = trained_artifacts
+    source = {"run-config": REPO / "configs" / "desk.yaml", "echo": paths["config"],
+              "synth-spec": REPO / "configs" / "synth_smoke.yaml"}[target]
+    text = mangle(source.read_text(), edits)
+    if target == "run-config":
+        cfg, empty = tmp_path / "cfg.yaml", tmp_path / "empty"
+        cfg.write_text(text)
+        empty.mkdir(exist_ok=True)
+        assert main(["train", "--config", str(cfg), "--data-root", str(empty),
+                     "--machine", "m", "--out", str(tmp_path / "out")]) in (EXIT_CONFIG,
+                                                                             EXIT_DATA)
+    elif target == "echo":
+        run = tmp_path / "run"
+        if not run.exists():
+            shutil.copytree(paths["model"].parent, run)
+        (run / "config.yaml").write_text(text)
+        assert main(["macs", "--model", str(run)]) in (EXIT_OK, EXIT_CONFIG, EXIT_ARTIFACT)
+    else:
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(text)
+        try:
+            SynthSpec.from_yaml(spec)
+        except ConfigError as exc:
+            assert len(str(exc).encode()) < MESSAGE_LIMIT
+    assert len(capsys.readouterr().err.encode()) < MESSAGE_LIMIT
 
 
 
@@ -113,8 +181,7 @@ def test_yaml_is_parsed_only_in_config():
 
 def test_every_committed_config_loads():
     # the benchmark's configs are read here, so removing a key they set fails a test
-    repo = Path(__file__).parents[1]
-    paths = [*(repo / "configs").glob("*.yaml"), *(repo / "bench" / "configs").glob("*.yaml")]
+    paths = [*(REPO / "configs").glob("*.yaml"), *(REPO / "bench" / "configs").glob("*.yaml")]
     specs = [p for p in paths if p.name.startswith("synth_")]
     run_configs = [p for p in paths if p not in specs]
     for path in specs:
@@ -132,7 +199,7 @@ def test_default_yaml_is_the_code_defaults():
     def keys(mapping):
         return {k: keys(v) if isinstance(v, dict) else None for k, v in mapping.items()}
 
-    path = Path(__file__).parents[1] / "configs" / "default.yaml"
+    path = REPO / "configs" / "default.yaml"
     data = yaml.safe_load(path.read_text())
     defaults = RunConfig().to_dict()
     assert RunConfig.from_dict(data).to_dict() == defaults

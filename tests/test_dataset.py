@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import csv
 import hashlib
 import multiprocessing
 from pathlib import Path
@@ -11,7 +10,6 @@ import yaml
 
 from asdkit.dataset import (ClipRecord, DatasetManifest,
                             check_first_shot, check_single_section,
-                            load_attributes_csv, apply_attributes,
                             load_manifest, official_layout_violations,
                             parse_clip_name, save_manifest, scan_dataset)
 from asdkit.dsp import read_wav
@@ -66,7 +64,7 @@ def test_scan_basic_tree(tmp_path):
     manifest = scan_dataset(tmp_path)
     assert manifest.machines() == ["fan"]
     assert len(manifest.records) == 4
-    by_name = manifest.by_filename()
+    by_name = {Path(r.path).name: r for r in manifest.records}
     assert by_name["section_00_target_train_normal_0000.wav"].domain == "target"
     # split token missing -> taken from the directory; condition stays unknown
     eval_clip = by_name["section_00_0001.wav"]
@@ -149,53 +147,6 @@ def test_bad_enum_values_rejected():
     with pytest.raises(DatasetError):
         ClipRecord(machine_type="fan", section="00", domain="both",
                    split="train", condition="normal", path="x.wav")
-
-
-# ---------------------------------------------------------------------------
-# attribute CSVs
-
-def test_attributes_merge(tmp_path, small_dataset):
-    _, manifest = small_dataset
-    target = manifest.records[0]
-    csv_path = tmp_path / "attributes_00.csv"
-    csv_path.write_text("file_name,k,v\n"
-                        f"{target.filename},spd,28V\n")
-    attrs = load_attributes_csv(csv_path)
-    assert attrs[target.filename] == {"spd": "28V"}
-    warnings = apply_attributes(manifest, attrs)
-    assert warnings == []
-    assert target.attributes["spd"] == "28V"
-
-
-def test_attributes_empty_csv(tmp_path, small_dataset):
-    _, manifest = small_dataset
-    csv_path = tmp_path / "empty.csv"
-    csv_path.write_text("file_name\n")
-    before = [dict(r.attributes) for r in manifest.records]
-    warnings = apply_attributes(manifest, load_attributes_csv(csv_path))
-    assert warnings == []
-    assert [dict(r.attributes) for r in manifest.records] == before
-
-
-def test_attributes_unknown_clip_warns(tmp_path, small_dataset):
-    _, manifest = small_dataset
-    csv_path = tmp_path / "attrs.csv"
-    csv_path.write_text("file_name,k,v\nghost_clip.wav,spd,28V\n")
-    warnings = apply_attributes(manifest, load_attributes_csv(csv_path))
-    assert len(warnings) == 1
-
-
-@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "field-too-long"])
-def test_unreadable_attribute_csv_is_config_error_naming_the_path(tmp_path, case):
-    path = tmp_path / "attributes_00.csv"
-    if case == "directory":
-        path.mkdir()
-    elif case == "not-utf8":
-        path.write_bytes(b"file_name,k,v\nclip\xff.wav,spd,28V\n")
-    elif case == "field-too-long":  # csv.Error: beyond the csv module's field limit
-        path.write_text("file_name,k,v\nclip.wav,spd," + "9" * (csv.field_size_limit() + 1) + "\n")
-    with pytest.raises(ConfigError, match="cannot read attribute CSV .*attributes_00.csv"):
-        load_attributes_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,6 @@ def _imported_modules(source: str) -> set[str]:
 
 
 def test_csv_is_read_and_written_only_in_io():
-    # dataset.py keeps csv for attribute CSVs, whose rows are ragged by format
     users = [path.name for path in sorted(SRC.glob("*.py"))
              if "csv" in _imported_modules(path.read_text())]
-    assert users == ["_io.py", "dataset.py"]
+    assert users == ["_io.py"]

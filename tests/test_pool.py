@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import ctypes
 import multiprocessing
 import os
 import shutil
@@ -56,10 +55,7 @@ def test_worker_count_is_one_when_blas_cannot_be_pinned(monkeypatch):
 
 
 def _blas_threads(_item) -> int:
-    get = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
-                  _pool._blas_set_threads().__name__.replace("_set_", "_get_"))
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get()
+    return _pool._blas_get_threads()()
 
 
 def test_features_are_the_same_bytes_at_one_and_two_blas_threads():
@@ -78,6 +74,22 @@ def test_features_are_the_same_bytes_at_one_and_two_blas_threads():
     finally:
         set_threads(before)
     assert features[1] == features[2]
+
+
+def test_one_blas_thread_restores_the_thread_count_on_error():
+    set_threads = _pool._blas_set_threads()
+    if set_threads is None:
+        pytest.skip("numpy's BLAS has no set-threads entry point")
+    before = _blas_threads(None)
+    try:
+        set_threads(2)
+        outside = _blas_threads(None)  # 2, or fewer where BLAS caps it
+        with pytest.raises(ValueError), _pool.one_blas_thread():
+            assert _blas_threads(None) == 1
+            raise ValueError
+        assert _blas_threads(None) == outside
+    finally:
+        set_threads(before)
 
 
 def test_importing_the_cli_leaves_the_pool_machinery_unloaded():
@@ -189,6 +201,25 @@ def test_pooled_training_writes_the_in_process_artifacts(small_dataset, tmp_path
         blobs[workers] = [(out / name).read_bytes() for name in ARTIFACTS]
     assert blobs[1] == blobs[2]
     assert multiprocessing.active_children() == []
+
+
+def test_training_writes_the_same_bytes_at_one_and_two_blas_threads(small_dataset,
+                                                                    tmp_path):
+    if _pool._blas_set_threads() is None:
+        pytest.skip("numpy's BLAS has no set-threads entry point")
+    cfg = tmp_path / "config.yaml"
+    fast_config().echo(cfg)
+    script = "import sys\nfrom asdkit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    blobs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        subprocess.run([sys.executable, "-c", script, "train", "--config", str(cfg),
+                        "--data-root", str(small_dataset[0]), "--machine", SMALL_MACHINE,
+                        "--out", str(out)],
+                       env={**_env_with_src(), "OPENBLAS_NUM_THREADS": str(threads)},
+                       check=True, capture_output=True, timeout=300)
+        blobs[threads] = [(out / name).read_bytes() for name in ARTIFACTS]
+    assert blobs[1] == blobs[2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
