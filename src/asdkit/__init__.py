@@ -16,8 +16,7 @@ from .dataset import (ClipRecord, DatasetManifest, load_manifest, save_manifest,
 from .synth import SynthSpec, synth_generate
 from .model import (AeModel, TrainConfig, count_macs, forward, gradient,
                     init_model, load_model, save_model, train)
-from .scoring import (DomainCovariances, decide, fit_threshold, identity_covariances,
-                      score_mahalanobis, score_mse)
+from .scoring import DomainCovariances, decide, fit_threshold, score_mahalanobis, score_mse
 from .metrics import (MetricsReport, ScoredClip, ScoredTestSet, auc_domain,
                       build_report, official_score, pauc_section)
 from .config import RunConfig
@@ -31,8 +30,7 @@ __all__ = [
     "SynthSpec", "synth_generate",
     "AeModel", "TrainConfig", "count_macs", "forward", "gradient",
     "init_model", "load_model", "save_model", "train",
-    "DomainCovariances", "decide", "fit_threshold", "identity_covariances",
-    "score_mahalanobis", "score_mse",
+    "DomainCovariances", "decide", "fit_threshold", "score_mahalanobis", "score_mse",
     "MetricsReport", "ScoredClip", "ScoredTestSet", "auc_domain",
     "build_report", "official_score", "pauc_section",
     "RunConfig",

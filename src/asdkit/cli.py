@@ -286,7 +286,9 @@ def _first_ten(paths) -> str:
 def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
                     macs: int | None = None):
     """Join scores with ground truth, compute the report (pAUC at the paper's
-    p = 0.1), write CSV + table."""
+    p = 0.1), write CSV + table. Returns the report, the scored clips that are
+    no labeled test clip, and the labeled test clips of the scored machine
+    types that have no score."""
     out_base = str(out_base)
     _refuse_overwrite(out_base, (".csv", ".txt", ".config.yaml"),
                       [("--scores", scores_csv), ("--manifest", manifest_path),
@@ -321,6 +323,11 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
     if not clips:
         raise MismatchError(f"none of the {len(score_rows)} clips in {scores_path} is a "
                             f"labeled test clip in {truth_path}")
+    scored = {c.path for c in clips}
+    machines = {c.machine_type for c in clips}
+    unscored = [r.path for r in manifest.records
+                if r.machine_type in machines and r.split == "test"
+                and r.condition != "unknown" and r.path not in scored]
     reference = load_reference_csv(reference_csv) if reference_csv else None
     report = build_report(ScoredTestSet(clips), model_macs=macs, reference=reference)
     write_report_csv(report, out_base + ".csv")
@@ -330,8 +337,8 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
                {"command": "evaluate", "scores": str(scores_path),
                 "manifest": str(truth_path), "pauc_p": report.pauc_p,
                 "reference": None if reference_csv is None else str(reference_csv),
-                "macs_per_vector": macs})
-    return report, skipped
+                "macs_per_vector": macs, "unscored_test_clips": len(unscored)})
+    return report, skipped, unscored
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +372,16 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    report, skipped = evaluate_scores(args.scores, args.manifest, args.out,
-                                      reference_csv=args.reference,
-                                      macs=args.macs)
+    report, skipped, unscored = evaluate_scores(args.scores, args.manifest, args.out,
+                                                reference_csv=args.reference,
+                                                macs=args.macs)
     if skipped:
         print(f"warning: {len(skipped)} scored clips were not labeled test clips "
               "and were excluded", file=sys.stderr)
+    if unscored:
+        print(f"warning: {len(unscored)} labeled test clips of the scored machine types "
+              f"have no score and are left out of the official score: "
+              f"{_first_ten(unscored)}", file=sys.stderr)
     sys.stdout.write(render_report(report))
     return EXIT_OK
 

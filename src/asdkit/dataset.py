@@ -22,10 +22,9 @@ from .errors import DatasetError
 DOMAINS = ("source", "target", "unknown")
 SPLITS = ("train", "test", "supplementary")
 CONDITIONS = ("normal", "anomaly", "unknown")
-ROLES = ("development", "additional_training", "evaluation")
 
 MANIFEST_COLUMNS = ["machine_type", "section", "domain", "split",
-                    "condition", "path", "attributes", "role"]
+                    "condition", "path", "attributes"]
 MANIFEST_FILENAME = "manifest.csv"
 
 # tokens a file name may carry; a missing domain or condition maps to "unknown"
@@ -60,18 +59,10 @@ class ClipRecord:
 @dataclass
 class DatasetManifest:
     records: list[ClipRecord]
-    role: str = "development"
     skipped: list[tuple[str, str]] = field(default_factory=list)  # (path, reason)
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise DatasetError(f"bad manifest role {self.role!r}")
 
     def machines(self) -> list[str]:
         return sorted({r.machine_type for r in self.records})
-
-    def sections(self, machine: str) -> list[str]:
-        return sorted({r.section for r in self.records if r.machine_type == machine})
 
     def select(self, machine: str | None = None, split: str | None = None,
                domain: str | None = None, condition: str | None = None) -> list[ClipRecord]:
@@ -153,7 +144,7 @@ def clip_record(rel) -> ClipRecord:
                       path=str(rel), attributes=parsed["attributes"])
 
 
-def scan_dataset(root_dir, role: str = "development") -> DatasetManifest:
+def scan_dataset(root_dir) -> DatasetManifest:
     """Walk a dataset tree and build the manifest.
 
     Expects <root>/<machine>/<subdir>/*.wav (see clip_record). Unparseable
@@ -177,20 +168,19 @@ def scan_dataset(root_dir, role: str = "development") -> DatasetManifest:
         raise DatasetError(f"no parseable .wav files under {root} "
                            f"({len(skipped)} skipped)")
     records.sort(key=lambda r: r.path)
-    return DatasetManifest(records=records, role=role, skipped=skipped)
+    return DatasetManifest(records=records, skipped=skipped)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
     write_table(path, MANIFEST_COLUMNS, (
         [r.machine_type, r.section, r.domain, r.split, r.condition, r.path,
-         ";".join(f"{k}={v}" for k, v in sorted(r.attributes.items())), manifest.role]
+         ";".join(f"{k}={v}" for k, v in sorted(r.attributes.items()))]
         for r in sorted(manifest.records, key=lambda r: r.path)))
 
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     records = []
-    roles = set()
     for _, row in read_table(path, "manifest", MANIFEST_COLUMNS):
         attributes = {}
         if row["attributes"]:
@@ -201,54 +191,46 @@ def load_manifest(path) -> DatasetManifest:
             machine_type=row["machine_type"], section=row["section"],
             domain=row["domain"], split=row["split"], condition=row["condition"],
             path=row["path"], attributes=attributes))
-        roles.add(row["role"])
     if not records:
         raise DatasetError(f"{path}: empty manifest")
-    if len(roles) != 1:
-        raise DatasetError(f"{path}: mixed manifest roles {sorted(roles)}")
     counts = Counter(r.path for r in records)
     dupes = [p for p, c in counts.items() if c > 1]
     if dupes:
         raise DatasetError(f"{path}: duplicate clip paths: {dupes[:5]}")
-    return DatasetManifest(records=records, role=roles.pop())
+    return DatasetManifest(records=records)
 
 
-def check_first_shot(development: DatasetManifest, evaluation: DatasetManifest) -> None:
-    """Reject configurations whose development and evaluation machines overlap."""
-    shared = set(development.machines()) & set(evaluation.machines())
-    if shared:
-        raise DatasetError(
-            f"development and evaluation machine types must be disjoint; "
-            f"shared: {sorted(shared)}")
+def dataset_violations(manifest: DatasetManifest,
+                       evaluation: DatasetManifest | None = None) -> list[str]:
+    """The first-shot rules the dataset breaks, one message each; [] if none.
 
-
-def check_single_section(manifest: DatasetManifest) -> None:
-    bad = {m: manifest.sections(m) for m in manifest.machines()
-           if len(manifest.sections(m)) != 1}
-    if bad:
-        raise DatasetError(f"each machine type must have exactly one section; got {bad}")
-
-
-def official_layout_violations(manifest: DatasetManifest) -> list[str]:
-    """Check the official per-section clip counts (990 source-train + 10
-    target-train; 100+100 test for development manifests). Returns a list of
-    human-readable violations, empty when the layout matches."""
+    Each machine type is one section of 990 source-train and 10 target-train
+    clips, and 100 normal and 100 anomalous test clips. An evaluation tree's
+    test names carry no condition, so a section whose test clips are all
+    unlabeled has its training counts checked only. No machine type may be in
+    both the manifest and the evaluation manifest.
+    """
     problems = []
-    per_section: dict[tuple[str, str], list[ClipRecord]] = defaultdict(list)
+    tally: dict[tuple[str, str], Counter] = defaultdict(Counter)
     for r in manifest.records:
-        per_section[(r.machine_type, r.section)].append(r)
-    for (machine, section), recs in sorted(per_section.items()):
-        n_src = sum(1 for r in recs if r.split == "train" and r.domain == "source")
-        n_tgt = sum(1 for r in recs if r.split == "train" and r.domain == "target")
-        if n_src != 990:
-            problems.append(f"{machine}/{section}: {n_src} source-train clips, expected 990")
-        if n_tgt != 10:
-            problems.append(f"{machine}/{section}: {n_tgt} target-train clips, expected 10")
-        if manifest.role == "development":
-            n_norm = sum(1 for r in recs if r.split == "test" and r.condition == "normal")
-            n_anom = sum(1 for r in recs if r.split == "test" and r.condition == "anomaly")
-            if n_norm != 100:
-                problems.append(f"{machine}/{section}: {n_norm} normal test clips, expected 100")
-            if n_anom != 100:
-                problems.append(f"{machine}/{section}: {n_anom} anomalous test clips, expected 100")
+        kind = r.domain if r.split == "train" else r.condition
+        tally[r.machine_type, r.section][r.split, kind] += 1
+    sections = defaultdict(list)
+    for machine, section in sorted(tally):
+        sections[machine].append(section)
+    bad = {m: s for m, s in sections.items() if len(s) != 1}
+    if bad:
+        problems.append(f"each machine type must have exactly one section; got {bad}")
+    for (machine, section), n in sorted(tally.items()):
+        rules = [("train", "source", 990, "source-train"), ("train", "target", 10, "target-train")]
+        if not n["test", "unknown"] or n["test", "normal"] or n["test", "anomaly"]:
+            rules += [("test", "normal", 100, "normal test"),
+                      ("test", "anomaly", 100, "anomalous test")]
+        problems += [f"{machine}/{section}: {n[split, kind]} {what} clips, expected {want}"
+                     for split, kind, want, what in rules if n[split, kind] != want]
+    if evaluation is not None:
+        shared = set(manifest.machines()) & set(evaluation.machines())
+        if shared:
+            problems.append("development and evaluation machine types must be disjoint; "
+                            f"shared: {sorted(shared)}")
     return problems

@@ -244,12 +244,6 @@ def fit_covariances(model: AeModel, clips) -> tuple[list[float], DomainCovarianc
                                      ridge=RIDGE, n_source=source.n, n_target=target.n)
 
 
-def identity_covariances(dim: int) -> DomainCovariances:
-    """Identity inverse covariances; makes the mahalanobis mode equal the mse mode."""
-    return DomainCovariances(whitening=np.eye(dim), target_scale=np.ones(dim),
-                             ridge=0.0, n_source=0, n_target=0)
-
-
 def fit_threshold(training_scores) -> float:
     """phi: the THRESHOLD_PERCENTILE percentile (linear interpolation) of
     training-split scores."""

@@ -271,6 +271,6 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
         raise ConfigError(f"spec.clip_seconds: clips of {spec.clip_seconds} s do not fit "
                           f"in memory; {out} is left partly written") from exc
     records = sorted((clip_record(job.path) for job in jobs), key=lambda r: r.path)
-    manifest = DatasetManifest(records=records, role="development")
+    manifest = DatasetManifest(records=records)
     save_manifest(manifest, out / MANIFEST_FILENAME)
     return manifest

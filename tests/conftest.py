@@ -6,6 +6,7 @@ import pytest
 from asdkit import _pool
 from asdkit.cli import train_machine
 from asdkit.config import RunConfig
+from asdkit.scoring import DomainCovariances
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 SMALL_SEED = 11
@@ -37,6 +38,12 @@ def fast_config(seed: int = 5) -> RunConfig:
         "features": {"n_mels": 32, "context_frames": 5},
         "train": {"epochs": 8, "batch_size": 128},
     })
+
+
+def identity_covariances(dim: int) -> DomainCovariances:
+    """Identity inverse covariances; makes the mahalanobis mode equal the mse mode."""
+    return DomainCovariances(whitening=np.eye(dim), target_scale=np.ones(dim),
+                             ridge=0.0, n_source=0, n_target=0)
 
 
 @pytest.fixture(scope="session")

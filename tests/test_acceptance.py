@@ -17,16 +17,17 @@ import numpy as np
 import pytest
 import yaml
 
+from asdkit._io import read_table, write_table
 from asdkit.cli import main
 from asdkit.config import RunConfig
-from asdkit.dataset import load_manifest, scan_dataset
-from asdkit.metrics import (ScoredClip, ScoredTestSet, auc_domain,
+from asdkit.dataset import load_manifest, save_manifest, scan_dataset
+from asdkit.metrics import (METRICS, ScoredClip, ScoredTestSet, auc_domain,
                             official_score, pauc_section)
 from asdkit.model import DEFAULT_LAYER_DIMS, count_macs, init_model
-from asdkit.scoring import identity_covariances, read_score_csv, save_covariances
+from asdkit.scoring import MODES, read_score_csv, save_covariances, write_score_csv
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
-from conftest import SMALL_MACHINE, fast_config, small_spec
+from conftest import SMALL_MACHINE, fast_config, identity_covariances, small_spec
 from test_metrics import auc_oracle, pauc_oracle
 from test_model import (analytic_flat_gradient, fd_gradient,
                         max_relative_error, sample_kink_free_case)
@@ -237,37 +238,52 @@ def test_acceptance_7_published_baseline_reproduction(tmp_path):
     with criterion(7, "published dev-set baseline within 5 percentage points"):
         root = Path(os.environ["ASDKIT_DEV_DATA"])
         manifest = scan_dataset(root)
+        for machine in PUBLISHED_DEV_BASELINE:
+            if machine not in manifest.machines():
+                pytest.skip(f"machine {machine} missing under {root}")
+        manifest_path = tmp_path / "manifest.csv"
+        save_manifest(manifest, manifest_path)
         config = RunConfig()  # full defaults: 640-d features, 100 epochs
         cfg_path = tmp_path / "cfg.yaml"
         with open(cfg_path, "w") as fh:
             yaml.safe_dump(config.to_dict(), fh)
-        misses = []
-        for machine, expected in PUBLISHED_DEV_BASELINE.items():
-            if machine not in manifest.machines():
-                pytest.skip(f"machine {machine} missing under {root}")
+        score_rows = {mode: [] for mode in MODES}
+        for machine in PUBLISHED_DEV_BASELINE:
             out = tmp_path / machine
             assert main(["train", "--config", str(cfg_path), "--data-root",
                          str(root), "--machine", machine, "--out", str(out)]) == 0
-            for mode, (ref_src, ref_tgt, ref_pauc) in expected.items():
+            for mode, rows in score_rows.items():
                 csv_path = tmp_path / f"{machine}_{mode}.csv"
                 assert main(["score", "--model", str(out), "--data-root", str(root),
                              "--machine", machine, "--mode", mode,
                              "--out", str(csv_path)]) == 0
-                by_path = {r.path: r for r in manifest.records}
-                clips = [ScoredClip(path=p, machine_type=machine, section="00",
-                                    domain=by_path[p].domain,
-                                    condition=by_path[p].condition, score=v)
-                         for p, v, _ in read_score_csv(csv_path)]
-                scored = ScoredTestSet(clips)
-                got = (100 * auc_domain(scored, machine, "00", "source"),
-                       100 * auc_domain(scored, machine, "00", "target"),
-                       100 * pauc_section(scored, machine, "00", p=0.1))
-                for name, ours, ref in zip(("auc_source", "auc_target", "pauc"),
-                                           got, (ref_src, ref_tgt, ref_pauc)):
-                    print(f"  {machine}/{mode} {name}: {ours:.2f} vs {ref:.2f}")
-                    if abs(ours - ref) > 5.0:
-                        misses.append(f"{machine}/{mode}/{name}: "
-                                      f"{ours:.2f} vs {ref:.2f}")
+                rows += read_score_csv(csv_path)
+        misses = []
+        for mode, rows in score_rows.items():
+            write_score_csv(rows, tmp_path / f"{mode}.csv")
+            write_table(tmp_path / f"{mode}_reference.csv", ["machine", *METRICS],
+                        ([machine, *expected[mode]]
+                         for machine, expected in PUBLISHED_DEV_BASELINE.items()))
+            report = tmp_path / f"report_{mode}"
+            assert main(["evaluate", "--scores", str(tmp_path / f"{mode}.csv"),
+                         "--manifest", str(manifest_path),
+                         "--reference", str(tmp_path / f"{mode}_reference.csv"),
+                         "--out", str(report)]) == 0
+            columns = [f"{kind}_{key}" for key in METRICS for kind in ("ref", "delta")]
+            table = [row for _, row in read_table(f"{report}.csv", "report",
+                                                  ["machine_type", *columns])]
+            assert sorted(row["machine_type"] for row in table) == sorted(PUBLISHED_DEV_BASELINE)
+            for row in table:
+                for key in METRICS:
+                    name = f"{row['machine_type']}/{mode}/{key}"
+                    delta = row[f"delta_{key}"]
+                    assert delta, f"{name}: undefined metric"
+                    print(f"  {name}: {delta} pp vs {row[f'ref_{key}']}")
+                    if abs(float(delta)) > 5.0:
+                        misses.append(f"{name}: {delta} pp")
+            print(f"  {mode}, all machines: " + next(
+                line for line in Path(f"{report}.txt").read_text().splitlines()
+                if line.startswith("official score:")))
         if misses:
             pytest.xfail("outside the 5-point band (optional criterion): "
                          + "; ".join(misses))

@@ -31,13 +31,13 @@ from asdkit.errors import (AsdkitError, ConfigError, DatasetError, InsufficientD
                            MismatchError, ModelFileError, TooShortError,
                            TrainingDivergedError, UndefinedMetricError, WavFormatError)
 from asdkit.model import DEFAULT_LAYER_DIMS, init_model, load_model, save_model
-from asdkit.scoring import (COV_MAGIC, MODES, THRESHOLD_PERCENTILE, identity_covariances,
-                            load_covariances, load_thresholds, read_score_csv,
-                            save_covariances, score_mahalanobis, score_mse,
-                            write_score_csv)
+from asdkit.scoring import (COV_MAGIC, MODES, THRESHOLD_PERCENTILE, load_covariances,
+                            load_thresholds, read_score_csv, save_covariances,
+                            score_mahalanobis, score_mse, write_score_csv)
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
-from conftest import ALIAS_BOMB, MESSAGE_LIMIT, SMALL_MACHINE, fast_config
+from conftest import (ALIAS_BOMB, MESSAGE_LIMIT, SMALL_MACHINE, fast_config,
+                      identity_covariances)
 
 try:
     import resource
@@ -675,6 +675,56 @@ def test_cut_clip_is_a_score_row_error_and_a_train_data_error(trained_artifacts,
     assert "Warning" not in err
 
 
+def unusable_clip(path: Path, config: RunConfig) -> bool:
+    """Whether the clip at path gives no stacked feature vector."""
+    try:
+        extract_features(read_wav(path), config.features)
+    except AsdkitError:
+        return True
+    return False
+
+
+@given(split=st.sampled_from(["test", "train"]), index=st.integers(0, 20),
+       cut=st.booleans(), at=st.one_of(st.integers(0, 47), st.integers(0, 2**15)),
+       value=st.integers(0, 255))
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mangled_wav_gives_an_exit_code(trained_artifacts, tmp_path, capsys,
+                                        split, index, cut, at, value):
+    # one WAV of the tree truncated to `at` bytes, or with byte `at` set to value
+    config, paths, small_root = trained_artifacts
+    root = tmp_path / "data"
+    if not root.exists():
+        shutil.copytree(small_root, root)
+    records = load_manifest(root / "manifest.csv").select(split=split)
+    victim = records[index % len(records)].path
+    original = (root / victim).read_bytes()
+    at %= len(original)
+    (root / victim).write_bytes(original[:at] if cut else
+                                original[:at] + bytes([value]) + original[at + 1:])
+    capsys.readouterr()
+    try:
+        if split == "test":
+            out_csv = tmp_path / "scores.csv"
+            assert main(["score", "--model", str(paths["model"].parent),
+                         "--data-root", str(root), "--machine", SMALL_MACHINE,
+                         "--mode", "mse", "--out", str(out_csv)]) == EXIT_OK
+            scored = {path for path, _, _ in read_score_csv(out_csv)}
+            errors = Path(f"{out_csv}.errors.csv")
+            failed = set(errors.read_text().splitlines()[1:]) if errors.exists() else set()
+            assert (victim in scored) != any(row.startswith(victim + ",") for row in failed)
+        else:
+            bad = unusable_clip(root / victim, config)
+            cfg = {**config.to_dict(), "train": {"epochs": 1, "batch_size": 128}}
+            (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+            assert main(["train", "--config", str(tmp_path / "cfg.yaml"), "--data-root",
+                         str(root), "--machine", SMALL_MACHINE,
+                         "--out", str(tmp_path / "out")]) == (EXIT_DATA if bad else EXIT_OK)
+            assert (victim in capsys.readouterr().err) == bad
+    finally:
+        (root / victim).write_bytes(original)
+
+
 def test_score_overflowing_wav_is_row_level(trained_artifacts, tmp_path, capsys):
     config, paths, root = trained_artifacts
     victim = sorted(r.path for r in load_manifest(root / "manifest.csv").select(
@@ -1043,7 +1093,30 @@ def test_evaluate_perfect_separation(small_dataset, tmp_path, capsys):
     assert "official score: 1.000000" in out
     assert (tmp_path / "report.csv").exists()
     assert (tmp_path / "report.txt").exists()
-    assert yaml.safe_load((tmp_path / "report.config.yaml").read_text())["pauc_p"] == 0.1
+    echo = yaml.safe_load((tmp_path / "report.config.yaml").read_text())
+    assert echo["pauc_p"] == 0.1 and echo["unscored_test_clips"] == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_evaluate_warns_of_test_clips_with_no_score(trained_artifacts, tmp_path, capsys):
+    _, paths, small_root = trained_artifacts
+    root = tmp_path / "data"
+    shutil.copytree(small_root, root)
+    victim = load_manifest(root / "manifest.csv").select(
+        machine=SMALL_MACHINE, split="test", condition="anomaly")[0].path
+    (root / victim).write_bytes(b"\0" * 16)
+    scores_csv = tmp_path / "scores.csv"
+    assert main(["score", "--model", str(paths["model"].parent), "--data-root", str(root),
+                 "--machine", SMALL_MACHINE, "--mode", "mse",
+                 "--out", str(scores_csv)]) == EXIT_OK
+    assert "(1 warnings" in capsys.readouterr().out
+    assert main(["evaluate", "--scores", str(scores_csv),
+                 "--manifest", str(root / "manifest.csv"),
+                 "--out", str(tmp_path / "report")]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "warning: 1 labeled test clips" in err and victim in err
+    echo = yaml.safe_load((tmp_path / "report.config.yaml").read_text())
+    assert echo["unscored_test_clips"] == 1
 
 
 def test_evaluate_constant_scores_flagged_zero(small_dataset, tmp_path, capsys):

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 import yaml
 
-from asdkit.dataset import (ClipRecord, DatasetManifest,
-                            check_first_shot, check_single_section,
-                            load_manifest, official_layout_violations,
-                            parse_clip_name, save_manifest, scan_dataset)
+from asdkit.dataset import (ClipRecord, DatasetManifest, dataset_violations,
+                            load_manifest, parse_clip_name, save_manifest,
+                            scan_dataset)
 from asdkit.dsp import read_wav
 from asdkit.errors import ConfigError, DatasetError
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
@@ -92,19 +91,25 @@ def test_scan_missing_root(tmp_path):
         scan_dataset(tmp_path / "nope")
 
 
+def official_train_names() -> list[str]:
+    return ([f"section_00_source_train_normal_{i:04d}.wav" for i in range(990)]
+            + [f"section_00_target_train_normal_{i:04d}.wav" for i in range(10)])
+
+
+def labeled_test_names(normal: int, anomaly: int) -> list[str]:
+    return ([f"section_00_source_test_normal_{i:04d}.wav" for i in range(normal)]
+            + [f"section_00_source_test_anomaly_{i:04d}.wav" for i in range(anomaly)])
+
+
 def test_official_dev_layout_counts(tmp_path):
-    names = {"train": [], "test": []}
-    for i in range(990):
-        names["train"].append(f"section_00_source_train_normal_{i:04d}.wav")
-    for i in range(10):
-        names["train"].append(f"section_00_target_train_normal_{i:04d}.wav")
+    names = {"train": official_train_names(), "test": []}
     for i in range(50):
         for domain in ("source", "target"):
             names["test"].append(f"section_00_{domain}_test_normal_{i:04d}.wav")
             names["test"].append(f"section_00_{domain}_test_anomaly_{i:04d}.wav")
     make_tree(tmp_path, "bearing", names)
     manifest = scan_dataset(tmp_path)
-    assert official_layout_violations(manifest) == []
+    assert dataset_violations(manifest) == []
     assert len(manifest.select(machine="bearing", split="train")) == 1000
     assert len(manifest.select(machine="bearing", split="test")) == 200
 
@@ -125,13 +130,33 @@ def test_synth_full_spec_has_official_layout():
                for split, domain, condition, count in plan
                for i in range(count)]
     assert spec.clip_seconds == 10.0
-    assert official_layout_violations(DatasetManifest(records=records)) == []
+    assert dataset_violations(DatasetManifest(records=records)) == []
 
 
 def test_official_layout_violations_reported(small_dataset):
     _, manifest = small_dataset
-    problems = official_layout_violations(manifest)
+    problems = dataset_violations(manifest)
     assert any("source-train" in p for p in problems)
+
+
+def test_unlabeled_test_clips_have_no_test_count_rule(tmp_path):
+    # an evaluation tree: test names carry no condition, so only training counts
+    make_tree(tmp_path / "eval", "fan", {
+        "train": official_train_names(),
+        "test": [f"section_00_{i:04d}.wav" for i in range(200)]})
+    assert dataset_violations(scan_dataset(tmp_path / "eval")) == []
+    # a section with no test clips at all still breaks the test counts
+    make_tree(tmp_path / "dev", "fan", {"train": official_train_names()})
+    assert dataset_violations(scan_dataset(tmp_path / "dev")) == [
+        "fan/00: 0 normal test clips, expected 100",
+        "fan/00: 0 anomalous test clips, expected 100"]
+
+
+def test_one_wrong_test_count_is_one_violation(tmp_path):
+    make_tree(tmp_path, "fan", {"train": official_train_names(),
+                                "test": labeled_test_names(normal=99, anomaly=100)})
+    assert dataset_violations(scan_dataset(tmp_path)) == [
+        "fan/00: 99 normal test clips, expected 100"]
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +181,9 @@ def test_manifest_roundtrip(tmp_path, small_dataset):
     _, manifest = small_dataset
     path = tmp_path / "manifest.csv"
     save_manifest(manifest, path)
+    assert path.read_text().splitlines()[0] == \
+        "machine_type,section,domain,split,condition,path,attributes"
     loaded = load_manifest(path)
-    assert loaded.role == manifest.role
     original = sorted(manifest.records, key=lambda r: r.path)
     restored = sorted(loaded.records, key=lambda r: r.path)
     assert len(original) == len(restored)
@@ -177,39 +203,50 @@ def test_manifest_load_rejects_missing_columns(tmp_path):
 
 def test_manifest_load_rejects_duplicates(tmp_path):
     path = tmp_path / "manifest.csv"
-    row = "fan,00,source,train,normal,fan/train/a.wav,,development\n"
-    path.write_text("machine_type,section,domain,split,condition,path,attributes,role\n"
+    row = "fan,00,source,train,normal,fan/train/a.wav,\n"
+    path.write_text("machine_type,section,domain,split,condition,path,attributes\n"
                     + row + row)
     with pytest.raises(DatasetError):
         load_manifest(path)
 
 
-# ---------------------------------------------------------------------------
-# dataset-level validators
+def test_manifest_with_an_old_role_column_loads(tmp_path):
+    # older asdkit wrote a role per row; the column is ignored, mixed values too
+    path = tmp_path / "manifest.csv"
+    path.write_text("machine_type,section,domain,split,condition,path,attributes,role\n"
+                    "fan,00,source,train,normal,fan/train/a.wav,,development\n"
+                    "fan,00,target,train,normal,fan/train/b.wav,,evaluation\n")
+    assert [r.path for r in load_manifest(path).records] == \
+        ["fan/train/a.wav", "fan/train/b.wav"]
 
-def manifest_with_machines(machines, role="development"):
+
+# ---------------------------------------------------------------------------
+# dataset-level rules
+
+def manifest_with_machines(machines):
     records = [ClipRecord(machine_type=m, section="00", domain="source",
                           split="train", condition="normal", path=f"{m}/train/a.wav")
                for m in machines]
-    return DatasetManifest(records=records, role=role)
+    return DatasetManifest(records=records)
 
 
 def test_first_shot_validator():
     dev = manifest_with_machines(["fan", "valve"])
-    eva = manifest_with_machines(["grinder"], role="evaluation")
-    check_first_shot(dev, eva)  # disjoint: fine
-    with pytest.raises(DatasetError):
-        check_first_shot(dev, manifest_with_machines(["valve"], role="evaluation"))
+    disjoint = dataset_violations(dev, manifest_with_machines(["grinder"]))
+    assert not any("disjoint" in p for p in disjoint)
+    overlap = dataset_violations(dev, manifest_with_machines(["valve"]))
+    assert overlap == disjoint + [
+        "development and evaluation machine types must be disjoint; shared: ['valve']"]
 
 
 def test_single_section_validator():
     manifest = manifest_with_machines(["fan"])
-    check_single_section(manifest)
+    assert not any("exactly one section" in p for p in dataset_violations(manifest))
     manifest.records.append(ClipRecord(
         machine_type="fan", section="01", domain="source", split="train",
         condition="normal", path="fan/train/b.wav"))
-    with pytest.raises(DatasetError):
-        check_single_section(manifest)
+    assert [p for p in dataset_violations(manifest) if "exactly one section" in p] == [
+        "each machine type must have exactly one section; got {'fan': ['00', '01']}"]
 
 
 # ---------------------------------------------------------------------------

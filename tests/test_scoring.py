@@ -9,11 +9,13 @@ import pytest
 from asdkit.errors import ConfigError, InsufficientDataError, ModelFileError
 from asdkit.model import forward, init_model
 from asdkit.scoring import (COV_MAGIC, COV_VERSION, RIDGE, DomainCovariances, decide,
-                            fit_threshold, identity_covariances, joint_whitening,
+                            fit_threshold, joint_whitening,
                             load_covariances, load_thresholds, mahalanobis_frame_scores,
                             read_score_csv, save_covariances, save_thresholds,
                             score_mahalanobis, score_mse, write_score_csv,
                             RIDGE_TRACE_FLOOR, ResidualMoments, fit_covariances)
+
+from conftest import identity_covariances
 
 
 def zero_model(dim):
