@@ -3,19 +3,22 @@
 A pass maps one function over a list of clips. It runs on forked worker
 processes, each with numpy's BLAS pinned to one thread, when the pass holds
 enough audio to repay the pool's start-up, and in the calling process
-otherwise. Results come back in item order, so a pass gives the same output
-for any worker count.
+otherwise. Results are yielded in item order as they are ready, so a pass
+gives the same output for any worker count, and a caller can fold each one
+as it comes.
 
 Fork, not spawn or forkserver: those re-import the caller's __main__ (a
 script that calls asdkit at top level breaks the pool) and pay the
 numpy import in every worker. Forked workers also inherit the pass's
 function, with the model, covariances and frame store it closes over, so
-only the items and the results are pickled, and a shared frame store
-(``shared_empty``) is written in place.
+only the items and the results are pickled, and shared arrays
+(``shared_empty``, ``shared_slots``: the frame store, the covariance pass's
+block scatters) are written in place.
 
-Each worker keeps the memory it frees on its heap (glibc ``mallopt``), so a
-clip's temporaries reuse the previous clip's pages instead of being mapped,
-first-touched and unmapped again for every clip.
+Each worker, and the CLI's own process, keeps the memory it frees on its
+heap (glibc ``mallopt``), so a clip's temporaries reuse the previous clip's
+pages instead of being mapped, first-touched and unmapped again for every
+clip.
 """
 
 from __future__ import annotations
@@ -129,37 +132,73 @@ def shared_empty(shape, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(shape)
 
 
+def keep_heap() -> None:
+    """Keep this process's freed memory on its heap, where glibc allows.
+
+    Allocations up to glibc's largest mmap threshold then come from the
+    heap, and freed heap memory stays with the process while it lives, so a
+    clip's temporaries reuse the previous clip's pages. Each worker and
+    each command of the CLI set it once.
+    """
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+def shared_slots(count: int, shape, dtype):
+    """count zero-filled arrays of one shape in anonymous shared memory, and
+    free(i), which hands array i's pages back to the OS.
+
+    Like shared_empty, forked workers write into the arrays in place. Every
+    worker maps all of them until the pool ends, so dropping an array in one
+    process frees nothing; free(i) does, in every process at once (Linux
+    MADV_REMOVE; elsewhere the memory stays until the arrays are dropped).
+    Array i reads as zeros after free(i).
+    """
+    dtype = np.dtype(dtype)
+    slot = -(-int(np.prod(shape)) * dtype.itemsize // mmap.PAGESIZE) * mmap.PAGESIZE
+    memory = mmap.mmap(-1, max(count * slot, 1))
+    arrays = [np.ndarray(shape, dtype, memory, i * slot) for i in range(count)]
+
+    def free(i: int) -> None:
+        with contextlib.suppress(AttributeError, OSError):
+            memory.madvise(mmap.MADV_REMOVE, i * slot, slot)
+    return arrays, free
+
+
 def _start_worker(fn) -> None:
     global _task
     _task = fn
     set_threads = _blas_set_threads()
     if set_threads is not None:
         set_threads(1)
-    mallopt = _mallopt()
-    if mallopt is not None:
-        # allocations up to glibc's largest mmap threshold come from the heap,
-        # and freed heap memory stays with the worker while it lives
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    keep_heap()
 
 
 def _run_task(item):
     return _task(item)
 
 
-def run(fn, items, workers: int) -> list:
-    """[fn(item) for item in items], on that many forked workers when above one.
+def run(fn, items, workers: int):
+    """Yield fn(item) for each item in item order, on that many forked workers
+    when above one.
 
     The first item to raise (in item order) cancels the items not yet
-    started, and its error is raised here once every worker has exited.
+    started, and its error is raised here once every worker has exited. A
+    consumer that stops early (closing the generator) shuts the pool down the
+    same way. A result waits in this process until it is consumed, so a
+    consumer that folds each one as it comes holds only the few finished
+    ahead of it.
     """
     if workers <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     import multiprocessing  # only pooled passes pay for these imports
     from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_start_worker, initargs=(fn,))
     try:
-        return list(pool.map(_run_task, items))
+        yield from pool.map(_run_task, items)
     finally:
         pool.shutdown(cancel_futures=True)

@@ -151,7 +151,8 @@ def _feature_store(config: RunConfig, root: Path, records):
         clip = read_wav(root / records[i].path)
         frames[offsets[i]:offsets[i + 1]] = log_mel(clip, f).T
 
-    _pool.run(fill, range(len(records)), workers)
+    for _ in _pool.run(fill, range(len(records)), workers):
+        pass
     rows = np.concatenate([np.arange(o, o + t - f.context_frames + 1)
                            for o, t in zip(offsets, counts)])
     clips = [(o, t, rec.domain) for o, t, rec in zip(offsets, counts, records)]
@@ -179,11 +180,12 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     covariances, and fits one threshold per scoring mode on the training
     scores. The only full-size array is the float32 frame store: training
     stacks each batch from it, and residual statistics and threshold scores
-    stack and stream it clip by clip. Frame extraction and the Mahalanobis
-    threshold scores run on the fork pool; the residual pass stays
-    in-process, since its merge order defines the covariance bytes. Only
-    once every artifact is computed are the previous run's five files
-    replaced, so a failed run leaves the previous one as it was.
+    stack and stream it clip by clip. Frame extraction, the residual pass of
+    fit_covariances (in blocks of clips fixed by the clip order alone, so
+    the covariance bytes do not depend on the worker count) and the
+    Mahalanobis threshold scores run on the fork pool. Only once every
+    artifact is computed are the previous run's five files replaced, so a
+    failed run leaves the previous one as it was.
     """
     train_records = _machine_clips(data_root, machine, "train")
     missing = [d for d in ("source", "target") if not any(r.domain == d for r in train_records)]
@@ -195,13 +197,14 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     model0 = init_model(default_layer_dims(config.features.feature_dim), seed=config.seed)
     model, history = train(model0, frames, config.train, rows)
 
-    def vectors(offset, t):
+    def vectors(i):
+        offset, t, _ = clips[i]
         return stack_frames(frames[offset:offset + t].T, config.features)
 
-    mse_scores, cov = fit_covariances(
-        model, ((vectors(o, t), domain) for o, t, domain in clips))
-    mah_scores = _pool.run(
-        lambda clip: score_mahalanobis(model, vectors(clip[0], clip[1]), cov), clips, workers)
+    mse_scores, cov = fit_covariances(model, vectors, [domain for *_, domain in clips],
+                                      workers)
+    mah_scores = list(_pool.run(lambda i: score_mahalanobis(model, vectors(i), cov),
+                                range(len(clips)), workers))
     thresholds = {"mse": fit_threshold(mse_scores), "mahalanobis": fit_threshold(mah_scores)}
 
     paths = _artifact_paths(out_dir)
@@ -259,7 +262,8 @@ def score_machine(run_dir, data_root, machine: str, mode: str | None, out_csv):
 
     workers = _pool.worker_count(len(records), _pcm_seconds(root, records))
     rows, row_errors = [], []
-    for rec, (score, error) in zip(records, _pool.run(score_clip, records, workers)):
+    results = _pool.run(score_clip, records, workers)
+    for rec, (score, error) in zip(records, results, strict=True):
         if error is None:
             rows.append((rec.path, score, decide(score, phi)))
         else:
@@ -459,6 +463,7 @@ _EXIT_CODES = ((ConfigError, EXIT_CONFIG), (ModelFileError, EXIT_ARTIFACT),
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _pool.keep_heap()  # in-process passes reuse a clip's pages too, as workers do
     try:
         return args.fn(args)
     except AsdkitError as exc:

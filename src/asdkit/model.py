@@ -130,7 +130,8 @@ def _forward_cached(model: AeModel, batch):
     a = x
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        z = a @ w
+        z += b
         pre.append(z)
         a = z if l == last else np.maximum(z, 0)
         acts.append(a)
@@ -150,15 +151,17 @@ def gradient(model: AeModel, batch: np.ndarray):
     """
     pre, acts = _forward_cached(model, batch)
     residual = acts[-1] - acts[0]
-    loss = float(np.mean(residual.astype(np.float64) ** 2))
+    loss = float(np.mean(np.square(residual, dtype=np.float64)))
     grad = np.empty_like(model.params)
     views = _views(grad, model.layer_dims)
-    delta = (2.0 / residual.size) * residual  # dL/d(output pre-activation)
+    residual *= 2.0 / residual.size
+    delta = residual  # dL/d(output pre-activation)
     for l in range(len(model.weights) - 1, -1, -1):
         np.matmul(acts[l].T, delta, out=views[2 * l])
         np.sum(delta, axis=0, out=views[2 * l + 1])
         if l > 0:
-            delta = (delta @ model.weights[l].T) * (pre[l - 1] > 0)
+            delta = delta @ model.weights[l].T
+            delta *= pre[l - 1] > 0
     return loss, grad
 
 

@@ -18,6 +18,13 @@ Sigma_source = C C', then eigh(inv(C) Sigma_target inv(C)') = U diag(mu) U',
 W = inv(C)' U and lam = 1 / mu. With z = e W, the source form is sum(z^2)
 and the target form is z^2 . lam. No inverse of a covariance is formed.
 
+Each domain's covariance comes from one residual pass over its training
+clips, which runs on the fork pool in blocks of BLOCK_CLIPS clips of one
+domain. A block sums its clips' within-clip scatters; the blocks are folded
+in block order and the between-clip term is added from the clip means. Only
+the clip order sets the blocks, so the covariance bytes are the same for any
+worker count.
+
 Residuals and scores are float64 regardless of the model's parameter dtype.
 Scoring functions are pure; concurrent calls on different clips are safe.
 """
@@ -31,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
 from ._io import atomic_write, read_table, write_table
-from ._pool import one_blas_thread
 from .errors import ConfigError, InsufficientDataError, ModelFileError
 from .model import AeModel, forward
 
@@ -124,56 +131,117 @@ def score_mahalanobis(model: AeModel, features: np.ndarray, cov: DomainCovarianc
     return _checked_score(float(np.sum(q_source) / residuals.size))
 
 
-class ResidualMoments:
-    """Running count n, mean and centred second moment M2 of residual vectors.
+# Training clips per residual block. A block is one pool task, and the
+# within-clip scatter is summed inside a block and then over blocks in block
+# order, so only the clip order, never the worker count, sets the bytes.
+BLOCK_CLIPS = 16
+# Centred residual rows per scatter product inside a block. At one BLAS
+# thread, a product of 1536 rows costs about 0.6 times as much per row as one
+# of a 10 s clip's 307 rows; the stack takes 7.9 MB at D = 640.
+SCATTER_ROWS = 1536
 
-    Batches merge with the pairwise update of Chan, Golub & LeVeque (1979):
-    M2 = M2_a + M2_b + delta delta' * n_a n_b / n, with delta the difference
-    of the batch means. Each batch is centred on its own mean after shifting
-    by its first row, so a large common offset never cancels and a batch of
-    identical rows adds exactly zero to M2.
+
+def _clip_blocks(domains) -> list[list[int]]:
+    """Clip indices in blocks: each domain's clips, in clip order, in runs of BLOCK_CLIPS."""
+    by_domain: dict[str, list[int]] = {}
+    for i, domain in enumerate(domains):
+        by_domain.setdefault(domain, []).append(i)
+    return [clips[k:k + BLOCK_CLIPS] for clips in by_domain.values()
+            for k in range(0, len(clips), BLOCK_CLIPS)]
+
+
+def _block_moments(model: AeModel, vectors, block, scatter):
+    """The residual statistics of the clips in block, one pool task.
+
+    Returns each clip's mse score, row count and residual mean, and adds the
+    block's within-clip scatter sum_k C_k' C_k to scatter, with C_k clip k's
+    residuals centred on the clip's mean. The mean is taken after shifting
+    by the clip's first row, so a large common offset never cancels and a
+    clip of identical rows adds exactly zero to the scatter. Consecutive
+    clips' C_k are stacked up to SCATTER_ROWS rows, and each stack adds one
+    product C' C.
     """
-
-    def __init__(self, dim: int):
-        self.n = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros((dim, dim))
-
-    def update(self, residuals: np.ndarray) -> None:
-        x = np.asarray(residuals, dtype=np.float64)
-        k = x.shape[0]
-        if k == 0:
-            return
-        # rows[:k] is the centred batch; rows[k] = sqrt(n_a k / n) * delta,
-        # so one product rows' rows gives M2_b plus the merge term
-        rows = np.empty((k + 1, x.shape[1]))
-        np.subtract(x, x[0], out=rows[:k])
-        shift = rows[:k].mean(axis=0)
-        rows[:k] -= shift
-        n = self.n + k
-        delta = x[0] + shift - self.mean
-        rows[k] = delta * np.sqrt(self.n * k / n)
-        self.m2 += rows.T @ rows
-        self.mean += delta * (k / n)
-        self.n = n
-
-    def covariance(self) -> np.ndarray:
-        """Sample covariance, divisor n - 1, computed in place in M2.
-
-        The moments give up their M2 buffer to the result, so call this once,
-        after the last update.
-        """
-        if self.n < 2:
-            raise InsufficientDataError(
-                f"need at least 2 residual vectors per domain, got {self.n}")
-        sigma, self.m2 = self.m2, None
-        sigma /= self.n - 1
-        return sigma
+    d = model.input_dim
+    scores, counts = np.empty(len(block)), np.empty(len(block), dtype=np.int64)
+    means, stack = np.empty((len(block), d)), np.empty((SCATTER_ROWS, d))
+    filled = 0  # rows of stack not yet in the scatter
+    for j, i in enumerate(block):
+        residuals = _residuals(model, vectors(i))
+        k = residuals.shape[0]
+        scores[j], counts[j] = _mse(residuals), k
+        first = residuals[0].copy()
+        residuals -= first
+        shift = residuals.mean(axis=0)
+        residuals -= shift
+        np.add(first, shift, out=means[j])
+        if filled + k > SCATTER_ROWS:
+            _add_scatter(scatter, stack[:filled])
+            filled = 0
+        if k > SCATTER_ROWS:
+            _add_scatter(scatter, residuals)
+        else:
+            stack[filled:filled + k] = residuals
+            filled += k
+    _add_scatter(scatter, stack[:filled])
+    return scores, counts, means
 
 
-def _ridged_covariance(moments: ResidualMoments) -> np.ndarray:
-    """Sample covariance plus RIDGE * max(trace/D, floor) * I, in M2's buffer."""
-    sigma = moments.covariance()
+def _add_scatter(scatter: np.ndarray, rows: np.ndarray) -> None:
+    scatter += rows.T @ rows  # one symmetric rank-k update (BLAS syrk)
+
+
+def _add_between_clip_scatter(m2: np.ndarray, counts: np.ndarray, means: np.ndarray) -> None:
+    """Add sum_k n_k (mu_k - mu)(mu_k - mu)' to m2 in place, from one domain's
+    per-clip row counts n_k and residual means mu_k (mu: the mean of all rows).
+
+    mu is taken relative to the first clip's mean, so a large common offset
+    never cancels and equal clip means add exactly zero.
+    """
+    deviations = means - means[0]
+    deviations -= (counts @ deviations) / counts.sum()
+    deviations *= np.sqrt(counts)[:, None]
+    m2 += deviations.T @ deviations
+
+
+def _residual_scatter(model: AeModel, vectors, domains, workers: int):
+    """The residual pass of fit_covariances: (mse scores in clip order,
+    {domain: M2}, {domain: row count}) for the source and target domains.
+
+    M2 is a domain's centred second moment: the blocks' within-clip scatters
+    folded in block order as each block ends, then the between-clip term.
+    """
+    d = model.input_dim
+    blocks = _clip_blocks(domains)
+    scores, counts = np.empty(len(domains)), np.empty(len(domains), dtype=np.int64)
+    means = np.empty((len(domains), d))
+    # each block's scatter is written in shared memory, never pickled, and
+    # freed once folded: this process holds at most one in memory at a time
+    scatters, free_scatter = _pool.shared_slots(len(blocks), (d, d), np.float64)
+    m2 = {"source": np.zeros((d, d)), "target": np.zeros((d, d))}
+    results = _pool.run(lambda b: _block_moments(model, vectors, blocks[b], scatters[b]),
+                        range(len(blocks)), min(workers, len(blocks)))
+    for b, (block_scores, block_counts, block_means) in enumerate(results):
+        block = blocks[b]
+        scores[block], counts[block], means[block] = block_scores, block_counts, block_means
+        if domains[block[0]] in m2:
+            m2[domains[block[0]]] += scatters[b]
+        free_scatter(b)
+    n = {}
+    with _pool.one_blas_thread():  # as the factorization, to fix the last digits
+        for domain in m2:
+            clips = [i for i, dom in enumerate(domains) if dom == domain]
+            n[domain] = int(counts[clips].sum())
+            if clips:
+                _add_between_clip_scatter(m2[domain], counts[clips], means[clips])
+    return scores.tolist(), m2, n
+
+
+def _ridged_covariance(m2: np.ndarray, n: int) -> np.ndarray:
+    """Sample covariance M2 / (n - 1) plus RIDGE * max(trace/D, floor) * I, in M2's buffer."""
+    if n < 2:
+        raise InsufficientDataError(f"need at least 2 residual vectors per domain, got {n}")
+    sigma = m2
+    sigma /= n - 1
     mean_diag = float(np.trace(sigma)) / sigma.shape[0]
     sigma.flat[::sigma.shape[0] + 1] += RIDGE * max(mean_diag, RIDGE_TRACE_FLOOR)
     return sigma
@@ -211,37 +279,31 @@ def joint_whitening(sigma_source: np.ndarray, sigma_target: np.ndarray):
     return c_inv.T @ u, scale
 
 
-def fit_covariances(model: AeModel, clips) -> tuple[list[float], DomainCovariances]:
-    """One residual pass over clips given as (features, domain) pairs, then the
-    joint factorization of both domains' ridged residual covariances.
+def fit_covariances(model: AeModel, vectors, domains,
+                    workers: int = 1) -> tuple[list[float], DomainCovariances]:
+    """One residual pass over the training clips, then the joint factorization
+    of both domains' ridged residual covariances.
 
-    Each clip's residual is computed once. It gives the clip's mse score and
-    is merged into the moments of its domain ("source" or "target"; clips of
-    other domains only get a score). Covariance = mean-centered sample
-    covariance (divisor N-1) plus RIDGE * max(trace/D, floor) * I; the ridge
-    keeps the target matrix invertible even with very few target-domain
-    clips. Each is built in its moments' M2 buffer and handed to
-    joint_whitening as its only reference. Returns (mse scores in clip
-    order, DomainCovariances).
+    vectors(i) gives clip i's stacked vectors and domains[i] its domain
+    ("source" or "target"; clips of other domains only get a score). Each
+    clip's residual is computed once and gives the clip's mse score. The
+    clips are cut into blocks of BLOCK_CLIPS clips of one domain, which run
+    as tasks of the fork pool on up to workers workers (vectors is called
+    there). Each block returns its clips' row counts and residual means and
+    its within-clip scatter; the scatters are folded into their domain's M2
+    in block order, and the between-clip term from the means is added last. Covariance = mean-centered sample covariance (divisor
+    N-1) plus RIDGE * max(trace/D, floor) * I; the ridge keeps the target
+    matrix invertible even with very few target-domain clips. Returns (mse
+    scores in clip order, DomainCovariances).
     """
-    moments = {"source": ResidualMoments(model.input_dim),
-               "target": ResidualMoments(model.input_dim)}
-    scores = []
-    for features, domain in clips:
-        residuals = _residuals(model, features)
-        scores.append(_mse(residuals))
-        if domain in moments:
-            moments[domain].update(residuals)
-    # free the spent clip iterator and the last clip's arrays before the
-    # factorization (held through it, they added 3 MB to the peak RSS of a
-    # training run on 10 s clips)
-    clips = features = residuals = None
-    source, target = moments["source"], moments["target"]
-    with one_blas_thread():  # LAPACK's last digits vary with the thread count
-        whitening, target_scale = joint_whitening(_ridged_covariance(source),
-                                                  _ridged_covariance(target))
+    scores, m2, n = _residual_scatter(model, vectors, domains, workers)
+    with _pool.one_blas_thread():  # LAPACK's last digits vary with the thread count
+        # each covariance is handed over as its only reference, freed once used
+        whitening, target_scale = joint_whitening(
+            _ridged_covariance(m2.pop("source"), n["source"]),
+            _ridged_covariance(m2.pop("target"), n["target"]))
     return scores, DomainCovariances(whitening=whitening, target_scale=target_scale,
-                                     ridge=RIDGE, n_source=source.n, n_target=target.n)
+                                     ridge=RIDGE, n_source=n["source"], n_target=n["target"])
 
 
 def fit_threshold(training_scores) -> float:

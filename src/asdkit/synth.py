@@ -265,8 +265,9 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
                              Path(machine, split, f"section_00_{domain}_{split}_{tail}.wav")))
     audio_s = len(jobs) * spec.clip_seconds
     try:
-        _pool.run(functools.partial(_render_job, spec, out), jobs,
-                  _pool.worker_count(len(jobs), audio_s))
+        for _ in _pool.run(functools.partial(_render_job, spec, out), jobs,
+                           _pool.worker_count(len(jobs), audio_s)):
+            pass
     except MemoryError as exc:
         raise ConfigError(f"spec.clip_seconds: clips of {spec.clip_seconds} s do not fit "
                           f"in memory; {out} is left partly written") from exc

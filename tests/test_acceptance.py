@@ -1,5 +1,5 @@
 """Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL line (run with `pytest tests/test_acceptance.py -s` to see them).
+PASS/FAIL/SKIP/XFAIL line (run with `pytest tests/test_acceptance.py -s` to see them).
 
 Criterion 7 (reproduction of the published dev-set baseline numbers) needs the
 official development dataset and is skipped unless ASDKIT_DEV_DATA points at
@@ -41,12 +41,31 @@ DESK_MACHINE = "grinder"
 
 @contextmanager
 def criterion(number: int, name: str):
+    outcome = "FAIL"
     try:
         yield
-    except BaseException:
-        print(f"ACCEPTANCE {number} ({name}): FAIL")
+    except pytest.skip.Exception:
+        outcome = "SKIP"
         raise
-    print(f"ACCEPTANCE {number} ({name}): PASS")
+    except pytest.xfail.Exception:
+        outcome = "XFAIL"
+        raise
+    else:
+        outcome = "PASS"
+    finally:
+        print(f"ACCEPTANCE {number} ({name}): {outcome}")
+
+
+@pytest.mark.parametrize("end, outcome", [
+    (lambda: None, "PASS"), (lambda: 1 / 0, "FAIL"),
+    (lambda: pytest.skip("no data"), "SKIP"), (lambda: pytest.xfail("off"), "XFAIL")])
+def test_criterion_prints_how_it_ended(capsys, end, outcome):
+    try:
+        with criterion(0, "probe"):
+            end()
+    except (ZeroDivisionError, pytest.skip.Exception, pytest.xfail.Exception):
+        pass
+    assert capsys.readouterr().out == f"ACCEPTANCE 0 (probe): {outcome}\n"
 
 
 # ---------------------------------------------------------------------------

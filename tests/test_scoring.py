@@ -8,12 +8,13 @@ import pytest
 
 from asdkit.errors import ConfigError, InsufficientDataError, ModelFileError
 from asdkit.model import forward, init_model
-from asdkit.scoring import (COV_MAGIC, COV_VERSION, RIDGE, DomainCovariances, decide,
-                            fit_threshold, joint_whitening,
+from asdkit.scoring import (BLOCK_CLIPS, COV_MAGIC, COV_VERSION, RIDGE, DomainCovariances,
+                            decide, fit_threshold, joint_whitening,
                             load_covariances, load_thresholds, mahalanobis_frame_scores,
                             read_score_csv, save_covariances, save_thresholds,
                             score_mahalanobis, score_mse, write_score_csv,
-                            RIDGE_TRACE_FLOOR, ResidualMoments, fit_covariances)
+                            RIDGE_TRACE_FLOOR, SCATTER_ROWS, _clip_blocks,
+                            _residual_scatter, _ridged_covariance, fit_covariances)
 
 from conftest import identity_covariances
 
@@ -104,9 +105,15 @@ def test_mse_zero_residual_frame_scales_score_exactly():
 # ---------------------------------------------------------------------------
 # covariances
 
+def fit(model, clips, workers=1):
+    """fit_covariances of clips given as (features, domain) pairs."""
+    return fit_covariances(model, [f for f, _ in clips].__getitem__,
+                           [domain for _, domain in clips], workers)
+
+
 def batch_fit(model, source_features, target_features):
-    """The fit train_machine streams, with each domain's features as one batch."""
-    return fit_covariances(model, [(source_features, "source"), (target_features, "target")])[1]
+    """The fit train_machine makes, with each domain's features as one clip."""
+    return fit(model, [(source_features, "source"), (target_features, "target")])[1]
 
 
 def inverses(cov):
@@ -200,60 +207,86 @@ def test_covariance_degenerate_equal_residuals():
         assert np.allclose(off, 0.0, atol=abs(expected_diag) * 1e-9)
 
 
-def moments_of(x, sizes):
-    moments = ResidualMoments(x.shape[1])
-    offset = 0
-    for k in sizes:
-        moments.update(x[offset:offset + k])
-        offset += k
-    assert offset == x.shape[0]
-    return moments
+def merged_covariance(x, sizes):
+    """M2 / (n - 1) of the source rows x, fitted as clips of sizes rows each
+    (and an unused target clip), straight from the block merge."""
+    assert sum(sizes) == x.shape[0]
+    clips = np.split(x, np.cumsum(sizes)[:-1]) + [x[:2]]
+    domains = ["source"] * len(sizes) + ["target"]
+    _, m2, n = _residual_scatter(zero_model(x.shape[1]), clips.__getitem__, domains, 1)
+    assert n["source"] == x.shape[0]
+    return m2["source"] / (n["source"] - 1)
 
 
-CHUNKINGS = {"ones": [1] * 60, "twos": [2] * 30, "uneven": [1, 7, 0, 13, 2, 37],
-             "single": [60]}
+CHUNKINGS = {"ones": [1] * 60, "twos": [2] * 30, "uneven": [1, 7, 1, 13, 2, 36],
+             "single": [60],
+             "long": np.random.default_rng(5).integers(1, 301, 40).tolist(),
+             "over-stack": [3, SCATTER_ROWS - 2, SCATTER_ROWS + 1, 2]}
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e3])
 @pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
 def test_streamed_covariance_matches_np_cov(offset, chunking):
-    x = np.random.default_rng(6).standard_normal((60, 5)) + offset
-    moments = moments_of(x, CHUNKINGS[chunking])
-    expected = np.cov(x, rowvar=False, ddof=1)
-    got = moments.covariance()
-    assert moments.n == 60
+    # clips of 1 to 300 rows, in one block or in several (40 clips of "long"),
+    # and clips that fill or overflow one scatter product
+    sizes = CHUNKINGS[chunking]
+    x = np.random.default_rng(6).standard_normal((sum(sizes), 5)) + offset
+    got = merged_covariance(x, sizes)
+    centred = x - x.mean(axis=0)  # the direct two-pass float64 covariance
+    expected = centred.T @ centred / (x.shape[0] - 1)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert np.allclose(moments.mean, x.mean(axis=0), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
 def test_streamed_covariance_of_equal_rows_is_exactly_zero(chunking):
-    x = np.tile(np.array([0.1, 2.0, -3.3, 1e3, 0.7]), (60, 1))
-    moments = moments_of(x, CHUNKINGS[chunking])
-    assert np.all(moments.covariance() == 0.0)
-    assert np.all(moments.mean == x[0])
+    sizes = CHUNKINGS[chunking]
+    x = np.tile(np.array([0.1, 2.0, -3.3, 1e3, 0.7]), (sum(sizes), 1))
+    assert np.all(merged_covariance(x, sizes) == 0.0)
+
+
+@pytest.mark.parametrize("domains, blocks", [
+    (["source"] * 3 + ["target"] * 2, [[0, 1, 2], [3, 4]]),
+    (["source"] * (2 * BLOCK_CLIPS + 1) + ["target"],
+     [list(range(BLOCK_CLIPS)), list(range(BLOCK_CLIPS, 2 * BLOCK_CLIPS)),
+      [2 * BLOCK_CLIPS], [2 * BLOCK_CLIPS + 1]]),
+    (["target", "source", "target", "source"], [[0, 2], [1, 3]])],
+    ids=["small", "three-source-blocks", "interleaved"])
+def test_clips_are_blocked_per_domain_in_clip_order(domains, blocks):
+    assert _clip_blocks(domains) == blocks
 
 
 def test_covariances_from_streamed_clips_equal_batch_fit(rng):
     model = init_model([5, 3, 5], seed=2, dtype=np.float64)
-    clips = [(rng.standard_normal((k, 5)), domain)
-             for k, domain in [(7, "source"), (1, "target"), (12, "source"),
-                               (4, "unknown"), (5, "target"), (3, "source")]]
-    scores, streamed = fit_covariances(model, clips)
+    shapes = [(7, "source"), (1, "target"), (12, "source"), (4, "unknown"), (5, "target"),
+              (3, "source")] * 7  # 21 source clips: two source blocks
+    clips = [(rng.standard_normal((k, 5)), domain) for k, domain in shapes]
+    scores, streamed = fit(model, clips)
     assert scores == [score_mse(model, feats) for feats, _ in clips]
     batch = batch_fit(
         model, np.vstack([f for f, d in clips if d == "source"]),
         np.vstack([f for f, d in clips if d == "target"]))
-    assert (streamed.n_source, streamed.n_target) == (22, 6)
+    assert (streamed.n_source, streamed.n_target) == (22 * 7, 6 * 7)
     for a, b in zip(inverses(streamed), inverses(batch)):
         assert np.allclose(a, b, rtol=1e-9, atol=0)
     assert np.allclose(streamed.target_scale, batch.target_scale, rtol=1e-9, atol=0)
 
 
+def test_covariances_are_the_same_bytes_for_any_worker_count(rng):
+    model = init_model([6, 4, 6], seed=3, dtype=np.float64)
+    clips = [(rng.standard_normal((int(k), 6)) + 50.0, "source" if i % 9 else "target")
+             for i, k in enumerate(rng.integers(1, 40, 3 * BLOCK_CLIPS))]
+    fits = {}
+    for workers in (1, 2, 3):
+        scores, cov = fit(model, clips, workers)
+        fits[workers] = (scores, cov.whitening.tobytes(), cov.target_scale.tobytes())
+    assert fits[1] == fits[2] == fits[3]
+
+
 def test_covariances_spend_the_moments():
-    moments = moments_of(np.random.default_rng(2).standard_normal((9, 3)), [9])
-    covariance = moments.covariance()
-    assert moments.m2 is None  # its buffer became the covariance
+    m2 = np.random.default_rng(2).standard_normal((3, 3))
+    m2 = m2 @ m2.T
+    covariance = _ridged_covariance(m2, 9)
+    assert covariance is m2  # M2's buffer became the covariance
     assert covariance.shape == (3, 3)
 
 
