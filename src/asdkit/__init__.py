@@ -17,8 +17,8 @@ from .synth import SynthSpec, synth_generate
 from .model import (AeModel, TrainConfig, count_macs, forward, gradient,
                     init_model, load_model, save_model, train)
 from .scoring import DomainCovariances, decide, fit_threshold, score_mahalanobis, score_mse
-from .metrics import (MetricsReport, ScoredClip, ScoredTestSet, auc_domain,
-                      build_report, official_score, pauc_section)
+from .metrics import (MetricsReport, ScoredClip, auc_domain, build_report,
+                      official_score, pauc_section)
 from .config import RunConfig
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "AeModel", "TrainConfig", "count_macs", "forward", "gradient",
     "init_model", "load_model", "save_model", "train",
     "DomainCovariances", "decide", "fit_threshold", "score_mahalanobis", "score_mse",
-    "MetricsReport", "ScoredClip", "ScoredTestSet", "auc_domain",
-    "build_report", "official_score", "pauc_section",
+    "MetricsReport", "ScoredClip", "auc_domain", "build_report",
+    "official_score", "pauc_section",
     "RunConfig",
 ]

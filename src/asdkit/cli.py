@@ -38,8 +38,8 @@ from .dsp import (HOP_LENGTH, N_FFT, SAMPLE_RATE_HZ, extract_features, frame_cou
                   log_mel, read_wav, stack_frames, wav_num_samples)
 from .errors import (AsdkitError, ConfigError, DatasetError, MismatchError,
                      ModelFileError, TooShortError, WavFormatError)
-from .metrics import (ScoredClip, ScoredTestSet, build_report,
-                      load_reference_csv, render_report, write_report_csv)
+from .metrics import (PAUC_P, ScoredClip, build_report, load_reference_csv,
+                      render_report, write_report_csv)
 from .model import count_macs, default_layer_dims, init_model, load_model, save_model, train
 from .scoring import (MODES, decide, fit_covariances, fit_threshold, load_covariances,
                       load_thresholds, read_score_csv, save_covariances, save_thresholds,
@@ -287,8 +287,7 @@ def _first_ten(paths) -> str:
     return ", ".join(paths[:10]) + ("..." if len(paths) > 10 else "")
 
 
-def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
-                    macs: int | None = None):
+def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None):
     """Join scores with ground truth, compute the report (pAUC at the paper's
     p = 0.1), write CSV + table. Returns the report, the scored clips that are
     no labeled test clip, and the labeled test clips of the scored machine
@@ -297,8 +296,6 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
     _refuse_overwrite(out_base, (".csv", ".txt", ".config.yaml"),
                       [("--scores", scores_csv), ("--manifest", manifest_path),
                        ("--reference", reference_csv)])
-    if macs is not None and macs < 0:
-        raise ConfigError(f"--macs must be >= 0, got {macs}")
     scores_path = Path(scores_csv)
     truth_path = Path(manifest_path)
     score_rows = read_score_csv(scores_path)
@@ -333,15 +330,15 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None,
                 if r.machine_type in machines and r.split == "test"
                 and r.condition != "unknown" and r.path not in scored]
     reference = load_reference_csv(reference_csv) if reference_csv else None
-    report = build_report(ScoredTestSet(clips), model_macs=macs, reference=reference)
+    report = build_report(clips, reference=reference)
     write_report_csv(report, out_base + ".csv")
     with atomic_write(out_base + ".txt") as fh:
         fh.write(render_report(report))
     write_yaml(out_base + ".config.yaml",
                {"command": "evaluate", "scores": str(scores_path),
-                "manifest": str(truth_path), "pauc_p": report.pauc_p,
+                "manifest": str(truth_path), "pauc_p": PAUC_P,
                 "reference": None if reference_csv is None else str(reference_csv),
-                "macs_per_vector": macs, "unscored_test_clips": len(unscored)})
+                "unscored_test_clips": len(unscored)})
     return report, skipped, unscored
 
 
@@ -377,8 +374,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     report, skipped, unscored = evaluate_scores(args.scores, args.manifest, args.out,
-                                                reference_csv=args.reference,
-                                                macs=args.macs)
+                                                reference_csv=args.reference)
     if skipped:
         print(f"warning: {len(skipped)} scored clips were not labeled test clips "
               "and were excluded", file=sys.stderr)
@@ -445,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report base path (writes .csv and .txt)")
     p.add_argument("--reference", default=None,
                    help="reference table CSV (machine,auc_source,auc_target,pauc in percent)")
-    p.add_argument("--macs", type=int, default=None, help="MACs figure to include")
     p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("macs", help="report model complexity")

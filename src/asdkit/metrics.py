@@ -9,7 +9,7 @@ section and anomalies from *both* domains of the section. The partial AUC
 restricts the normals to the floor(p * Nn) highest-scoring ones, pooled
 across domains, and normalizes by floor(p * Nn) * Na. The official score is
 the harmonic mean over every section's {AUC_source, AUC_target, pAUC}; any
-zero constituent makes it 0 (flagged, not an exception).
+zero constituent makes it 0 (said so in the report, not an exception).
 
 The sort-based counting below is exact: it performs the same float
 comparisons as the brute-force double loop.
@@ -25,7 +25,7 @@ from ._io import read_table, write_table
 from .config import _checked
 from .errors import ConfigError, UndefinedMetricError
 
-DEFAULT_PAUC_P = 0.1
+PAUC_P = 0.1  # the paper's low false-positive range [0, p]
 METRICS = ("auc_source", "auc_target", "pauc")  # a section's metrics, in column order
 
 
@@ -43,18 +43,6 @@ class ScoredClip:
             raise UndefinedMetricError(f"non-finite score for {self.path}")
 
 
-@dataclass
-class ScoredTestSet:
-    clips: list[ScoredClip]
-
-    def sections(self) -> list[tuple[str, str]]:
-        return sorted({(c.machine_type, c.section) for c in self.clips})
-
-    def section_clips(self, machine: str, section: str) -> list[ScoredClip]:
-        return [c for c in self.clips
-                if c.machine_type == machine and c.section == section]
-
-
 def _pairwise_fraction(normal_scores: np.ndarray, anomaly_scores: np.ndarray) -> float:
     """Fraction of (normal, anomaly) pairs with anomaly score strictly higher."""
     normals = np.sort(np.asarray(normal_scores, dtype=np.float64))
@@ -63,22 +51,19 @@ def _pairwise_fraction(normal_scores: np.ndarray, anomaly_scores: np.ndarray) ->
     return wins / (normals.size * anomalies.size)
 
 
-def auc_domain(scored: ScoredTestSet, machine: str, section: str, domain: str) -> float:
-    """AUC for one domain of one section; anomalies pooled from both domains."""
-    clips = scored.section_clips(machine, section)
+def auc_domain(clips: list[ScoredClip], domain: str) -> float:
+    """AUC for one domain of one section's clips; anomalies pooled from both domains."""
     normals = [c.score for c in clips if c.condition == "normal" and c.domain == domain]
     anomalies = [c.score for c in clips if c.condition == "anomaly"]
     if not normals:
-        raise UndefinedMetricError(
-            f"{machine}/{section}: no normal test clips in domain {domain!r}")
+        raise UndefinedMetricError(f"no normal test clips in domain {domain!r}")
     if not anomalies:
-        raise UndefinedMetricError(f"{machine}/{section}: no anomalous test clips")
+        raise UndefinedMetricError("no anomalous test clips")
     return _pairwise_fraction(np.array(normals), np.array(anomalies))
 
 
-def pauc_section(scored: ScoredTestSet, machine: str, section: str,
-                 p: float = DEFAULT_PAUC_P) -> float:
-    """Partial AUC over the low false-positive range [0, p] for one section.
+def pauc_section(clips: list[ScoredClip], p: float = PAUC_P) -> float:
+    """Partial AUC over the low false-positive range [0, p] of one section's clips.
 
     Only the floor(p * Nn) normals with the highest scores enter the pairwise
     count (ties at the cut broken by clip path for reproducibility; equal
@@ -86,33 +71,28 @@ def pauc_section(scored: ScoredTestSet, machine: str, section: str,
     """
     if not (0.0 < p <= 1.0):
         raise UndefinedMetricError(f"p must be in (0, 1], got {p}")
-    clips = scored.section_clips(machine, section)
     normals = [c for c in clips if c.condition == "normal"]
     anomalies = [c.score for c in clips if c.condition == "anomaly"]
     if not anomalies:
-        raise UndefinedMetricError(f"{machine}/{section}: no anomalous test clips")
+        raise UndefinedMetricError("no anomalous test clips")
     top_count = int(np.floor(p * len(normals)))
     if top_count < 1:
-        raise UndefinedMetricError(
-            f"{machine}/{section}: floor(p * {len(normals)}) = 0 normals in range")
+        raise UndefinedMetricError(f"floor(p * {len(normals)}) = 0 normals in range")
     ranked = sorted(normals, key=lambda c: (-c.score, c.path))[:top_count]
     return _pairwise_fraction(np.array([c.score for c in ranked]), np.array(anomalies))
 
 
-def official_score(values) -> tuple[float, bool]:
-    """Harmonic mean of the given metric values.
-
-    Returns (score, zero_flag). A zero constituent yields (0.0, True), the
-    harmonic-mean limit, rather than raising.
-    """
+def official_score(values) -> float:
+    """Harmonic mean of the given metric values. A zero constituent yields
+    0.0, the harmonic-mean limit, rather than raising."""
     vals = [float(v) for v in values]
     if not vals:
         raise UndefinedMetricError("official score of an empty value set")
     if any(v < 0 or v > 1 for v in vals):
         raise UndefinedMetricError(f"metric values outside [0, 1]: {vals}")
     if any(v == 0.0 for v in vals):
-        return 0.0, True
-    return len(vals) / sum(1.0 / v for v in vals), False
+        return 0.0
+    return len(vals) / sum(1.0 / v for v in vals)
 
 
 @dataclass
@@ -134,37 +114,37 @@ class SectionMetrics:
 @dataclass
 class MetricsReport:
     rows: list[SectionMetrics]
-    omega: float | None
-    omega_zero_flag: bool
-    incomplete: bool
-    pauc_p: float
-    macs_per_vector: int | None = None
+    omega: float | None  # None: the report is incomplete
 
 
-def build_report(scored: ScoredTestSet, model_macs: int | None = None,
-                 reference: dict[str, dict[str, float]] | None = None,
-                 p: float = DEFAULT_PAUC_P) -> MetricsReport:
-    """Per-section metric rows plus the overall harmonic-mean score.
+def build_report(clips: list[ScoredClip],
+                 reference: dict[str, dict[str, float]] | None = None) -> MetricsReport:
+    """Per-section metric rows, sorted by (machine type, section), plus the
+    overall harmonic-mean score.
 
     Sections whose metrics are undefined stay in the report with blank cells
-    and mark it incomplete; an incomplete report has no overall score.
-    ``reference`` maps machine type to percent-valued
-    {auc_source, auc_target, pauc} rows for side-by-side comparison.
+    and each distinct reason once; such a report, or one with no rows, is
+    incomplete and has no overall score. ``reference`` maps machine type to
+    percent-valued {auc_source, auc_target, pauc} rows for side-by-side
+    comparison.
     """
+    sections: dict[tuple[str, str], list[ScoredClip]] = {}
+    for c in clips:
+        sections.setdefault((c.machine_type, c.section), []).append(c)
     rows = []
-    incomplete = False
-    for machine, section in scored.sections():
+    for (machine, section), section_clips in sorted(sections.items()):
         metric_values = {}
         errors = []
-        for name, fn in (("auc_source", lambda: auc_domain(scored, machine, section, "source")),
-                         ("auc_target", lambda: auc_domain(scored, machine, section, "target")),
-                         ("pauc", lambda: pauc_section(scored, machine, section, p))):
+        for name, fn, arg in (("auc_source", auc_domain, "source"),
+                              ("auc_target", auc_domain, "target"),
+                              ("pauc", pauc_section, PAUC_P)):
             try:
-                metric_values[name] = fn()
+                metric_values[name] = fn(section_clips, arg)
             except UndefinedMetricError as exc:
                 metric_values[name] = None
-                errors.append(str(exc))
-                incomplete = True
+                message = f"{machine}/{section}: {exc}"
+                if message not in errors:
+                    errors.append(message)
         row = SectionMetrics(machine_type=machine, section=section,
                              auc_source=metric_values["auc_source"],
                              auc_target=metric_values["auc_target"],
@@ -176,15 +156,9 @@ def build_report(scored: ScoredTestSet, model_macs: int | None = None,
                           for key in METRICS
                           if metric_values.get(key) is not None and key in ref}
         rows.append(row)
-    if not rows:
-        incomplete = True
-    all_values = [v for row in rows for v in row.values()]
-    if incomplete or not all_values:
-        omega, zero_flag = None, False
-    else:
-        omega, zero_flag = official_score(all_values)
-    return MetricsReport(rows=rows, omega=omega, omega_zero_flag=zero_flag,
-                         incomplete=incomplete, pauc_p=p, macs_per_vector=model_macs)
+    complete = rows and not any(row.errors for row in rows)
+    omega = official_score([v for row in rows for v in row.values()]) if complete else None
+    return MetricsReport(rows=rows, omega=omega)
 
 
 def load_reference_csv(path) -> dict[str, dict[str, float]]:
@@ -207,7 +181,7 @@ def _pct(value: float | None) -> str:
 
 
 def write_report_csv(report: MetricsReport, path) -> None:
-    has_ref = any(row.deltas for row in report.rows)
+    has_ref = any(row.reference for row in report.rows)
     header = ["machine_type", "section", *METRICS]
     if has_ref:
         header += [f"{kind}_{key}" for key in METRICS for kind in ("ref", "delta")]
@@ -242,13 +216,10 @@ def render_report(report: MetricsReport) -> str:
             lines.append(f"{'':<16} ! {err}")
     lines.append("-" * len(header))
     if report.omega is None:
-        lines.append("official score: n/a (incomplete report)")
-    elif report.omega_zero_flag:
+        lines += ["official score: n/a (incomplete report)",
+                  "REPORT INCOMPLETE: some metrics were undefined"]
+    elif report.omega == 0.0:
         lines.append("official score: 0.000000 (zero-valued constituent metrics)")
     else:
         lines.append(f"official score: {report.omega:.6f}")
-    if report.macs_per_vector is not None:
-        lines.append(f"MACs per input vector: {report.macs_per_vector}")
-    if report.incomplete:
-        lines.append("REPORT INCOMPLETE: some metrics were undefined")
     return "\n".join(lines) + "\n"

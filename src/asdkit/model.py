@@ -43,9 +43,6 @@ def default_layer_dims(feature_dim: int) -> list[int]:
     return [feature_dim, 128, 128, 128, 128, 8, 128, 128, 128, 128, feature_dim]
 
 
-DEFAULT_LAYER_DIMS = default_layer_dims(640)
-
-
 def _n_params(dims) -> int:
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
 

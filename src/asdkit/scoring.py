@@ -253,9 +253,12 @@ def joint_whitening(sigma_source: np.ndarray, sigma_target: np.ndarray):
     Cholesky sigma_source = C C', then eigh(inv(C) sigma_target inv(C)') =
     U diag(mu) U', W = inv(C)' U and lam = 1 / mu. Each argument is
     dropped once used, which frees it when the caller passed the only
-    reference; after that at most inv(C), the middle matrix and U live at
-    once. A covariance that is not positive definite is an
-    InsufficientDataError: the residuals cannot support the fit.
+    reference. The peak, about six D x D float64 matrices, is inside eigh:
+    inv(C), the middle matrix, eigh's own copy of it, U and a LAPACK
+    workspace of about 2 D^2 doubles. Before it, inv holds five (sigma_target,
+    C, inv(C) and two LAPACK buffers) and the second middle product three.
+    A covariance that is not positive definite is an InsufficientDataError:
+    the residuals cannot support the fit.
     """
     try:
         c = np.linalg.cholesky(sigma_source)

@@ -6,11 +6,14 @@ import pytest
 from asdkit import _pool
 from asdkit.cli import train_machine
 from asdkit.config import RunConfig
+from asdkit.model import default_layer_dims
 from asdkit.scoring import DomainCovariances
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 SMALL_SEED = 11
 SMALL_MACHINE = "pumpette"
+# the paper's architecture at its 640-dim input (5 frames x 128 mels)
+DEFAULT_LAYER_DIMS = default_layer_dims(640)
 
 
 # YAML whose seed is seven nested lists, each of nine aliases of the one

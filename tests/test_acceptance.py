@@ -21,13 +21,13 @@ from asdkit._io import read_table, write_table
 from asdkit.cli import main
 from asdkit.config import RunConfig
 from asdkit.dataset import load_manifest, save_manifest, scan_dataset
-from asdkit.metrics import (METRICS, ScoredClip, ScoredTestSet, auc_domain,
-                            official_score, pauc_section)
-from asdkit.model import DEFAULT_LAYER_DIMS, count_macs, init_model
+from asdkit.metrics import METRICS, ScoredClip, auc_domain, official_score, pauc_section
+from asdkit.model import count_macs, init_model
 from asdkit.scoring import MODES, read_score_csv, save_covariances, write_score_csv
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
-from conftest import SMALL_MACHINE, fast_config, identity_covariances, small_spec
+from conftest import (DEFAULT_LAYER_DIMS, SMALL_MACHINE, fast_config, identity_covariances,
+                      small_spec)
 from test_metrics import auc_oracle, pauc_oracle
 from test_model import (analytic_flat_gradient, fd_gradient,
                         max_relative_error, sample_kink_free_case)
@@ -91,15 +91,14 @@ def test_acceptance_1_metric_oracle_equivalence():
             clips += [ScoredClip(path=f"m/a{i}.wav", machine_type="m", section="00",
                                  domain="source", condition="anomaly", score=v)
                       for i, v in enumerate(anomalies)]
-            scored = ScoredTestSet(clips)
             for domain in ("source", "target"):
                 domain_normals = [v for i, v in enumerate(normals)
                                   if (i % 2 == 1) == (domain == "source")]
                 if domain_normals:
-                    assert auc_domain(scored, "m", "00", domain) == \
+                    assert auc_domain(clips, domain) == \
                         auc_oracle(domain_normals, anomalies)
             normal_clips = [c for c in clips if c.condition == "normal"]
-            assert pauc_section(scored, "m", "00", p=0.1) == \
+            assert pauc_section(clips, p=0.1) == \
                 pauc_oracle(normal_clips, anomalies, 0.1)
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -117,10 +116,9 @@ def test_acceptance_2_worked_examples():
         clips += [ScoredClip(path=f"m/a{i}.wav", machine_type="m", section="00",
                              domain="source", condition="anomaly", score=v)
                   for i, v in enumerate([0.95, 1.05])]
-        assert pauc_section(ScoredTestSet(clips), "m", "00", p=0.1) == 0.5
-        assert official_score([0.5, 0.5]) == (0.5, False)
-        value, flagged = official_score([1.0, 0.5])
-        assert value == 2 / 3 and not flagged
+        assert pauc_section(clips, p=0.1) == 0.5
+        assert official_score([0.5, 0.5]) == 0.5
+        assert official_score([1.0, 0.5]) == 2 / 3
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +210,11 @@ def test_acceptance_5_desk_scale_detection(desk_run):
                             section=by_path[p].section, domain=by_path[p].domain,
                             condition=by_path[p].condition, score=v)
                  for p, v, _ in read_score_csv(base / "scores.csv")]
-        scored = ScoredTestSet(clips)
-        auc_source = auc_domain(scored, DESK_MACHINE, "00", "source")
-        auc_target = auc_domain(scored, DESK_MACHINE, "00", "target")
-        pauc = pauc_section(scored, DESK_MACHINE, "00", p=0.1)
-        omega, _ = official_score([auc_source, auc_target, pauc])
+        assert {(c.machine_type, c.section) for c in clips} == {(DESK_MACHINE, "00")}
+        auc_source = auc_domain(clips, "source")
+        auc_target = auc_domain(clips, "target")
+        pauc = pauc_section(clips, p=0.1)
+        omega = official_score([auc_source, auc_target, pauc])
         print(f"  desk run: AUC_source={auc_source:.3f} AUC_target={auc_target:.3f} "
               f"pAUC={pauc:.3f} omega={omega:.3f} ({elapsed:.1f}s)")
         assert auc_source >= 0.85

@@ -30,14 +30,14 @@ from asdkit.dsp import extract_features, read_wav, write_wav
 from asdkit.errors import (AsdkitError, ConfigError, DatasetError, InsufficientDataError,
                            MismatchError, ModelFileError, TooShortError,
                            TrainingDivergedError, UndefinedMetricError, WavFormatError)
-from asdkit.model import DEFAULT_LAYER_DIMS, init_model, load_model, save_model
+from asdkit.model import init_model, load_model, save_model
 from asdkit.scoring import (COV_MAGIC, MODES, THRESHOLD_PERCENTILE, load_covariances,
                             load_thresholds, read_score_csv, save_covariances,
                             score_mahalanobis, score_mse, write_score_csv)
 from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
-from conftest import (ALIAS_BOMB, MESSAGE_LIMIT, SMALL_MACHINE, fast_config,
-                      identity_covariances)
+from conftest import (ALIAS_BOMB, DEFAULT_LAYER_DIMS, MESSAGE_LIMIT, SMALL_MACHINE,
+                      fast_config, identity_covariances)
 
 try:
     import resource
@@ -1095,6 +1095,7 @@ def test_evaluate_perfect_separation(small_dataset, tmp_path, capsys):
     assert (tmp_path / "report.txt").exists()
     echo = yaml.safe_load((tmp_path / "report.config.yaml").read_text())
     assert echo["pauc_p"] == 0.1 and echo["unscored_test_clips"] == 0
+    assert "macs_per_vector" not in echo
     assert capsys.readouterr().err == ""
 
 
@@ -1312,32 +1313,25 @@ def test_mangled_table_gives_an_exit_code(small_dataset, tmp_path, table, mutati
     assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH)
 
 
-def test_evaluate_negative_macs_exits_config(small_dataset, tmp_path, capsys):
-    root, manifest = small_dataset
-    scores_csv = tmp_path / "scores.csv"
-    write_score_csv(separated_scores(manifest, SMALL_MACHINE), scores_csv)
-    rc = main(["evaluate", "--scores", str(scores_csv), "--manifest",
-               str(root / "manifest.csv"), "--out", str(tmp_path / "report"),
-               "--macs", "-5"])
-    assert rc == EXIT_CONFIG
-    assert "--macs must be >= 0" in capsys.readouterr().err
-    assert not (tmp_path / "report.txt").exists()
-
-
-@pytest.mark.parametrize("p", ["0", "1.5", "-0.1", "nan", "inf"])
-def test_evaluate_pauc_p_out_of_range_exits_config(small_dataset, tmp_path, capsys, p):
-    # p is fixed at the paper's 0.1 and --pauc-p is gone: a script that still
-    # passes it, at any value, exits 2 rather than getting a report at 0.1
+@pytest.mark.parametrize("flag, value", [
+    *(pytest.param("--pauc-p", p, id=p) for p in ["0", "1.5", "-0.1", "nan", "inf"]),
+    pytest.param("--macs", "264192", id="macs"),
+    pytest.param("--macs", "-5", id="macs-negative")])
+def test_evaluate_pauc_p_out_of_range_exits_config(small_dataset, tmp_path, capsys,
+                                                   flag, value):
+    # --pauc-p (p is fixed at the paper's 0.1) and --macs (`asdkit macs` reports
+    # MACs) are gone: a script that still passes either, at any value, exits 2
+    # rather than getting a report without it
     root, manifest = small_dataset
     scores_csv = tmp_path / "scores.csv"
     write_score_csv(separated_scores(manifest, SMALL_MACHINE), scores_csv)
     with pytest.raises(SystemExit) as excinfo:
         main(["evaluate", "--scores", str(scores_csv), "--manifest",
               str(root / "manifest.csv"), "--out", str(tmp_path / "report"),
-              "--pauc-p", p])
+              flag, value])
     assert excinfo.value.code == EXIT_CONFIG
-    assert "unrecognized arguments: --pauc-p" in capsys.readouterr().err
-    assert not (tmp_path / "report.csv").exists()
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.glob("report.*"))
 
 
 # ---------------------------------------------------------------------------

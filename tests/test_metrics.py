@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asdkit.errors import UndefinedMetricError
-from asdkit.metrics import (ScoredClip, ScoredTestSet, auc_domain,
-                            build_report, load_reference_csv, official_score,
-                            pauc_section, render_report, write_report_csv)
+from asdkit.metrics import (ScoredClip, auc_domain, build_report, load_reference_csv,
+                            official_score, pauc_section, render_report, write_report_csv)
 
 
 def clip(score, condition, domain="source", machine="m1", section="00", path=None):
@@ -32,7 +31,7 @@ def scored_set(normals_by_domain, anomalies, machine="m1"):
         clips.append(clip(v, "anomaly", "source", machine,
                           path=f"{machine}/a{idx:03d}.wav"))
         idx += 1
-    return ScoredTestSet(clips)
+    return clips
 
 
 # ---------------------------------------------------------------------------
@@ -55,37 +54,37 @@ def pauc_oracle(normal_clips, anomaly_scores, p):
 
 def test_auc_perfect_separation():
     s = scored_set({"source": [0.1, 0.2]}, [0.8, 0.9])
-    assert auc_domain(s, "m1", "00", "source") == 1.0
+    assert auc_domain(s, "source") == 1.0
 
 
 def test_auc_interleaved_hand_case():
     s = scored_set({"source": [0.1, 0.4]}, [0.3, 0.5])
     # pairs: (0.3,0.1)+, (0.3,0.4)-, (0.5,0.1)+, (0.5,0.4)+ -> 3/4
-    assert auc_domain(s, "m1", "00", "source") == 0.75
-    assert auc_domain(s, "m1", "00", "source") == auc_oracle([0.1, 0.4], [0.3, 0.5])
+    assert auc_domain(s, "source") == 0.75
+    assert auc_domain(s, "source") == auc_oracle([0.1, 0.4], [0.3, 0.5])
 
 
 def test_auc_all_ties_is_zero():
     s = scored_set({"source": [0.5, 0.5, 0.5]}, [0.5, 0.5])
-    assert auc_domain(s, "m1", "00", "source") == 0.0
+    assert auc_domain(s, "source") == 0.0
 
 
 def test_auc_uses_anomalies_from_both_domains():
     clips = [clip(0.1, "normal", "source", path="m1/n0.wav"),
              clip(0.2, "anomaly", "source", path="m1/a0.wav"),
              clip(0.05, "anomaly", "target", path="m1/a1.wav")]
-    s = ScoredTestSet(clips)
+    s = clips
     # anomalies pooled across domains: one above 0.1, one below -> 1/2
-    assert auc_domain(s, "m1", "00", "source") == 0.5
+    assert auc_domain(s, "source") == 0.5
 
 
 def test_auc_undefined_cases():
     s = scored_set({"source": [0.1]}, [0.9])
     with pytest.raises(UndefinedMetricError):
-        auc_domain(s, "m1", "00", "target")  # no target normals
-    only_normals = ScoredTestSet([clip(0.1, "normal", "source")])
+        auc_domain(s, "target")  # no target normals
+    only_normals = [clip(0.1, "normal", "source")]
     with pytest.raises(UndefinedMetricError):
-        auc_domain(only_normals, "m1", "00", "source")
+        auc_domain(only_normals, "source")
 
 
 # ---------------------------------------------------------------------------
@@ -96,24 +95,24 @@ def test_pauc_worked_example():
     s = scored_set(normals, [0.95, 1.05])
     # floor(0.1 * 10) = 1 normal in range: the one scoring 1.0
     # pairs: (0.95 > 1.0) = 0, (1.05 > 1.0) = 1 -> 0.5
-    assert pauc_section(s, "m1", "00", p=0.1) == 0.5
+    assert pauc_section(s, p=0.1) == 0.5
 
 
 def test_pauc_perfect_separation_any_p():
     s = scored_set({"source": [0.1] * 10}, [0.9, 0.8])
     for p in (0.1, 0.5, 1.0):
-        assert pauc_section(s, "m1", "00", p=p) == 1.0
+        assert pauc_section(s, p=p) == 1.0
 
 
 def test_pauc_anomalies_below_everything():
     s = scored_set({"source": [0.5] * 10}, [0.1, 0.2])
-    assert pauc_section(s, "m1", "00", p=0.1) == 0.0
+    assert pauc_section(s, p=0.1) == 0.0
 
 
 def test_pauc_floor_zero_is_undefined():
     s = scored_set({"source": [0.1] * 5}, [0.9])
     with pytest.raises(UndefinedMetricError):
-        pauc_section(s, "m1", "00", p=0.1)  # floor(0.5) = 0
+        pauc_section(s, p=0.1)  # floor(0.5) = 0
 
 
 def test_pauc_p_equal_one_is_pooled_auc():
@@ -123,7 +122,7 @@ def test_pauc_p_equal_one_is_pooled_auc():
     anomalies = rng.uniform(0, 1, 9).tolist()
     s = scored_set(normals, anomalies)
     pooled = normals["source"] + normals["target"]
-    assert pauc_section(s, "m1", "00", p=1.0) == auc_oracle(pooled, anomalies)
+    assert pauc_section(s, p=1.0) == auc_oracle(pooled, anomalies)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ tied_values = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.5, 0.7, 1.0])
 @settings(max_examples=120, deadline=None)
 def test_auc_fast_path_equals_bruteforce(normals, anomalies):
     s = scored_set({"source": normals}, anomalies)
-    assert auc_domain(s, "m1", "00", "source") == auc_oracle(normals, anomalies)
+    assert auc_domain(s, "source") == auc_oracle(normals, anomalies)
 
 
 @given(normals=st.lists(st.one_of(score_values, tied_values), min_size=10, max_size=50),
@@ -150,18 +149,18 @@ def test_auc_fast_path_equals_bruteforce(normals, anomalies):
 def test_pauc_fast_path_equals_bruteforce(normals, anomalies, p):
     half = len(normals) // 2
     s = scored_set({"source": normals[:half], "target": normals[half:]}, anomalies)
-    normal_clips = [c for c in s.clips if c.condition == "normal"]
-    assert pauc_section(s, "m1", "00", p=p) == pauc_oracle(normal_clips, anomalies, p)
+    normal_clips = [c for c in s if c.condition == "normal"]
+    assert pauc_section(s, p=p) == pauc_oracle(normal_clips, anomalies, p)
 
 
 def test_auc_invariant_under_increasing_transform(rng):
     normals = rng.uniform(0, 1, 20).tolist()
     anomalies = rng.uniform(0, 1, 15).tolist()
-    base = auc_domain(scored_set({"source": normals}, anomalies), "m1", "00", "source")
+    base = auc_domain(scored_set({"source": normals}, anomalies), "source")
     for transform in (lambda v: math.exp(v), lambda v: 10 * v - 3):
         mapped = auc_domain(
             scored_set({"source": [transform(v) for v in normals]},
-                       [transform(v) for v in anomalies]), "m1", "00", "source")
+                       [transform(v) for v in anomalies]), "source")
         assert mapped == base
 
 
@@ -171,7 +170,7 @@ def test_auc_complement_under_negation(rng):
     anomalies = (rng.permutation(40)[20:35] / 40.0 + 2.0).tolist()
     a = auc_oracle(normals, anomalies)
     neg = auc_domain(scored_set({"source": [-v for v in normals]},
-                                [-v for v in anomalies]), "m1", "00", "source")
+                                [-v for v in anomalies]), "source")
     assert neg == pytest.approx(1.0 - a, abs=1e-12)
 
 
@@ -179,19 +178,15 @@ def test_auc_complement_under_negation(rng):
 # official score
 
 def test_official_score_of_equals():
-    value, flagged = official_score([0.5, 0.5, 0.5])
-    assert value == 0.5 and not flagged
+    assert official_score([0.5, 0.5, 0.5]) == 0.5
 
 
 def test_official_score_two_values():
-    value, flagged = official_score([1.0, 0.5])
-    assert value == pytest.approx(2 / 3, rel=1e-15)
-    assert not flagged
+    assert official_score([1.0, 0.5]) == pytest.approx(2 / 3, rel=1e-15)
 
 
 def test_official_score_zero_flagged():
-    value, flagged = official_score([0.5, 0.0, 0.9])
-    assert value == 0.0 and flagged
+    assert official_score([0.5, 0.0, 0.9]) == 0.0
 
 
 def test_official_score_validation():
@@ -204,11 +199,9 @@ def test_official_score_validation():
 def test_official_score_below_arithmetic_mean(rng):
     for _ in range(25):
         values = rng.uniform(0.05, 1.0, int(rng.integers(2, 9)))
-        omega, _ = official_score(values)
-        assert omega <= np.mean(values) + 1e-12
+        assert official_score(values) <= np.mean(values) + 1e-12
     common = float(rng.uniform(0.1, 1.0))
-    omega, _ = official_score([common] * 5)
-    assert omega == pytest.approx(common, rel=1e-12)
+    assert official_score([common] * 5) == pytest.approx(common, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -224,33 +217,50 @@ def two_machine_set():
             for i in range(5):
                 clips.append(clip(offset + 0.5 + i / 100, "anomaly", domain, machine,
                                   path=f"{machine}/a_{domain}_{i}.wav"))
-    return ScoredTestSet(clips)
+    return clips
 
 
 def test_build_report_two_machines():
-    report = build_report(two_machine_set(), model_macs=264192)
+    report = build_report(two_machine_set())
     assert len(report.rows) == 2
-    assert not report.incomplete
     assert report.omega == 1.0  # perfectly separated by construction
-    assert report.macs_per_vector == 264192
     values = [v for row in report.rows for v in row.values()]
     assert len(values) == 6
 
 
 def test_build_report_empty_set_incomplete():
-    report = build_report(ScoredTestSet([]))
+    report = build_report([])
     assert report.rows == []
-    assert report.incomplete
     assert report.omega is None
+    assert "REPORT INCOMPLETE" in render_report(report)
 
 
 def test_build_report_missing_anomalies_marks_incomplete():
     clips = [clip(0.1, "normal", "source", path="m1/n0.wav"),
              clip(0.2, "normal", "target", path="m1/n1.wav")]
-    report = build_report(ScoredTestSet(clips))
-    assert report.incomplete
+    report = build_report(clips)
+    assert report.omega is None
     assert report.rows[0].auc_source is None
-    assert report.rows[0].errors
+    # all three metrics fail for the one reason, which the report gives once
+    assert report.rows[0].errors == ["m1/00: no anomalous test clips"]
+    assert render_report(report).count("no anomalous test clips") == 1
+
+
+def test_build_report_groups_shuffled_sections(rng):
+    clips = two_machine_set()
+    clips += [clip(0.1 * i, "normal", "source", machine, "01", f"{machine}/01_n{i}.wav")
+              for machine in ("m1", "m2") for i in range(4)]
+    clips.append(clip(0.9, "anomaly", "target", "m1", "01", "m1/01_a0.wav"))
+    report = build_report(sorted(clips, key=lambda c: (c.machine_type, c.section, c.path)))
+    shuffled = build_report([clips[i] for i in rng.permutation(len(clips))])
+    assert shuffled == report
+    assert [(r.machine_type, r.section) for r in report.rows] == [
+        ("m1", "00"), ("m1", "01"), ("m2", "00"), ("m2", "01")]
+    assert report.rows[1].errors == ["m1/01: no normal test clips in domain 'target'",
+                                     "m1/01: floor(p * 4) = 0 normals in range"]
+    assert report.rows[3].errors == ["m2/01: no anomalous test clips",
+                                     "m2/01: no normal test clips in domain 'target'"]
+    assert report.omega is None
 
 
 def test_build_report_reference_deltas(tmp_path):
@@ -267,12 +277,28 @@ def test_build_report_reference_deltas(tmp_path):
     assert other.deltas is None
 
 
+def test_report_csv_keeps_reference_columns_without_deltas(tmp_path):
+    # a reference row matched to a section with no anomalous clip: the
+    # reference values stay in their columns and the deltas stay empty
+    reference_csv = tmp_path / "ref.csv"
+    reference_csv.write_text("machine,auc_source,auc_target,pauc\nm1,71.05,53.32,49.79\n")
+    clips = [clip(0.1, "normal", "source", path="m1/n0.wav"),
+             clip(0.2, "normal", "target", path="m1/n1.wav")]
+    report = build_report(clips, reference=load_reference_csv(reference_csv))
+    out = tmp_path / "report.csv"
+    write_report_csv(report, out)
+    assert out.read_text().splitlines() == [
+        "machine_type,section,auc_source,auc_target,pauc,ref_auc_source,delta_auc_source,"
+        "ref_auc_target,delta_auc_target,ref_pauc,delta_pauc",
+        "m1,00,,,,71.05,,53.32,,49.79,"]
+
+
 def test_report_rendering_and_csv(tmp_path):
-    report = build_report(two_machine_set(), model_macs=123)
+    report = build_report(two_machine_set())
     text = render_report(report)
     assert "official score: 1.000000" in text
     assert "100.00" in text
-    assert "MACs per input vector: 123" in text
+    assert "MACs" not in text  # `asdkit macs` reports them
     out = tmp_path / "report.csv"
     write_report_csv(report, out)
     lines = out.read_text().strip().splitlines()
@@ -285,7 +311,6 @@ def test_report_rendering_zero_flag():
              clip(0.5, "normal", "target", path="m1/n1.wav"),
              *[clip(0.5, "normal", "source", path=f"m1/n{i}.wav") for i in range(2, 10)],
              clip(0.5, "anomaly", "source", path="m1/a0.wav")]
-    report = build_report(ScoredTestSet(clips))
+    report = build_report(clips)
     assert report.omega == 0.0
-    assert report.omega_zero_flag
     assert "zero-valued" in render_report(report)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from asdkit.errors import ConfigError, ModelFileError, TrainingDivergedError
-from asdkit.model import (ADAM_LR, DEFAULT_LAYER_DIMS, AeModel, TrainConfig, _adam_step,
+from asdkit.model import (ADAM_LR, AeModel, TrainConfig, _adam_step,
                           count_macs, forward, gradient, init_model, load_model,
                           save_model, train)
+
+from conftest import DEFAULT_LAYER_DIMS
 
 
 def make_model(dims, seed=0, dtype=np.float64):

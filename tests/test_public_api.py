@@ -1,7 +1,7 @@
 """asdkit's public API is what its commands, the bench and the README use.
 
-A public function, class or method that only tests call is test code, and
-belongs in the tests.
+A public function, class, method or UPPER_CASE module constant that only
+tests use is test code, and belongs in the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ def _modules() -> dict[str, ast.Module]:
 
 
 def _public_definitions(module: ast.Module):
-    """Names of the module's public functions and classes, and of their public methods."""
+    """Names of the module's public functions and classes, of their public
+    methods, and of its public UPPER_CASE constants."""
     for node in module.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name
@@ -32,11 +33,18 @@ def _public_definitions(module: ast.Module):
                 yield from (item.name for item in node.body
                             if isinstance(item, ast.FunctionDef)
                             and not item.name.startswith("_"))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name) and name.id.isupper()
+                        and not name.id.startswith("_"))
 
 
 def _referenced(module: ast.Module) -> set[str]:
-    """The variable and attribute names the module's code uses."""
-    return ({node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    """The variable and attribute names the module's code reads; a name's
+    assignment is not a use of it."""
+    return ({node.id for node in ast.walk(module)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             | {node.attr for node in ast.walk(module) if isinstance(node, ast.Attribute)})
 
 
