@@ -2,18 +2,19 @@
 
 The on-disk layout mirrors the usual machine-condition-monitoring convention:
 
-    <root>/<machine_type>/<split>/section_<NN>_<domain>_<split>_<condition>_<idx>[_<k>_<v>...].wav
+    <root>/<machine_type>/<split>/section_<NN>_<domain>_<split>_<condition>_<idx>[_<token>...].wav
 
-File names are parsed by token scanning, so trees with variant names
-(missing domain/condition tokens, extra attribute tokens) remain ingestible;
-names that cannot be parsed are collected into a skipped-files report instead
-of being dropped silently.
+A clip record is read from its path by token scanning (see clip_record), so
+trees with variant names (missing domain/condition tokens, extra tokens)
+remain ingestible; names that cannot be read are collected into a
+skipped-files report instead of being dropped silently. A manifest row is
+a clip record, one column per field.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 from ._io import read_table, write_table
@@ -23,8 +24,6 @@ DOMAINS = ("source", "target", "unknown")
 SPLITS = ("train", "test", "supplementary")
 CONDITIONS = ("normal", "anomaly", "unknown")
 
-MANIFEST_COLUMNS = ["machine_type", "section", "domain", "split",
-                    "condition", "path", "attributes"]
 MANIFEST_FILENAME = "manifest.csv"
 
 # tokens a file name may carry; a missing domain or condition maps to "unknown"
@@ -41,7 +40,6 @@ class ClipRecord:
     split: str
     condition: str
     path: str
-    attributes: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
@@ -54,6 +52,9 @@ class ClipRecord:
             raise DatasetError(
                 f"train clip {self.path} has condition {self.condition!r}; "
                 "training data must be normal only")
+
+
+MANIFEST_COLUMNS = [f.name for f in fields(ClipRecord)]
 
 
 @dataclass
@@ -80,68 +81,42 @@ class DatasetManifest:
         return out
 
 
-def parse_clip_name(filename: str) -> dict:
-    """Parse one WAV filename into record fields.
-
-    Token scan: 'section' + id first, then any domain/split/condition tokens in
-    any order, then a numeric index, then alternating attribute key/value
-    tokens. Missing domain or condition tokens map to 'unknown'; a missing
-    split is left None for the caller to fill from the directory layout.
-    Raises ValueError when the name does not start with the section prefix.
-    """
-    tokens = Path(filename).stem.split("_")
-    if len(tokens) < 2 or tokens[0] != SECTION_PREFIX:
-        raise ValueError(f"{filename}: expected '{SECTION_PREFIX}_<id>_...'")
-    section = tokens[1]
-    domain = "unknown"
-    split = None
-    condition = "unknown"
-    index = None
-    rest: list[str] = []
-    for tok in tokens[2:]:
-        if index is None and tok in NAME_DOMAINS:
-            domain = tok
-        elif index is None and tok in SPLITS:
-            split = tok
-        elif index is None and tok in NAME_CONDITIONS:
-            condition = tok
-        elif index is None and tok.isdigit():
-            index = int(tok)
-        else:
-            rest.append(tok)
-    attributes = {}
-    for i in range(0, len(rest) - 1, 2):
-        attributes[rest[i]] = rest[i + 1]
-    if len(rest) % 2 == 1:
-        attributes[rest[-1]] = ""
-    return {"section": section, "domain": domain, "split": split,
-            "condition": condition, "index": index, "attributes": attributes}
-
-
 def clip_record(rel) -> ClipRecord:
     """The record of the clip at rel, a path <machine>/<subdir>/<name>.wav
     relative to the dataset root.
 
-    The subdir name supplies the split when the file name carries no split
-    token, and a train clip with no condition token is normal. Raises
-    ValueError or DatasetError, whose message says why the file is no clip.
+    The name is 'section' + id, then domain, split and condition tokens in
+    any order up to the first all-digit token (the clip index), which ends
+    the scan; other tokens are not read, and a missing domain or condition
+    is 'unknown'. The subdir name supplies a missing split, and a train clip
+    with no condition token is normal. Raises ValueError or DatasetError,
+    whose message says why the file is no clip.
     """
     rel = Path(rel)
     if len(rel.parts) < 2:
         raise ValueError("not under a <machine>/ directory")
-    parsed = parse_clip_name(rel.name)
-    split = parsed["split"]
+    tokens = rel.stem.split("_")
+    if len(tokens) < 2 or tokens[0] != SECTION_PREFIX:
+        raise ValueError(f"{rel.name}: expected '{SECTION_PREFIX}_<id>_...'")
+    domain, split, condition = "unknown", None, "unknown"
+    for tok in tokens[2:]:
+        if tok.isdigit():
+            break
+        if tok in NAME_DOMAINS:
+            domain = tok
+        elif tok in SPLITS:
+            split = tok
+        elif tok in NAME_CONDITIONS:
+            condition = tok
     if split is None and rel.parent.name in SPLITS:
         split = rel.parent.name
     if split is None:
         raise ValueError("no split token and directory is not a split name")
-    condition = parsed["condition"]
     if split == "train" and condition == "unknown":
         # unsupervised setting: everything offered for training is normal
         condition = "normal"
-    return ClipRecord(machine_type=rel.parts[0], section=parsed["section"],
-                      domain=parsed["domain"], split=split, condition=condition,
-                      path=str(rel), attributes=parsed["attributes"])
+    return ClipRecord(machine_type=rel.parts[0], section=tokens[1], domain=domain,
+                      split=split, condition=condition, path=str(rel))
 
 
 def scan_dataset(root_dir) -> DatasetManifest:
@@ -172,25 +147,15 @@ def scan_dataset(root_dir) -> DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    write_table(path, MANIFEST_COLUMNS, (
-        [r.machine_type, r.section, r.domain, r.split, r.condition, r.path,
-         ";".join(f"{k}={v}" for k, v in sorted(r.attributes.items()))]
-        for r in sorted(manifest.records, key=lambda r: r.path)))
+    write_table(path, MANIFEST_COLUMNS, map(astuple, sorted(manifest.records,
+                                                            key=lambda r: r.path)))
 
 
 def load_manifest(path) -> DatasetManifest:
+    """The manifest at path; columns other than MANIFEST_COLUMNS are ignored."""
     path = Path(path)
-    records = []
-    for _, row in read_table(path, "manifest", MANIFEST_COLUMNS):
-        attributes = {}
-        if row["attributes"]:
-            for item in row["attributes"].split(";"):
-                k, _, v = item.partition("=")
-                attributes[k] = v
-        records.append(ClipRecord(
-            machine_type=row["machine_type"], section=row["section"],
-            domain=row["domain"], split=row["split"], condition=row["condition"],
-            path=row["path"], attributes=attributes))
+    records = [ClipRecord(**{c: row[c] for c in MANIFEST_COLUMNS})
+               for _, row in read_table(path, "manifest", MANIFEST_COLUMNS)]
     if not records:
         raise DatasetError(f"{path}: empty manifest")
     counts = Counter(r.path for r in records)

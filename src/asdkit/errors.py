@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all asdkit modules.
 
 The CLI maps these onto stable exit codes (see cli.EXIT_*), so scripted
-pipelines can branch on failure class without parsing messages.
+pipelines can branch on failure class without parsing messages. An error
+carries only its message, so it pickles across the worker pool.
 """
 
 
@@ -50,10 +51,4 @@ class MismatchError(AsdkitError):
 
 
 class TrainingDivergedError(AsdkitError):
-    """Loss became non-finite during training."""
-
-    def __init__(self, message: str, epoch: int, batch: int, param_norm: float):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch = batch
-        self.param_norm = param_norm
+    """Loss became non-finite; the message gives epoch, batch and parameter norm."""

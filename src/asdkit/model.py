@@ -242,8 +242,7 @@ def train(model: AeModel, features: np.ndarray, config: TrainConfig, rows=None):
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch} batch {batch_idx} "
-                    f"(parameter norm {model.param_norm():.3e})",
-                    epoch=epoch, batch=batch_idx, param_norm=model.param_norm())
+                    f"(parameter norm {model.param_norm():.3e})")
             epoch_sq_sum += loss * batch.size
             step += 1
             # in place: weights and biases are views into params

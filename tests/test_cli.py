@@ -1395,7 +1395,7 @@ def test_macs_accepts_training_dir(trained_artifacts, capsys):
     (MismatchError("boom"), EXIT_MISMATCH), (DatasetError("boom"), EXIT_DATA),
     (InsufficientDataError("boom"), EXIT_DATA), (TooShortError("boom"), EXIT_DATA),
     (WavFormatError("boom"), EXIT_DATA), (UndefinedMetricError("boom"), EXIT_DATA),
-    (TrainingDivergedError("boom", epoch=0, batch=0, param_norm=1.0), EXIT_DATA),
+    (TrainingDivergedError("boom"), EXIT_DATA),
     (AsdkitError("boom"), EXIT_DATA),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
 def test_error_class_exit_codes(monkeypatch, capsys, error, code):

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asdkit.dataset import (ClipRecord, DatasetManifest, dataset_violations,
-                            load_manifest, parse_clip_name, save_manifest,
+from asdkit.dataset import (SPLITS, ClipRecord, DatasetManifest, clip_record,
+                            dataset_violations, load_manifest, save_manifest,
                             scan_dataset)
 from asdkit.dsp import read_wav
 from asdkit.errors import ConfigError, DatasetError
@@ -17,29 +19,93 @@ from asdkit.synth import SynthCounts, SynthSpec, synth_generate
 
 
 # ---------------------------------------------------------------------------
-# filename parsing
+# clip records from paths
 
 def test_parse_full_train_name():
-    parsed = parse_clip_name("section_00_source_train_normal_0001_spd_28V.wav")
-    assert parsed["section"] == "00"
-    assert parsed["domain"] == "source"
-    assert parsed["split"] == "train"
-    assert parsed["condition"] == "normal"
-    assert parsed["index"] == 1
-    assert parsed["attributes"] == {"spd": "28V"}
+    rel = "fan/train/section_00_source_train_normal_0001_spd_28V.wav"
+    assert clip_record(rel) == ClipRecord(machine_type="fan", section="00", domain="source",
+                                          split="train", condition="normal", path=rel)
 
 
 def test_parse_eval_name_without_condition():
-    parsed = parse_clip_name("section_00_0042.wav")
-    assert parsed["condition"] == "unknown"
-    assert parsed["domain"] == "unknown"
-    assert parsed["split"] is None
-    assert parsed["index"] == 42
+    record = clip_record("fan/test/section_00_0042.wav")
+    assert (record.section, record.domain, record.split, record.condition) == \
+        ("00", "unknown", "test", "unknown")
+    with pytest.raises(ValueError, match="no split token"):
+        clip_record("fan/eval/section_00_0042.wav")
 
 
 def test_parse_rejects_foreign_name():
-    with pytest.raises(ValueError):
-        parse_clip_name("recording_17.wav")
+    with pytest.raises(ValueError, match="recording_17.wav: expected 'section_<id>_...'"):
+        clip_record("fan/train/recording_17.wav")
+
+
+def reference_parse_clip_name(filename: str) -> dict:
+    """The name scan of earlier asdkit versions, the reference clip_record must
+    match. (It also paired the tokens after the index as attributes, which no
+    stage read.)"""
+    tokens = Path(filename).stem.split("_")
+    if len(tokens) < 2 or tokens[0] != "section":
+        raise ValueError(f"{filename}: expected 'section_<id>_...'")
+    parsed = {"section": tokens[1], "domain": "unknown", "split": None,
+              "condition": "unknown", "index": None}
+    for tok in tokens[2:]:
+        if parsed["index"] is None and tok in ("source", "target"):
+            parsed["domain"] = tok
+        elif parsed["index"] is None and tok in SPLITS:
+            parsed["split"] = tok
+        elif parsed["index"] is None and tok in ("normal", "anomaly"):
+            parsed["condition"] = tok
+        elif parsed["index"] is None and tok.isdigit():
+            parsed["index"] = int(tok)
+    return parsed
+
+
+def reference_record(rel: Path) -> tuple[str, str, str, str]:
+    """(section, domain, split, condition) as earlier versions read them from rel."""
+    parsed = reference_parse_clip_name(rel.name)
+    split = parsed["split"]
+    if split is None and rel.parent.name in SPLITS:
+        split = rel.parent.name
+    if split is None:
+        raise ValueError("no split token and directory is not a split name")
+    condition = parsed["condition"]
+    if split == "train" and condition == "unknown":
+        condition = "normal"
+    # the record's own checks (say, a train clip named anomaly) reject as before
+    ClipRecord(machine_type=rel.parts[0], section=parsed["section"],
+               domain=parsed["domain"], split=split, condition=condition, path=str(rel))
+    return parsed["section"], parsed["domain"], split, condition
+
+
+# ASCII digit runs only: the reference's int() of the index also rejected a
+# non-decimal digit token such as '²', an index clip_record does not read
+NAME_TOKENS = st.one_of(
+    st.sampled_from(["source", "target", "train", "test", "supplementary", "normal",
+                     "anomaly", "unknown", "car", "A1", "noAttribute", "spd", "28V",
+                     "aux", "clean", "noise", "section", ""]),
+    st.from_regex(r"[0-9]{1,4}", fullmatch=True))
+
+
+@given(head=st.sampled_from(["section", "section", "section", "Section", "recording"]),
+       section=st.sampled_from(["00", "01", "id", ""]),
+       tokens=st.lists(NAME_TOKENS, max_size=9),
+       subdir=st.sampled_from(["train", "test", "supplementary", "eval"]),
+       bare=st.booleans())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_record_reads_names_as_the_reference_scan(head, section, tokens, subdir, bare):
+    stem = head if bare else "_".join([head, section, *tokens])
+    rel = Path("fan", subdir, f"{stem}.wav")
+    try:
+        expected = reference_record(rel)
+    except (ValueError, DatasetError) as exc:
+        with pytest.raises(type(exc)) as excinfo:
+            clip_record(rel)
+        assert str(excinfo.value) == str(exc)
+        return
+    record = clip_record(rel)
+    assert (record.section, record.domain, record.split, record.condition) == expected
+    assert (record.machine_type, record.path) == ("fan", str(rel))
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +246,10 @@ def test_bad_enum_values_rejected():
 def test_manifest_roundtrip(tmp_path, small_dataset):
     _, manifest = small_dataset
     path = tmp_path / "manifest.csv"
-    save_manifest(manifest, path)
+    save_manifest(DatasetManifest(records=manifest.records[::-1]), path)
     assert path.read_text().splitlines()[0] == \
-        "machine_type,section,domain,split,condition,path,attributes"
-    loaded = load_manifest(path)
-    original = sorted(manifest.records, key=lambda r: r.path)
-    restored = sorted(loaded.records, key=lambda r: r.path)
-    assert len(original) == len(restored)
-    for a, b in zip(original, restored):
-        assert (a.machine_type, a.section, a.domain, a.split, a.condition,
-                a.path, a.attributes) == \
-               (b.machine_type, b.section, b.domain, b.split, b.condition,
-                b.path, b.attributes)
+        "machine_type,section,domain,split,condition,path"
+    assert load_manifest(path).records == sorted(manifest.records, key=lambda r: r.path)
 
 
 def test_manifest_load_rejects_missing_columns(tmp_path):
@@ -203,21 +261,40 @@ def test_manifest_load_rejects_missing_columns(tmp_path):
 
 def test_manifest_load_rejects_duplicates(tmp_path):
     path = tmp_path / "manifest.csv"
-    row = "fan,00,source,train,normal,fan/train/a.wav,\n"
-    path.write_text("machine_type,section,domain,split,condition,path,attributes\n"
-                    + row + row)
+    row = "fan,00,source,train,normal,fan/train/a.wav\n"
+    path.write_text("machine_type,section,domain,split,condition,path\n" + row + row)
     with pytest.raises(DatasetError):
         load_manifest(path)
 
 
-def test_manifest_with_an_old_role_column_loads(tmp_path):
-    # older asdkit wrote a role per row; the column is ignored, mixed values too
+MANIFEST_ROWS = [["fan", "00", "source", "train", "normal", "fan/train/a.wav"],
+                 ["fan", "00", "target", "test", "anomaly", "fan/test/b.wav"]]
+MANIFEST_RECORDS = [ClipRecord(*row) for row in MANIFEST_ROWS]
+
+
+def write_manifest(path: Path, extra_columns: list[str], extra_fields: list[list[str]]):
+    header = ["machine_type", "section", "domain", "split", "condition", "path"]
+    lines = [header + extra_columns] + [row + extra
+                                        for row, extra in zip(MANIFEST_ROWS, extra_fields)]
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("extra_columns, extra_fields", [
+    ([], [[], []]),
+    (["attributes"], [["spd=28V;aux=clean"], [""]]),  # older asdkit wrote name attributes
+], ids=["six-columns", "attributes"])
+def test_manifest_is_its_record_fields(tmp_path, extra_columns, extra_fields):
     path = tmp_path / "manifest.csv"
-    path.write_text("machine_type,section,domain,split,condition,path,attributes,role\n"
-                    "fan,00,source,train,normal,fan/train/a.wav,,development\n"
-                    "fan,00,target,train,normal,fan/train/b.wav,,evaluation\n")
-    assert [r.path for r in load_manifest(path).records] == \
-        ["fan/train/a.wav", "fan/train/b.wav"]
+    write_manifest(path, extra_columns, extra_fields)
+    assert load_manifest(path).records == MANIFEST_RECORDS
+
+
+def test_manifest_with_an_old_role_column_loads(tmp_path):
+    # older asdkit also wrote a role per row; the column is ignored, mixed values too
+    path = tmp_path / "manifest.csv"
+    write_manifest(path, ["attributes", "role"], [["", "development"],
+                                                  ["aux=noise", "evaluation"]])
+    assert load_manifest(path).records == MANIFEST_RECORDS
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +391,7 @@ def test_synth_scan_roundtrip(small_dataset):
     root, manifest = small_dataset
     rescanned = scan_dataset(root)
     assert rescanned.skipped == []
-    original = {(r.path, r.machine_type, r.section, r.domain, r.split,
-                 r.condition, tuple(sorted(r.attributes.items())))
-                for r in manifest.records}
-    recovered = {(r.path, r.machine_type, r.section, r.domain, r.split,
-                  r.condition, tuple(sorted(r.attributes.items())))
-                 for r in rescanned.records}
-    assert original == recovered
+    assert rescanned.records == manifest.records
 
 
 def test_synth_anomalies_have_click_transients(small_dataset):
@@ -341,8 +412,7 @@ def test_synth_supplementary_clips_tagged(small_dataset):
     _, manifest = small_dataset
     sup = manifest.select(split="supplementary")
     assert len(sup) == 2
-    kinds = {r.attributes.get("aux") for r in sup}
-    assert kinds == {"clean", "noise"}
+    assert sorted(Path(r.path).stem.partition("_aux_")[2] for r in sup) == ["clean", "noise"]
 
 
 def test_synth_invalid_specs():

@@ -353,11 +353,10 @@ def test_train_divergence_aborts_with_diagnostics():
     features = (1e3 * rng.standard_normal((64, 6))).astype(np.float32)
     model = make_model([6, 4, 6], seed=0, dtype=np.float32)
     model.params *= 1e30  # the second layer's products overflow float32
-    with pytest.raises(TrainingDivergedError) as excinfo:
+    with pytest.raises(TrainingDivergedError,
+                       match=r"^non-finite loss at epoch \d+ batch \d+ "
+                             r"\(parameter norm \d\.\d{3}e[+-]\d+\)$"):
         train(model, features, TrainConfig(epochs=50, batch_size=16))
-    err = excinfo.value
-    assert err.epoch >= 0 and err.batch >= 0
-    assert err.param_norm > 0
 
 
 def test_train_rejects_bad_inputs():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import mmap
 import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from asdkit import _pool
+from asdkit import _pool, errors
 from asdkit.cli import EXIT_DATA, EXIT_OK, main
 from asdkit.config import RunConfig
 from asdkit.dataset import load_manifest
@@ -120,6 +122,27 @@ def test_run_keeps_item_order_and_raises_the_first_error():
         with pytest.raises(ValueError, match="item 1"):
             next(results)
         assert multiprocessing.active_children() == []
+
+
+def test_every_toolkit_error_pickles_with_its_message():
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.AsdkitError)]
+    assert errors.TrainingDivergedError in classes
+    for cls in classes:
+        restored = pickle.loads(pickle.dumps(cls("boom")))
+        assert type(restored) is cls and str(restored) == "boom"
+
+
+def test_a_diverged_training_error_crosses_the_pool():
+    def diverge(i):
+        if i == 2:
+            raise errors.TrainingDivergedError(f"non-finite loss at epoch {i} batch 0")
+        return i
+    results = _pool.run(diverge, range(4), 2)
+    assert [next(results), next(results)] == [0, 1]
+    with pytest.raises(errors.TrainingDivergedError, match="epoch 2 batch 0"):
+        next(results)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_shuts_the_pool_down_when_its_consumer_stops_early():
