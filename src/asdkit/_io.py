@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import Counter
 from contextlib import contextmanager, suppress
 
 import yaml
@@ -73,7 +74,8 @@ def read_table(path, what: str, columns) -> list[tuple[int, dict[str, str]]]:
     """The rows of a CSV table as (line number, {column: field}), blank lines skipped.
 
     A ConfigError names the file when it cannot be read, when its header
-    lacks one of columns, or when a row's field count is not the header's.
+    lacks one of columns or names a column twice, or when a row's field
+    count is not the header's.
     """
     rows = []
     try:
@@ -82,6 +84,9 @@ def read_table(path, what: str, columns) -> list[tuple[int, dict[str, str]]]:
             header = next(reader, [])
             if not set(columns) <= set(header):
                 raise ConfigError(f"{path}: {what} needs columns {sorted(columns)}")
+            repeated = sorted(name for name, n in Counter(header).items() if n > 1)
+            if repeated:
+                raise ConfigError(f"{path}: {what} header repeats columns {repeated}")
             for fields in reader:
                 if not fields:
                     continue

@@ -124,12 +124,11 @@ def _feature_store(config: RunConfig, root: Path, records):
 
     M is the total frame count of the clips. The array is allocated once at
     its final size, counted from each clip's WAV headers, and holds each frame
-    once: a stacked (context_frames * n_mels) vector is built from it only
-    when needed. Clips are read on the fork pool, whose workers write their
-    rows into the array in place (then held in shared memory). Returns the
-    frames, the first frame row of every stacked vector (the rows train()
-    takes), per clip (offset, T, domain) of its frame rows, and the worker
-    count the clips' audio gives.
+    once. Clips are read on the fork pool, whose workers write their rows
+    into the array in place (then held in shared memory). Returns the
+    frames, the first frame row of every stacked vector that lies within one
+    clip (the rows train() takes), per clip (offset, T, domain) of its frame
+    rows, and the worker count the clips' audio gives.
     """
     f = config.features
     counts, samples = [], 0
@@ -149,7 +148,7 @@ def _feature_store(config: RunConfig, root: Path, records):
 
     def fill(i):
         clip = read_wav(root / records[i].path)
-        frames[offsets[i]:offsets[i + 1]] = log_mel(clip, f).T
+        frames[offsets[i]:offsets[i + 1]] = log_mel(clip, f)
 
     for _ in _pool.run(fill, range(len(records)), workers):
         pass
@@ -178,9 +177,10 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     Trains on source+target train clips together (a DatasetError before any
     clip is read if either domain has none), fits per-domain residual
     covariances, and fits one threshold per scoring mode on the training
-    scores. The only full-size array is the float32 frame store: training
-    stacks each batch from it, and residual statistics and threshold scores
-    stack and stream it clip by clip. Frame extraction, the residual pass of
+    scores. The only full-size array is the float32 frame store, stacked
+    once as a zero-copy view (dsp.stack_frames): training gathers its
+    batches from the view, and residual statistics and threshold scores
+    take it clip by clip. Frame extraction, the residual pass of
     fit_covariances (in blocks of clips fixed by the clip order alone, so
     the covariance bytes do not depend on the worker count) and the
     Mahalanobis threshold scores run on the fork pool. Only once every
@@ -195,11 +195,12 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     make_dir(out_dir)
     frames, rows, clips, workers = _feature_store(config, Path(data_root), train_records)
     model0 = init_model(default_layer_dims(config.features.feature_dim), seed=config.seed)
-    model, history = train(model0, frames, config.train, rows)
+    stacked = stack_frames(frames, config.features)  # a vector may span two clips
+    model, history = train(model0, stacked, config.train, rows)
 
     def vectors(i):
         offset, t, _ = clips[i]
-        return stack_frames(frames[offset:offset + t].T, config.features)
+        return stacked[offset:offset + t - config.features.context_frames + 1]
 
     mse_scores, cov = fit_covariances(model, vectors, [domain for *_, domain in clips],
                                       workers)

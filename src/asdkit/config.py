@@ -83,11 +83,31 @@ def from_mapping(cls, data, what: str, name: str = ""):
                   for key, value in data.items()})
 
 
+class _Loader(yaml.SafeLoader):
+    """yaml.SafeLoader that rejects a mapping repeating a key, which a dict
+    would keep only once. A merge key (<<) is no repeat: the mapping's own
+    keys override the merged ones."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key_node, _ in node.value:
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node)
+                if key in seen:
+                    mark = key_node.start_mark
+                    raise ConfigError(f"{mark.name} line {mark.line + 1}: repeated key {key!r}")
+                seen.add(key)
+        return node
+
+
 def read_yaml(path, what: str) -> dict:
-    """The mapping in a YAML file; any read or parse failure is a ConfigError."""
+    """The mapping in a YAML file; any read or parse failure, or a mapping
+    that repeats a key, is a ConfigError."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     # RecursionError: nested too deep; ValueError: say, an int of over 4300 digits
     except (OSError, UnicodeDecodeError, yaml.YAMLError, RecursionError, ValueError) as exc:
         raise ConfigError(f"{what} not found or unreadable: {path}: {exc}") from exc

@@ -1,5 +1,8 @@
 """Audio front-end: WAV I/O, STFT, mel filterbank, log-mel features, frame stacking.
 
+Every spectrogram here has one row per STFT frame, and stack_frames alone
+stacks frames into model input vectors, as a zero-copy view.
+
 Conventions (deliberate choices; FeatureConfig sets only the mel bands and stack):
   * STFT of SAMPLE_RATE_HZ audio: periodic Hann frames of N_FFT samples every
     HOP_LENGTH, no centering/padding, power = |DFT bin|^2, frame count
@@ -22,6 +25,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._io import atomic_write
 from .errors import (
@@ -221,7 +225,7 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def stft_power(clip: AudioClip) -> np.ndarray:
-    """Power spectrogram, shape (N_FFT//2 + 1, T) with T = frame_count(L).
+    """Power spectrogram, shape (T, N_FFT//2 + 1) with T = frame_count(L).
 
     Frames are windowed with a periodic Hann window; entries are |DFT bin|^2.
     No padding: a clip shorter than one frame raises TooShortError.
@@ -230,9 +234,9 @@ def stft_power(clip: AudioClip) -> np.ndarray:
     if x.size < N_FFT:
         raise TooShortError(
             f"clip has {x.size} samples, shorter than one {N_FFT}-sample frame")
-    frames = np.lib.stride_tricks.sliding_window_view(x, N_FFT)[::HOP_LENGTH]
+    frames = sliding_window_view(x, N_FFT)[::HOP_LENGTH]
     spectrum = np.fft.rfft(frames * hann_window(N_FFT)[None, :], axis=1)
-    return (spectrum.real**2 + spectrum.imag**2).T
+    return spectrum.real**2 + spectrum.imag**2
 
 
 def hz_to_mel(f):
@@ -271,43 +275,41 @@ def mel_filterbank(n_mels: int) -> np.ndarray:
 
 
 def log_mel(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
-    """log(max(mel_fb @ power_spectrogram, floor)), shape (n_mels, T), float32.
+    """log(max(mel_fb @ power', floor)), one row per frame: (T, n_mels), float32.
 
-    Computed in float64 and rounded once to float32, the model's input dtype:
-    training and scoring both take their inputs from here. WavFormatError (a
-    data problem) for a clip at another rate, and, not a numpy warning, if an
-    entry is not finite (huge samples overflow)."""
+    Computed in float64, as (n_mels, T) whose rounding it fixes, and rounded
+    once to float32, the model's input dtype: training and scoring both take
+    their inputs from here. WavFormatError (a data problem) for a clip at
+    another rate, and, not a numpy warning, if an entry is not finite."""
     if clip.sample_rate_hz != SAMPLE_RATE_HZ:
         raise WavFormatError(
             f"clip rate {clip.sample_rate_hz} Hz != {SAMPLE_RATE_HZ} Hz "
             f"({clip.source_path}); resampling is out of scope")
     with np.errstate(over="ignore", invalid="ignore"):
         power = stft_power(clip)
-        mel_power = mel_filterbank(config.n_mels) @ power
+        mel_power = mel_filterbank(config.n_mels) @ power.T
         values = np.log(np.maximum(mel_power, LOG_FLOOR))
     if not np.all(np.isfinite(values)):
         raise WavFormatError(f"log-mel spectrogram contains non-finite entries "
                              f"({clip.source_path})")
-    return values.astype(np.float32)
+    return np.ascontiguousarray(values.T, dtype=np.float32)
 
 
-def stack_frames(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Concatenate runs of P = config.context_frames consecutive frames into vectors.
+def stack_frames(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """Runs of P = config.context_frames consecutive frames, each as one vector.
 
-    From a (F, T) log-mel matrix, returns shape (K, P * F) with K = T - P + 1;
-    row k is [X_k; X_{k+1}; ...; X_{k+P-1}] in frame order.
+    From (T, F) frames returns shape (K, P * F) with K = T - P + 1; row k is
+    [X_k, X_{k+1}, ..., X_{k+P-1}]. A read-only view of C-contiguous frames
+    (others are copied first): rows overlap, and no stacked copy is built.
     """
     context_frames = config.context_frames
-    n_bands, n_frames = spec.shape
+    n_frames, n_bands = frames.shape
     if n_frames < context_frames:
         raise TooShortError(
             f"spectrogram has {n_frames} frames, need at least {context_frames}")
-    k = n_frames - context_frames + 1
-    cols = np.arange(context_frames)[None, :] + np.arange(k)[:, None]
-    # (K, P, F) -> (K, P*F), frame-major concatenation
-    return spec.T[cols].reshape(k, context_frames * n_bands)
+    return sliding_window_view(frames.reshape(-1), context_frames * n_bands)[::n_bands]
 
 
 def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
-    """Full pipeline clip -> stacked log-mel vectors, shape (K, feature_dim)."""
+    """Full pipeline clip -> stacked log-mel vectors, a (K, feature_dim) read-only view."""
     return stack_frames(log_mel(clip, config), config)

@@ -116,7 +116,7 @@ def init_model(layer_dims, seed: int = 0, dtype=np.float32) -> AeModel:
 
 def _forward_cached(model: AeModel, batch):
     """Checks and casts a (B, D) or (D,) batch; returns (pre-acts, post-acts incl. input)."""
-    x = np.asarray(batch, dtype=model.dtype)
+    x = np.ascontiguousarray(batch, dtype=model.dtype)  # BLAS takes no overlapping rows
     if x.ndim == 1:
         x = x[None, :]
     if x.shape[1] != model.input_dim:
@@ -198,37 +198,28 @@ def _adam_step(params, g, m, v, step: int, scratch) -> None:
 def train(model: AeModel, features: np.ndarray, config: TrainConfig, rows=None):
     """Adam on the reconstruction MSE. Returns (trained model, per-epoch loss).
 
-    features is a (N, D) matrix of model inputs, or (M, F) log-mel frames with
-    D = P * F: the model input starting at frame row r is then
-    features[r:r + P] read as one vector. rows gives the first frame row of
-    every input (default: each row of features is one input, P = 1). Batches
-    are gathered from it as needed, so no (N, D) stacked copy is built.
+    features is a (N, D) matrix of model inputs, such as the stacked view
+    dsp.stack_frames gives; rows picks the inputs to train on (default:
+    every row). Batches are gathered from it as needed, and each is checked
+    for non-finite values in the first epoch, which visits every input.
 
     The input model is not modified. Shuffling comes from a stream seeded by
     model.rng_seed + 1 (the init seed plus 1), so results are reproducible.
     Aborts with TrainingDivergedError as soon as a batch loss is non-finite.
     """
-    feats = np.asarray(features, dtype=model.dtype)
-    if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-        raise ConfigError(f"need a (N, D) feature matrix, got shape {feats.shape}")
-    context, rem = divmod(model.input_dim, feats.shape[1])
-    if rem or not context:
-        raise ConfigError(f"feature width {feats.shape[1]} does not divide "
-                          f"model input dim {model.input_dim}")
+    feats = np.asarray(features)
+    if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] != model.input_dim:
+        raise ConfigError(f"need a (N, {model.input_dim}) feature matrix, "
+                          f"got shape {feats.shape}")
     rows = np.arange(feats.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
-    if (rows.ndim != 1 or rows.size < 1 or rows.min() < 0
-            or rows.max() + context > feats.shape[0]):
-        raise ConfigError(f"each model input takes {context} rows of features from its "
-                          f"first row in rows, which must lie within the "
-                          f"{feats.shape[0]} rows of features")
-    if not np.all(np.isfinite(feats)):
-        raise ConfigError("training features contain non-finite values")
+    if rows.ndim != 1 or rows.size < 1 or rows.min() < 0 or rows.max() >= feats.shape[0]:
+        raise ConfigError(f"rows must pick inputs within the {feats.shape[0]} rows "
+                          "of features")
     model = model.copy()
     rng = np.random.default_rng(model.rng_seed + 1)
     m = np.zeros_like(model.params)
     v = np.zeros_like(model.params)
     scratch = (np.empty_like(m), np.empty_like(m), np.empty(m.shape, dtype=bool))
-    window = np.arange(context)
     step = 0
     history = []
     n = rows.size
@@ -236,8 +227,10 @@ def train(model: AeModel, features: np.ndarray, config: TrainConfig, rows=None):
         order = rng.permutation(n)
         epoch_sq_sum = 0.0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            first = rows[order[start:start + config.batch_size]]
-            batch = feats[first[:, None] + window].reshape(first.size, model.input_dim)
+            picked = rows[order[start:start + config.batch_size]]
+            batch = feats[picked].astype(model.dtype, copy=False)
+            if epoch == 0 and not np.all(np.isfinite(batch)):
+                raise ConfigError("training features contain non-finite values")
             loss, g = gradient(model, batch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,10 +380,17 @@ def save_thresholds(thresholds: dict[str, float], path) -> None:
 
 
 def load_thresholds(path) -> dict[str, float]:
-    """Read thresholds.json: {mode: phi} for exactly the MODES, each phi a finite number."""
+    """Read thresholds.json: {mode: phi} for exactly the MODES, each phi a finite
+    number, no mode named twice."""
+    def unique(pairs):
+        repeated = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
+        if repeated:
+            raise ModelFileError(f"{path}: threshold file repeats {repeated}")
+        return dict(pairs)
+
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=unique)
     except (ValueError, OSError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ModelFileError(f"{path}: unreadable threshold file ({exc})") from exc
     if not isinstance(payload, dict):

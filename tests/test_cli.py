@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
@@ -138,12 +138,16 @@ def test_synth_command_invalid_spec(tmp_path):
     (f"counts: {{source_train: {HUGE_INT}}}\n", "spec.yaml"),
     # a nested unknown key is named in full, as a run config's are
     ("counts: {foo: 1}\n", "unknown spec keys: ['counts.foo']"),
+    # a dict would keep only the last value of a repeated key
+    ("machines: [a]\nmachines: [b]\n", "spec.yaml line 2: repeated key 'machines'"),
+    ("counts:\n  source_train: 1\n  source_train: 2\n",
+     "spec.yaml line 3: repeated key 'source_train'"),
 ], ids=["str-float", "counts-scalar", "range-scalar", "range-length", "float-count",
         "bad-yaml", "directory", "machines-string", "not-a-mapping", "machine-not-a-string",
         "machine-twice", "machine-outside-out", "machine-empty", "machine-nested",
         "machine-nul", "machine-manifest", "machine-manifest-tmp", "machine-spec-echo",
         "clip-nan", "clip-inf", "clip-zero-samples", "clip-too-long", "too-deep",
-        "huge-int", "nested-unknown"])
+        "huge-int", "nested-unknown", "repeated-key", "nested-repeated-key"])
 def test_bad_synth_spec_exits_config(tmp_path, capsys, text, name):
     spec_path = tmp_path / "spec.yaml"
     if text is None:
@@ -844,6 +848,22 @@ def test_old_format_threshold_file_exits_artifact(trained_artifacts, tmp_path, c
         assert not out_csv.exists()
 
 
+def test_repeated_threshold_mode_exits_artifact(trained_artifacts, tmp_path, capsys):
+    # json.load keeps the last value of a repeated key: this file would give mse phi 0
+    config, paths, root = trained_artifacts
+    model_dir = copy_artifacts(paths, tmp_path / "model")
+    thresholds_path = model_dir / "thresholds.json"
+    phi = load_thresholds(paths["thresholds"])
+    thresholds_path.write_text(f'{{"mse": {phi["mse"]!r}, '
+                               f'"mahalanobis": {phi["mahalanobis"]!r}, "mse": 0.0}}')
+    out_csv = tmp_path / "s.csv"
+    for mode in MODES:
+        assert main([*on_run("score", model_dir, root, out_csv), "--mode", mode]) == (
+            EXIT_ARTIFACT)
+        assert f"{thresholds_path}: threshold file repeats ['mse']" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("target", ["model.aem", "covariances.cov", "thresholds.json",
                                     "loss_history.csv", "config.yaml", "manifest.csv"])
 def test_score_out_over_an_input_exits_config(trained_artifacts, tmp_path, capsys,
@@ -951,7 +971,7 @@ def test_echo_with_removed_key_exits_artifact(trained_artifacts, tmp_path, capsy
 
 @pytest.mark.parametrize("command", ["score", "macs"])
 @pytest.mark.parametrize("case", ["missing", "not-yaml", "bad-value", "dims", "too-deep",
-                                  "huge-int", "alias-bomb"])
+                                  "huge-int", "alias-bomb", "repeated-key"])
 def test_unusable_echo_exits_artifact(trained_artifacts, tmp_path, capsys, command, case):
     config, paths, root = trained_artifacts
     model_dir = copy_artifacts(paths, tmp_path / "model", ("model", "cov", "thresholds"))
@@ -968,11 +988,16 @@ def test_unusable_echo_exits_artifact(trained_artifacts, tmp_path, capsys, comma
         echo_path.write_text(f"seed: {HUGE_INT}\n")
     if case == "alias-bomb":
         echo_path.write_text(ALIAS_BOMB)
+    if case == "repeated-key":  # would run with seed 5, the last one
+        echo_path.write_text(paths["config"].read_text() + "seed: 5\n")
     out_csv = tmp_path / "s.csv"
     assert main(on_run(command, model_dir, root, out_csv)) == EXIT_ARTIFACT
     err = capsys.readouterr().err
     assert len(err.encode()) < MESSAGE_LIMIT
     assert str(echo_path) in err
+    if case == "repeated-key":
+        line = len(paths["config"].read_text().splitlines()) + 1
+        assert f"line {line}: repeated key 'seed'" in err
     assert ("feature dim 80" if case == "dims" else "retrain the model") in err
     assert "delete" not in err  # names no keys to delete
     assert not out_csv.exists()
@@ -1258,13 +1283,17 @@ def test_evaluate_unreadable_table_exits_config(small_dataset, tmp_path, capsys,
 
 
 TABLE_MUTATIONS = ("cut", "drop-field", "add-field", "swap-fields", "blank",
-                   "stray-quote", "duplicate", "permute-header")
+                   "stray-quote", "duplicate", "permute-header", "repeat-column")
 
 
 def mangle(text: str, mutation: str, i: int, j: int) -> str:
-    """text with one mutation at line i % lines (the header for permute-header);
-    j picks the field, character position or permutation. No field is quoted."""
+    """text with one mutation at line i % lines (the header for permute-header,
+    every line for repeat-column, which repeats a column at the end); j picks
+    the field, character position or permutation. No field is quoted."""
     lines = text.splitlines()
+    if mutation == "repeat-column":
+        k = j % len(lines[0].split(","))
+        return "".join(f"{line},{line.split(',')[k]}\n" for line in lines)
     row = 0 if mutation == "permute-header" else i % len(lines)
     line = lines[row]
     fields = line.split(",")
@@ -1294,9 +1323,11 @@ def mangle(text: str, mutation: str, i: int, j: int) -> str:
 @given(table=st.sampled_from(["manifest", "scores", "reference"]),
        mutation=st.sampled_from(TABLE_MUTATIONS),
        i=st.integers(0, 40), j=st.integers(0, 200))
+@example(table="scores", mutation="repeat-column", i=0, j=1)  # clip_path,score,decision,score
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_mangled_table_gives_an_exit_code(small_dataset, tmp_path, table, mutation, i, j):
+def test_mangled_table_gives_an_exit_code(small_dataset, tmp_path, capsys, table, mutation,
+                                          i, j):
     root, manifest = small_dataset
     scores_csv = tmp_path / "scores.csv"
     write_score_csv(separated_scores(manifest, SMALL_MACHINE), scores_csv)
@@ -1311,6 +1342,10 @@ def test_mangled_table_gives_an_exit_code(small_dataset, tmp_path, table, mutati
                "--reference", str(tmp_path / "reference.csv"),
                "--out", str(tmp_path / "report")])
     assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH)
+    err = capsys.readouterr().err
+    if mutation == "repeat-column":  # a row read as {column: field} would keep one field
+        assert rc == EXIT_CONFIG
+        assert f"{tmp_path / f'{table}.csv'}: " in err and "header repeats columns" in err
 
 
 @pytest.mark.parametrize("flag, value", [

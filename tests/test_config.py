@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import asdkit
 from asdkit.cli import EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from asdkit.config import RunConfig
+from asdkit.config import RunConfig, read_yaml
 from asdkit.errors import ConfigError
 from asdkit.synth import SynthSpec
 
@@ -89,7 +89,9 @@ def test_seed_override_follows_the_seed_check():
                                   # nested too deep to parse; more digits than an int takes
                                   pytest.param("seed: " + "[" * 5000 + "\n", id="too-deep"),
                                   pytest.param("seed: " + "9" * 5000 + "\n", id="huge-int"),
-                                  pytest.param(ALIAS_BOMB, id="alias-bomb")])
+                                  pytest.param(ALIAS_BOMB, id="alias-bomb"),
+                                  # a dict would keep only the last seed
+                                  pytest.param("seed: 1\nseed: 5\n", id="repeated-key")])
 def test_bad_config_file_exits_config(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
@@ -158,6 +160,13 @@ def test_mangled_yaml_gives_an_exit_code(trained_artifacts, tmp_path, capsys, ta
             assert len(str(exc).encode()) < MESSAGE_LIMIT
     assert len(capsys.readouterr().err.encode()) < MESSAGE_LIMIT
 
+
+def test_a_merge_key_is_no_repeated_key(tmp_path):
+    # the mapping's own n_mels overrides the merged one, as YAML specifies
+    path = tmp_path / "cfg.yaml"
+    path.write_text("defaults: &d {n_mels: 16, context_frames: 4}\n"
+                    "features:\n  <<: *d\n  n_mels: 32\n")
+    assert read_yaml(path, "config")["features"] == {"n_mels": 32, "context_frames": 4}
 
 
 def _yaml_loads(source: str) -> int:

@@ -92,8 +92,8 @@ def clip_of(samples):
 def test_stft_frame_count_formula():
     clip = clip_of(np.random.default_rng(0).standard_normal(16000))
     power = stft_power(clip)
-    assert power.shape == (513, 1 + (16000 - 1024) // 512)
-    assert power.shape[1] == 30
+    assert power.shape == (1 + (16000 - 1024) // 512, 513)  # one row per frame
+    assert power.shape[0] == 30
 
 
 @pytest.mark.parametrize("n_fft,hop", [(N_FFT, HOP_LENGTH)])
@@ -107,7 +107,7 @@ def test_frame_count_matches_stft_around_frame_boundaries(n_fft, hop):
                 assert expected == 0
                 continue
             power = stft_power(clip_of(rng.standard_normal(length)))
-            assert power.shape[1] == expected
+            assert power.shape[0] == expected
             assert expected == frames - (length < boundary)
 
 
@@ -174,12 +174,12 @@ def test_stft_matches_naive_dft_oracle():
     samples = rng.standard_normal(N_FFT * 2)
     clip = clip_of(samples)
     power = stft_power(clip)
-    assert power.shape[1] == 3
-    for frame_idx in range(power.shape[1]):
+    assert power.shape[0] == 3
+    for frame_idx in range(power.shape[0]):
         start = frame_idx * HOP_LENGTH
         frame = samples[start:start + N_FFT] * hann_window(N_FFT)
         expected = naive_dft_power(frame)
-        assert np.allclose(power[:, frame_idx], expected, rtol=1e-9, atol=1e-12)
+        assert np.allclose(power[frame_idx], expected, rtol=1e-9, atol=1e-12)
 
 
 def test_stft_exact_bin_sine_concentrates_energy():
@@ -188,10 +188,11 @@ def test_stft_exact_bin_sine_concentrates_energy():
     t = np.arange(N_FFT * 4) / SR
     clip = clip_of(0.7 * np.sin(2 * np.pi * freq * t))
     power = stft_power(clip)
-    for column in power.T:
-        peak = column[bin_idx]
+    assert power.shape == (7, 513)
+    for row in power:
+        peak = row[bin_idx]
         main_lobe = {bin_idx - 1, bin_idx, bin_idx + 1}
-        others = np.array([column[i] for i in range(column.size) if i not in main_lobe])
+        others = np.array([row[i] for i in range(row.size) if i not in main_lobe])
         # >= 60 dB down in power means a 1e-6 ratio
         assert others.max() <= peak * 1e-6
 
@@ -202,12 +203,13 @@ def test_stft_parseval_energy():
     clip = clip_of(samples / np.max(np.abs(samples)))
     power = stft_power(clip)
     window = hann_window(N_FFT)
-    for frame_idx in range(power.shape[1]):
+    assert power.shape == (15, 513)
+    for frame_idx in range(power.shape[0]):
         start = frame_idx * HOP_LENGTH
         frame = clip.samples[start:start + N_FFT] * window
         time_energy = np.sum(frame**2)
-        col = power[:, frame_idx]
-        spectral = (col[0] + col[-1] + 2 * col[1:-1].sum()) / N_FFT
+        row = power[frame_idx]
+        spectral = (row[0] + row[-1] + 2 * row[1:-1].sum()) / N_FFT
         assert spectral == pytest.approx(time_energy, rel=0.01)
 
 
@@ -253,8 +255,9 @@ def test_log_mel_zero_clip_hits_floor():
 def test_log_mel_ten_second_shape():
     rng = np.random.default_rng(3)
     spec = log_mel(clip_of(rng.standard_normal(160000) * 0.1), FeatureConfig())
-    # T = 1 + floor((160000 - 1024) / 512)
-    assert spec.shape == (128, 311)
+    # T = 1 + floor((160000 - 1024) / 512) rows, one per frame
+    assert spec.shape == (311, 128)
+    assert spec.dtype == np.float32 and spec.flags.c_contiguous
 
 
 def test_log_mel_scaling_shifts_by_log4():
@@ -310,37 +313,49 @@ def test_log_mel_deterministic():
 # stacking
 
 def test_stack_boundary_single_vector():
-    values = np.random.default_rng(0).standard_normal((128, 5))
-    stacked = stack_frames(values, FeatureConfig(context_frames=5))
+    frames = np.random.default_rng(0).standard_normal((5, 128))
+    stacked = stack_frames(frames, FeatureConfig(context_frames=5))
     assert stacked.shape == (1, 640)
-    assert np.array_equal(stacked[0], values.T.reshape(-1))
+    assert np.array_equal(stacked[0], frames.reshape(-1))
 
 
 def test_stack_count_for_long_clip():
-    values = np.zeros((128, 312))
-    assert stack_frames(values, FeatureConfig(context_frames=5)).shape == (308, 640)
+    frames = np.zeros((312, 128))
+    assert stack_frames(frames, FeatureConfig(context_frames=5)).shape == (308, 640)
 
 
 def test_stack_frame_count_identity():
     for t in range(5, 40):
-        values = np.zeros((4, t))
-        assert stack_frames(values, FeatureConfig(context_frames=5)).shape[0] == t - 5 + 1
+        frames = np.zeros((t, 4))
+        assert stack_frames(frames, FeatureConfig(context_frames=5)).shape[0] == t - 5 + 1
 
 
 def test_stack_layout_against_index_oracle():
     rng = np.random.default_rng(17)
-    n_bands, n_frames, context = 4, 9, 3
-    values = rng.standard_normal((n_bands, n_frames))
-    stacked = stack_frames(values, FeatureConfig(context_frames=context))
+    n_frames, n_bands, context = 9, 4, 3
+    frames = rng.standard_normal((n_frames, n_bands))
+    stacked = stack_frames(frames, FeatureConfig(context_frames=context))
+    assert stacked.shape == (n_frames - context + 1, context * n_bands)
     for k in range(n_frames - context + 1):
         for p in range(context):
             for f in range(n_bands):
-                assert stacked[k, p * n_bands + f] == values[f, k + p]
+                assert stacked[k, p * n_bands + f] == frames[k + p, f]
 
 
 def test_stack_too_short():
     with pytest.raises(TooShortError):
-        stack_frames(np.zeros((8, 3)), FeatureConfig(context_frames=5))
+        stack_frames(np.zeros((3, 8)), FeatureConfig(context_frames=5))
+
+
+def test_stack_is_a_read_only_view_of_the_frames():
+    frames = np.random.default_rng(2).standard_normal((12, 8)).astype(np.float32)
+    stacked = stack_frames(frames, FeatureConfig(n_mels=8, context_frames=3))
+    assert np.shares_memory(stacked, frames)
+    assert not stacked.flags.writeable
+    with pytest.raises(ValueError):
+        stacked[0, 0] = 1.0
+    frames[4, 2] = 7.0  # a view: every vector holding frame 4 sees the change
+    assert [stacked[k, (4 - k) * 8 + 2] for k in (2, 3, 4)] == [7.0, 7.0, 7.0]
 
 
 def test_extract_features_shape_and_normalize_toggle():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from asdkit.dsp import FeatureConfig, stack_frames
 from asdkit.errors import ConfigError, ModelFileError, TrainingDivergedError
 from asdkit.model import (ADAM_LR, AeModel, TrainConfig, _adam_step,
                           count_macs, forward, gradient, init_model, load_model,
@@ -284,33 +285,64 @@ def test_flat_adam_matches_per_layer_reference():
     assert np.array_equal(trained.params, reference_adam_train(model, features, cfg).params)
 
 
-def test_train_on_frames_matches_train_on_stacked_vectors():
-    # three "clips" of 9, 6 and 11 frames of 4 bands, stacked 3 frames deep
+def _three_clips_of_frames():
+    """Frames of three "clips" of 9, 6 and 11 frames of 4 bands, their stacked
+    view 3 frames deep, and the rows of the vectors that lie within one clip."""
     rng = np.random.default_rng(8)
     frames = rng.standard_normal((26, 4)).astype(np.float32)
     context = 3
     rows = np.concatenate([np.arange(o, o + t - context + 1)
                            for o, t in ((0, 9), (9, 6), (15, 11))])
-    stacked = np.stack([frames[r:r + context].reshape(-1) for r in rows])
+    return frames, stack_frames(frames, FeatureConfig(n_mels=4, context_frames=context)), rows
+
+
+def test_train_on_frames_matches_train_on_stacked_vectors():
+    frames, view, rows = _three_clips_of_frames()
+    stacked = np.stack([frames[r:r + 3].reshape(-1) for r in rows])
     model = make_model([12, 6, 3, 6, 12], seed=3, dtype=np.float32)
     cfg = TrainConfig(epochs=4, batch_size=5)
-    from_frames, hist_frames = train(model, frames, cfg, rows)
+    from_frames, hist_frames = train(model, view, cfg, rows)
     from_matrix, hist_matrix = train(model, stacked, cfg)
     assert from_frames.params.tobytes() == from_matrix.params.tobytes()
     assert hist_frames == hist_matrix
 
 
+def test_train_on_the_view_matches_train_on_its_copy():
+    _, view, rows = _three_clips_of_frames()
+    model = make_model([12, 6, 3, 6, 12], seed=3, dtype=np.float32)
+    cfg = TrainConfig(epochs=4, batch_size=5)
+    from_view, hist_view = train(model, view, cfg, rows)
+    from_copy, hist_copy = train(model, np.ascontiguousarray(view), cfg, rows)
+    assert from_view.params.tobytes() == from_copy.params.tobytes()
+    assert np.array(hist_view).tobytes() == np.array(hist_copy).tobytes()
+
+
+def test_train_rejects_non_finite_values_in_the_rows_it_uses():
+    frames, view, rows = _three_clips_of_frames()
+    model = make_model([12, 6, 3, 6, 12], seed=3, dtype=np.float32)
+    cfg = TrainConfig(epochs=2, batch_size=5)
+    frames[7, 1] = np.nan  # frame 7 is in the vectors at rows 5 and 6 (and 7, unused)
+    with pytest.raises(ConfigError, match="non-finite"):
+        train(model, view, cfg, rows)
+    frames[7, 1] = 0.0
+    frames[8, 2] = np.inf  # frame 8 ends the first clip: only vector row 6 uses it
+    with pytest.raises(ConfigError, match="non-finite"):
+        train(model, view, cfg, rows)
+    frames[8, 2] = 0.0
+    train(model, view, cfg, rows)
+
+
 def test_train_rejects_frames_that_do_not_fit_the_model():
     model = make_model([12, 6, 12])
     cfg = TrainConfig(epochs=1)
-    with pytest.raises(ConfigError, match="does not divide"):
+    with pytest.raises(ConfigError, match=r"need a \(N, 12\) feature matrix"):
         train(model, np.zeros((20, 5)), cfg, np.arange(10))
+    with pytest.raises(ConfigError, match=r"need a \(N, 12\) feature matrix"):
+        train(model, np.zeros((20, 6)), cfg)  # (N, D/2) frames are no model inputs
     with pytest.raises(ConfigError, match="within the 20 rows"):
-        train(model, np.zeros((20, 4)), cfg, np.arange(19))  # last input runs past row 20
+        train(model, np.zeros((20, 12)), cfg, np.arange(21))  # row 20 is past the end
     with pytest.raises(ConfigError, match="within the 20 rows"):
-        train(model, np.zeros((20, 4)), cfg, [-1, 0])
-    with pytest.raises(ConfigError, match="within the 20 rows"):
-        train(model, np.zeros((20, 6)), cfg)  # (N, D/2) read as one input per row
+        train(model, np.zeros((20, 12)), cfg, [-1, 0])
 
 
 def test_adam_step_flushes_decayed_moments_to_zero():

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asdkit.dsp import AudioClip, FeatureConfig
+from asdkit.dsp import AudioClip, FeatureConfig, stack_frames
 from asdkit.model import TrainConfig, init_model
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -30,15 +30,15 @@ def _real_calls() -> dict:
     rng = np.random.default_rng(0)
     model = init_model([32, 8, 32], seed=0)
     frames = rng.standard_normal((12, 8)).astype(np.float32)
+    features = FeatureConfig(n_mels=8, context_frames=4)
     residuals = rng.standard_normal((6, 32))
     return {
         "dsp.extract_features": (
-            (AudioClip(0.1 * rng.standard_normal(4096), 16000),
-             FeatureConfig(n_mels=8, context_frames=4)), {}),
+            (AudioClip(0.1 * rng.standard_normal(4096), 16000), features), {}),
         "model.forward": ((model, frames.reshape(3, 32)), {}),
         "model.gradient": ((model, frames.reshape(3, 32)), {}),
-        "model.train": ((model, frames, TrainConfig(epochs=1, batch_size=4)),
-                        {"rows": np.arange(9)}),
+        "model.train": ((model, stack_frames(frames, features),
+                         TrainConfig(epochs=1, batch_size=4)), {"rows": np.arange(9)}),
         "scoring.mahalanobis_frame_scores": ((residuals, np.eye(32)), {}),
     }
 
