@@ -120,21 +120,24 @@ def _load_run(run_dir):
 
 
 def _feature_store(config: RunConfig, root: Path, records):
-    """Extract every clip's log-mel frames into one float32 (M, n_mels) array.
+    """Extract every clip's log-mel frames into one float32 (M, n_mels) array
+    and stack it once as a zero-copy view (dsp.stack_frames).
 
     M is the total frame count of the clips. The array is allocated once at
     its final size, counted from each clip's WAV headers, and holds each frame
     once. Clips are read on the fork pool, whose workers write their rows
     into the array in place (then held in shared memory). Returns the
-    frames, the first frame row of every stacked vector that lies within one
-    clip (the rows train() takes), per clip (offset, T, domain) of its frame
-    rows, and the worker count the clips' audio gives.
+    stacked view, the rows of it that lie within one clip (the rows train()
+    takes), each clip's K vectors as a slice of the view, and the worker
+    count the clips' audio gives. A vector that spans two clips is in no
+    slice and no row.
     """
     f = config.features
-    counts, samples = [], 0
+    counts, vectors, samples = [], [], 0
     for rec in records:
         n = wav_num_samples(root / rec.path)
-        if f.vector_count(n) == 0:
+        vectors.append(f.vector_count(n))
+        if vectors[-1] == 0:
             raise TooShortError(
                 f"training clip {rec.path} has {n} samples, fewer than "
                 f"{f.context_frames} frames of {N_FFT} samples at hop {HOP_LENGTH}")
@@ -152,10 +155,9 @@ def _feature_store(config: RunConfig, root: Path, records):
 
     for _ in _pool.run(fill, range(len(records)), workers):
         pass
-    rows = np.concatenate([np.arange(o, o + t - f.context_frames + 1)
-                           for o, t in zip(offsets, counts)])
-    clips = [(o, t, rec.domain) for o, t, rec in zip(offsets, counts, records)]
-    return frames, rows, clips, workers
+    stacked = stack_frames(frames, f)
+    rows = np.concatenate([np.arange(o, o + k) for o, k in zip(offsets, vectors)])
+    return stacked, rows, [stacked[o:o + k] for o, k in zip(offsets, vectors)], workers
 
 
 def _pcm_seconds(root: Path, records) -> float:
@@ -178,9 +180,9 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
     clip is read if either domain has none), fits per-domain residual
     covariances, and fits one threshold per scoring mode on the training
     scores. The only full-size array is the float32 frame store, stacked
-    once as a zero-copy view (dsp.stack_frames): training gathers its
+    once as a zero-copy view by _feature_store: training gathers its
     batches from the view, and residual statistics and threshold scores
-    take it clip by clip. Frame extraction, the residual pass of
+    read each clip's slice of it. Frame extraction, the residual pass of
     fit_covariances (in blocks of clips fixed by the clip order alone, so
     the covariance bytes do not depend on the worker count) and the
     Mahalanobis threshold scores run on the fork pool. Only once every
@@ -193,18 +195,11 @@ def train_machine(config: RunConfig, data_root, machine: str, out_dir) -> dict:
         raise DatasetError(f"machine {machine!r} has no train clips of the "
                            f"{' or '.join(missing)} domain; training needs both")
     make_dir(out_dir)
-    frames, rows, clips, workers = _feature_store(config, Path(data_root), train_records)
+    stacked, rows, clips, workers = _feature_store(config, Path(data_root), train_records)
     model0 = init_model(default_layer_dims(config.features.feature_dim), seed=config.seed)
-    stacked = stack_frames(frames, config.features)  # a vector may span two clips
     model, history = train(model0, stacked, config.train, rows)
-
-    def vectors(i):
-        offset, t, _ = clips[i]
-        return stacked[offset:offset + t - config.features.context_frames + 1]
-
-    mse_scores, cov = fit_covariances(model, vectors, [domain for *_, domain in clips],
-                                      workers)
-    mah_scores = list(_pool.run(lambda i: score_mahalanobis(model, vectors(i), cov),
+    mse_scores, cov = fit_covariances(model, clips, [r.domain for r in train_records], workers)
+    mah_scores = list(_pool.run(lambda i: score_mahalanobis(model, clips[i], cov),
                                 range(len(clips)), workers))
     thresholds = {"mse": fit_threshold(mse_scores), "mahalanobis": fit_threshold(mah_scores)}
 
@@ -229,10 +224,18 @@ def _refuse_overwrite(out, suffixes, inputs) -> None:
             raise ConfigError(f"{flag} {path} is one of the files --out {out} writes")
 
 
+_SCORE_OUTPUTS = ("", ".errors.csv", ".config.yaml")  # what score --out writes
+
+
 def score_machine(run_dir, data_root, machine: str, mode: str | None, out_csv):
     """Score every test clip of a machine with the model trained into run_dir,
-    in mode (None: the echo's scoring.mode); returns (rows, row_errors)."""
-    _refuse_overwrite(out_csv, ("", ".errors.csv", ".config.yaml"),
+    in mode (None: the echo's scoring.mode); returns (rows, row_errors).
+
+    Once every clip is scored, the previous run's scores, errors and echo
+    are removed, so the outputs are only ever this run's: a run in which no
+    clip could be scored leaves its errors CSV and nothing else.
+    """
+    _refuse_overwrite(out_csv, _SCORE_OUTPUTS,
                       [*(("--model", path) for path in _artifact_paths(run_dir).values()),
                        ("--data-root", Path(data_root) / MANIFEST_FILENAME)])
     config, model, paths, trained_on = _load_run(run_dir)
@@ -269,10 +272,10 @@ def score_machine(run_dir, data_root, machine: str, mode: str | None, out_csv):
             rows.append((rec.path, score, decide(score, phi)))
         else:
             row_errors.append((rec.path, error))
+    for ext in _SCORE_OUTPUTS:
+        remove_stale(f"{out_csv}{ext}")
     if row_errors:
         write_table(str(out_csv) + ".errors.csv", ["clip_path", "error"], row_errors)
-    else:
-        remove_stale(str(out_csv) + ".errors.csv")
     if not rows:
         path, error = row_errors[0]
         raise DatasetError(f"no test clip of {machine!r} could be scored (see "
@@ -290,15 +293,18 @@ def _first_ten(paths) -> str:
 
 def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None):
     """Join scores with ground truth, compute the report (pAUC at the paper's
-    p = 0.1), write CSV + table. Returns the report, the scored clips that are
-    no labeled test clip, and the labeled test clips of the scored machine
-    types that have no score."""
+    p = 0.1), write CSV + table. The truth is a manifest CSV, or a dataset
+    root read as train and score read it (its manifest.csv, else a scan).
+    Returns the report, the scored clips that are no labeled test clip, and
+    the labeled test clips of the scored machine types that have no score."""
     out_base = str(out_base)
+    truth_path = Path(manifest_path)
+    is_root = truth_path.is_dir()
     _refuse_overwrite(out_base, (".csv", ".txt", ".config.yaml"),
-                      [("--scores", scores_csv), ("--manifest", manifest_path),
+                      [("--scores", scores_csv),
+                       ("--manifest", truth_path / MANIFEST_FILENAME if is_root else truth_path),
                        ("--reference", reference_csv)])
     scores_path = Path(scores_csv)
-    truth_path = Path(manifest_path)
     score_rows = read_score_csv(scores_path)
     if not score_rows:
         raise MismatchError(f"{scores_path}: no score rows")
@@ -306,7 +312,7 @@ def evaluate_scores(scores_csv, manifest_path, out_base, reference_csv=None):
     if repeated:
         raise MismatchError(f"{len(repeated)} clips scored more than once in "
                             f"{scores_path}: {_first_ten(repeated)}")
-    manifest = load_manifest(truth_path)
+    manifest = _resolve_manifest(truth_path) if is_root else load_manifest(truth_path)
     by_path = {r.path: r for r in manifest.records}
     unmatched = [path for path, _, _ in score_rows if path not in by_path]
     if unmatched:
@@ -438,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="compute AUC/pAUC/official score from scores")
     p.add_argument("--scores", required=True, help="scores CSV from `asdkit score`")
-    p.add_argument("--manifest", required=True, help="ground-truth manifest CSV")
+    p.add_argument("--manifest", required=True,
+                   help="ground-truth manifest CSV, or a dataset root (its manifest.csv, "
+                        "else a scan of its clips)")
     p.add_argument("--out", required=True, help="report base path (writes .csv and .txt)")
     p.add_argument("--reference", default=None,
                    help="reference table CSV (machine,auc_source,auc_target,pauc in percent)")

@@ -151,8 +151,8 @@ def _clip_blocks(domains) -> list[list[int]]:
             for k in range(0, len(clips), BLOCK_CLIPS)]
 
 
-def _block_moments(model: AeModel, vectors, block, scatter):
-    """The residual statistics of the clips in block, one pool task.
+def _block_moments(model: AeModel, clips, block, scatter):
+    """The residual statistics of the clips in block (indices into clips), one pool task.
 
     Returns each clip's mse score, row count and residual mean, and adds the
     block's within-clip scatter sum_k C_k' C_k to scatter, with C_k clip k's
@@ -167,7 +167,7 @@ def _block_moments(model: AeModel, vectors, block, scatter):
     means, stack = np.empty((len(block), d)), np.empty((SCATTER_ROWS, d))
     filled = 0  # rows of stack not yet in the scatter
     for j, i in enumerate(block):
-        residuals = _residuals(model, vectors(i))
+        residuals = _residuals(model, clips[i])
         k = residuals.shape[0]
         scores[j], counts[j] = _mse(residuals), k
         first = residuals[0].copy()
@@ -204,7 +204,7 @@ def _add_between_clip_scatter(m2: np.ndarray, counts: np.ndarray, means: np.ndar
     m2 += deviations.T @ deviations
 
 
-def _residual_scatter(model: AeModel, vectors, domains, workers: int):
+def _residual_scatter(model: AeModel, clips, domains, workers: int):
     """The residual pass of fit_covariances: (mse scores in clip order,
     {domain: M2}, {domain: row count}) for the source and target domains.
 
@@ -219,7 +219,7 @@ def _residual_scatter(model: AeModel, vectors, domains, workers: int):
     # freed once folded: this process holds at most one in memory at a time
     scatters, free_scatter = _pool.shared_slots(len(blocks), (d, d), np.float64)
     m2 = {"source": np.zeros((d, d)), "target": np.zeros((d, d))}
-    results = _pool.run(lambda b: _block_moments(model, vectors, blocks[b], scatters[b]),
+    results = _pool.run(lambda b: _block_moments(model, clips, blocks[b], scatters[b]),
                         range(len(blocks)), min(workers, len(blocks)))
     for b, (block_scores, block_counts, block_means) in enumerate(results):
         block = blocks[b]
@@ -230,10 +230,10 @@ def _residual_scatter(model: AeModel, vectors, domains, workers: int):
     n = {}
     with _pool.one_blas_thread():  # as the factorization, to fix the last digits
         for domain in m2:
-            clips = [i for i, dom in enumerate(domains) if dom == domain]
-            n[domain] = int(counts[clips].sum())
-            if clips:
-                _add_between_clip_scatter(m2[domain], counts[clips], means[clips])
+            members = [i for i, dom in enumerate(domains) if dom == domain]
+            n[domain] = int(counts[members].sum())
+            if members:
+                _add_between_clip_scatter(m2[domain], counts[members], means[members])
     return scores.tolist(), m2, n
 
 
@@ -283,24 +283,26 @@ def joint_whitening(sigma_source: np.ndarray, sigma_target: np.ndarray):
     return c_inv.T @ u, scale
 
 
-def fit_covariances(model: AeModel, vectors, domains,
+def fit_covariances(model: AeModel, clips, domains,
                     workers: int = 1) -> tuple[list[float], DomainCovariances]:
     """One residual pass over the training clips, then the joint factorization
     of both domains' ridged residual covariances.
 
-    vectors(i) gives clip i's stacked vectors and domains[i] its domain
+    clips[i] is clip i's (K_i, D) stacked vectors and domains[i] its domain
     ("source" or "target"; clips of other domains only get a score). Each
     clip's residual is computed once and gives the clip's mse score. The
     clips are cut into blocks of BLOCK_CLIPS clips of one domain, which run
-    as tasks of the fork pool on up to workers workers (vectors is called
-    there). Each block returns its clips' row counts and residual means and
-    its within-clip scatter; the scatters are folded into their domain's M2
-    in block order, and the between-clip term from the means is added last. Covariance = mean-centered sample covariance (divisor
+    as tasks of the fork pool on up to workers workers. A task is a block
+    index: workers read the clips they inherit at the fork, so no clip is
+    pickled. Each block returns its clips' row counts and residual means
+    and its within-clip scatter; the scatters are folded into their
+    domain's M2 in block order, and the between-clip term from the means
+    is added last. Covariance = mean-centered sample covariance (divisor
     N-1) plus RIDGE * max(trace/D, floor) * I; the ridge keeps the target
     matrix invertible even with very few target-domain clips. Returns (mse
     scores in clip order, DomainCovariances).
     """
-    scores, m2, n = _residual_scatter(model, vectors, domains, workers)
+    scores, m2, n = _residual_scatter(model, clips, domains, workers)
     with _pool.one_blas_thread():  # LAPACK's last digits vary with the thread count
         # each covariance is handed over as its only reference, freed once used
         whitening, target_scale = joint_whitening(

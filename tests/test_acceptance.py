@@ -20,7 +20,7 @@ import yaml
 from asdkit._io import read_table, write_table
 from asdkit.cli import main
 from asdkit.config import RunConfig
-from asdkit.dataset import load_manifest, save_manifest, scan_dataset
+from asdkit.dataset import load_manifest, scan_dataset
 from asdkit.metrics import METRICS, ScoredClip, auc_domain, official_score, pauc_section
 from asdkit.model import count_macs, init_model
 from asdkit.scoring import MODES, read_score_csv, save_covariances, write_score_csv
@@ -258,8 +258,6 @@ def test_acceptance_7_published_baseline_reproduction(tmp_path):
         for machine in PUBLISHED_DEV_BASELINE:
             if machine not in manifest.machines():
                 pytest.skip(f"machine {machine} missing under {root}")
-        manifest_path = tmp_path / "manifest.csv"
-        save_manifest(manifest, manifest_path)
         config = RunConfig()  # full defaults: 640-d features, 100 epochs
         cfg_path = tmp_path / "cfg.yaml"
         with open(cfg_path, "w") as fh:
@@ -283,7 +281,7 @@ def test_acceptance_7_published_baseline_reproduction(tmp_path):
                          for machine, expected in PUBLISHED_DEV_BASELINE.items()))
             report = tmp_path / f"report_{mode}"
             assert main(["evaluate", "--scores", str(tmp_path / f"{mode}.csv"),
-                         "--manifest", str(manifest_path),
+                         "--manifest", str(root),
                          "--reference", str(tmp_path / f"{mode}_reference.csv"),
                          "--out", str(report)]) == 0
             columns = [f"{kind}_{key}" for key in METRICS for kind in ("ref", "delta")]

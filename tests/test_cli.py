@@ -26,7 +26,7 @@ from asdkit.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_DATA, EXIT_MISMATCH,
                         EXIT_OK, main)
 from asdkit.config import RunConfig
 from asdkit.dataset import load_manifest
-from asdkit.dsp import extract_features, read_wav, write_wav
+from asdkit.dsp import extract_features, frame_count, read_wav, wav_num_samples, write_wav
 from asdkit.errors import (AsdkitError, ConfigError, DatasetError, InsufficientDataError,
                            MismatchError, ModelFileError, TooShortError,
                            TrainingDivergedError, UndefinedMetricError, WavFormatError)
@@ -393,6 +393,33 @@ def test_training_clips_scored_like_test_clips_give_the_stored_thresholds(
               "mahalanobis": [score_mahalanobis(model, feats, cov) for feats in clips]}
     for mode, values in scores.items():
         assert float(np.percentile(values, THRESHOLD_PERCENTILE)) == thresholds[mode], mode
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_feature_store_clips_are_slices_of_one_stacked_view(small_dataset, force_workers,
+                                                            workers):
+    force_workers(workers)
+    root, manifest = small_dataset
+    config = fast_config()
+    f = config.features
+    records = sorted(manifest.select(machine=SMALL_MACHINE, split="train"),
+                     key=lambda r: r.path)
+    stacked, rows, clips, _ = cli._feature_store(config, root, records)
+    ranges, frame_ends, end = [], set(), 0
+    for rec, clip in zip(records, clips, strict=True):
+        n = wav_num_samples(root / rec.path)
+        assert np.shares_memory(clip, stacked)
+        assert len(clip) == f.vector_count(n)
+        assert np.array_equal(clip, extract_features(read_wav(root / rec.path), f))
+        start = (clip.ctypes.data - stacked.ctypes.data) // stacked.strides[0]
+        ranges.append(np.arange(start, start + len(clip)))
+        end += frame_count(n)
+        frame_ends.add(end)  # the first frame row of the next clip
+    assert np.array_equal(rows, np.concatenate(ranges))
+    # vector r holds frames r .. r + P - 1, so it spans two clips iff a clip
+    # ends inside it
+    assert not [r for r in rows.tolist()
+                if frame_ends & set(range(r + 1, r + f.context_frames))]
 
 
 def test_train_without_config_matches_empty_config(small_dataset, tmp_path):
@@ -769,14 +796,21 @@ def test_score_that_scores_nothing_exits_data(trained_artifacts, tmp_path, capsy
                   rng.integers(-3000, 3000, 4000).astype(np.int16), 8000)
     first = str(Path(SMALL_MACHINE) / "test" / sorted(names)[0])
     out_csv = tmp_path / "scores.csv"
-    rc = main(["score", "--model", str(paths["model"].parent), "--data-root", str(data),
-               "--machine", SMALL_MACHINE, "--mode", "mse", "--out", str(out_csv)])
-    assert rc == EXIT_DATA
+    echo = tmp_path / "scores.csv.config.yaml"
+
+    def score(data_root):
+        return main(["score", "--model", str(paths["model"].parent), "--data-root",
+                     str(data_root), "--machine", SMALL_MACHINE, "--mode", "mse",
+                     "--out", str(out_csv)])
+    assert score(root) == EXIT_OK  # a previous run's scores, which evaluate would read
+    assert out_csv.exists() and echo.exists()
+    capsys.readouterr()
+    assert score(data) == EXIT_DATA
     err = capsys.readouterr().err
     assert "could be scored" in err and first in err and "clip rate 8000 Hz" in err
     errors = (tmp_path / "scores.csv.errors.csv").read_text().splitlines()
     assert len(errors) == 1 + len(names)
-    assert not out_csv.exists()
+    assert not out_csv.exists() and not echo.exists()
 
 
 def test_scanned_tree_reports_its_skipped_files(trained_artifacts, tmp_path, capsys):
@@ -1203,11 +1237,15 @@ def test_evaluate_without_a_labeled_test_clip_exits_mismatch(small_dataset, tmp_
     assert list(tmp_path.iterdir()) == [scores_csv]
 
 
-@pytest.mark.parametrize("flag, suffix", [("--scores", ".csv"), ("--scores", ".txt"),
-                                          ("--manifest", ".config.yaml"),
-                                          ("--reference", ".csv")])
+@pytest.mark.parametrize("flag, out, suffix", [("--scores", "report", ".csv"),
+                                               ("--scores", "report", ".txt"),
+                                               ("--manifest", "report", ".config.yaml"),
+                                               ("--reference", "report", ".csv"),
+                                               ("--manifest", "root/manifest", ".csv")],
+                         ids=["--scores-.csv", "--scores-.txt", "--manifest-.config.yaml",
+                              "--reference-.csv", "--manifest-root"])
 def test_evaluate_out_over_an_input_exits_config(small_dataset, tmp_path, capsys,
-                                                 monkeypatch, flag, suffix):
+                                                 monkeypatch, flag, out, suffix):
     root, manifest = small_dataset
     inputs = {"--scores": tmp_path / "scores.csv", "--manifest": tmp_path / "manifest.csv",
               "--reference": tmp_path / "reference.csv"}
@@ -1215,20 +1253,46 @@ def test_evaluate_out_over_an_input_exits_config(small_dataset, tmp_path, capsys
     shutil.copy(root / "manifest.csv", inputs["--manifest"])
     inputs["--reference"].write_text(f"machine,auc_source,auc_target,pauc\n"
                                      f"{SMALL_MACHINE},90,90,80\n")
-    inputs[flag] = inputs[flag].rename(tmp_path / f"report{suffix}")
+    (tmp_path / out).parent.mkdir(exist_ok=True)
+    inputs[flag] = inputs[flag].rename(tmp_path / f"{out}{suffix}")
     before = {path: path.read_bytes() for path in inputs.values()}
+    given = dict(inputs)
+    if out == "root/manifest":  # --manifest names the dataset root that holds manifest.csv
+        given[flag] = inputs[flag].parent
 
     def no_reads(path, *args):
         raise AssertionError(f"read {path} before checking --out")
     for reader in ("read_score_csv", "load_manifest", "load_reference_csv"):
         monkeypatch.setattr(cli, reader, no_reads)
     monkeypatch.chdir(tmp_path)  # the same file, named relative and absolute
-    rc = main(["evaluate", *[arg for f, p in inputs.items() for arg in (f, str(p))],
-               "--out", "report"])
+    rc = main(["evaluate", *[arg for f, p in given.items() for arg in (f, str(p))],
+               "--out", out])
     assert rc == EXIT_CONFIG
-    assert f"{flag} {inputs[flag]} is one of the files --out report writes" in (
+    assert f"{flag} {inputs[flag]} is one of the files --out {out} writes" in (
         capsys.readouterr().err)
-    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+def test_evaluate_reads_a_dataset_root_as_train_and_score_do(small_dataset, tmp_path, capsys):
+    root, manifest = small_dataset
+    scores_csv = tmp_path / "scores.csv"
+    write_score_csv(separated_scores(manifest, SMALL_MACHINE), scores_csv)
+    scanned = tmp_path / "scanned"  # a copy with no manifest.csv, as real DCASE trees ship
+    shutil.copytree(root, scanned)
+    (scanned / "manifest.csv").unlink()
+    reports = {}
+    for name, truth in [("file", root / "manifest.csv"), ("root", root), ("scanned", scanned)]:
+        assert main(["evaluate", "--scores", str(scores_csv), "--manifest", str(truth),
+                     "--out", str(tmp_path / name)]) == EXIT_OK
+        reports[name] = [(tmp_path / f"{name}{ext}").read_bytes() for ext in (".csv", ".txt")]
+    assert reports["root"] == reports["file"]
+    assert reports["scanned"] == reports["file"]
+    empty = tmp_path / "empty"  # a root with no clips is a data problem, as for train
+    empty.mkdir()
+    assert main(["evaluate", "--scores", str(scores_csv), "--manifest", str(empty),
+                 "--out", str(tmp_path / "report")]) == EXIT_DATA
+    assert f"no .wav files under {empty}" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_evaluate_missing_scores_file(small_dataset, tmp_path):
@@ -1248,8 +1312,7 @@ REFERENCE_ROWS = {
 }
 
 
-@pytest.mark.parametrize("case", ["manifest-directory", "missing-reference",
-                                  *REFERENCE_ROWS, "nan-score"])
+@pytest.mark.parametrize("case", ["missing-reference", *REFERENCE_ROWS, "nan-score"])
 def test_evaluate_unreadable_table_exits_config(small_dataset, tmp_path, capsys, case):
     root, manifest = small_dataset
     scores_csv = tmp_path / "scores.csv"
@@ -1257,8 +1320,7 @@ def test_evaluate_unreadable_table_exits_config(small_dataset, tmp_path, capsys,
     if case == "nan-score":
         rows[1] = (rows[1][0], float("nan"), rows[1][2])
     write_score_csv(rows, scores_csv)
-    truth = tmp_path if case == "manifest-directory" else root / "manifest.csv"
-    cmd = ["evaluate", "--scores", str(scores_csv), "--manifest", str(truth),
+    cmd = ["evaluate", "--scores", str(scores_csv), "--manifest", str(root / "manifest.csv"),
            "--out", str(tmp_path / "report")]
     reference = tmp_path / "reference.csv"
     if case == "reference-without-columns":

@@ -107,7 +107,7 @@ def test_mse_zero_residual_frame_scales_score_exactly():
 
 def fit(model, clips, workers=1):
     """fit_covariances of clips given as (features, domain) pairs."""
-    return fit_covariances(model, [f for f, _ in clips].__getitem__,
+    return fit_covariances(model, [f for f, _ in clips],
                            [domain for _, domain in clips], workers)
 
 
@@ -213,7 +213,7 @@ def merged_covariance(x, sizes):
     assert sum(sizes) == x.shape[0]
     clips = np.split(x, np.cumsum(sizes)[:-1]) + [x[:2]]
     domains = ["source"] * len(sizes) + ["target"]
-    _, m2, n = _residual_scatter(zero_model(x.shape[1]), clips.__getitem__, domains, 1)
+    _, m2, n = _residual_scatter(zero_model(x.shape[1]), clips, domains, 1)
     assert n["source"] == x.shape[0]
     return m2["source"] / (n["source"] - 1)
 
